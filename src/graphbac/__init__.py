@@ -21,7 +21,7 @@ from graphbac.core import (
     TypeGraph,
     enumerate_matches,
 )
-from graphbac.dependency import dependency_graph, dependency_reasons
+from graphbac.dependency import dependency_reasons
 from graphbac.rules import Rule, apply, apply_inverse
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "TypeGraph",
     "apply",
     "apply_inverse",
-    "dependency_graph",
     "dependency_reasons",
     "enumerate_matches",
     "__version__",

@@ -226,21 +226,14 @@ def graph_to_doc(graph: InstanceGraph) -> dict:
     return doc
 
 
-def graph_from_doc(doc: dict) -> InstanceGraph:
-    """Parse a full exchange document produced by graph_to_doc."""
-    tg = TypeGraph.from_doc(doc)
-    return InstanceGraph.from_doc(doc, tg)
-
-
 @dataclass(frozen=True)
 class Morphism:
-    """A typed graph morphism given by explicit node and edge maps."""
+    """An injective typed graph morphism given by explicit node and edge maps."""
 
     source: InstanceGraph
     target: InstanceGraph
     node_map: dict[str, str]
     edge_map: dict[str, str]
-    injective: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "node_map", dict(self.node_map))
@@ -262,15 +255,10 @@ class Morphism:
             # structure preservation: mapping must commute with endpoints
             if te.src != self.node_map[se.src] or te.tgt != self.node_map[se.tgt]:
                 raise GraphError(f"edge {e} does not commute with its endpoints")
-        if self.injective:
-            if len(set(self.node_map.values())) != len(self.node_map) or len(
-                set(self.edge_map.values())
-            ) != len(self.edge_map):
-                raise GraphError("morphism flagged injective has colliding images")
-
-    @classmethod
-    def identity(cls, graph: InstanceGraph) -> "Morphism":
-        return cls(graph, graph, {n: n for n in graph.nodes}, {e: e for e in graph.edges})
+        if len(set(self.node_map.values())) != len(self.node_map) or len(
+            set(self.edge_map.values())
+        ) != len(self.edge_map):
+            raise GraphError("morphism has colliding images")
 
     @classmethod
     def inclusion(cls, sub: InstanceGraph, sup: InstanceGraph) -> "Morphism":
@@ -278,18 +266,6 @@ class Morphism:
         if not sub.is_subgraph_of(sup):
             raise GraphError("inclusion source is not a subgraph of the target")
         return cls(sub, sup, {n: n for n in sub.nodes}, {e: e for e in sub.edges})
-
-    def then(self, other: "Morphism") -> "Morphism":
-        """Composition: apply self first, then other."""
-        if other.source is not self.target and other.source != self.target:
-            raise GraphError("composition of non-chaining morphisms")
-        return Morphism(
-            self.source,
-            other.target,
-            {n: other.node_map[i] for n, i in self.node_map.items()},
-            {e: other.edge_map[i] for e, i in self.edge_map.items()},
-            injective=self.injective and other.injective,
-        )
 
     def node_image(self) -> frozenset[str]:
         return frozenset(self.node_map.values())

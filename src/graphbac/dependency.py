@@ -5,13 +5,15 @@ creation graph embedded into a sink rule's pattern, together with the glued
 minimal host it induces.  A reason is reported only when that host is
 realizable, meaning the source step can actually have produced it (inverse
 application succeeds) and the sink step is applicable on it (dangling check).
-The same machinery with the sink's deletion graph decides whether two rules
-are universally sequentially independent.
+One realizability check (`_realize`) serves both overlap kinds: produce-use
+overlaps of the source's creation graph, and delete overlaps of the sink's
+deletion graph, which decide whether two rules are universally sequentially
+independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -51,29 +53,24 @@ class CreationProfile:
     boundary: InstanceGraph
 
 
-def creation_profile(rule: Rule) -> CreationProfile:
-    nodes = set(rule.created_nodes())
-    edges = set(rule.created_edges())
+def _profile(rule: Rule, side: InstanceGraph, tag: str) -> CreationProfile:
+    nodes = set(rule.tagged(tag, nodes=True))
+    edges = set(rule.tagged(tag, nodes=False))
     for e in edges:
         nodes.add(rule.edges[e].src)
         nodes.add(rule.edges[e].tgt)
-    creation = rule.rhs.subgraph(nodes, edges)
-    boundary_nodes = {n for n in nodes if rule.tags[n] != CREATE}
-    boundary = creation.subgraph(boundary_nodes, set())
-    return CreationProfile(rule, creation, boundary)
+    graph = side.subgraph(nodes, edges)
+    boundary = graph.subgraph({n for n in nodes if rule.tags[n] != tag}, set())
+    return CreationProfile(rule, graph, boundary)
+
+
+def creation_profile(rule: Rule) -> CreationProfile:
+    return _profile(rule, rule.rhs, CREATE)
 
 
 def deletion_profile(rule: Rule) -> CreationProfile:
     """The mirror construction over the pattern side: deleted elements plus endpoints."""
-    nodes = set(rule.deleted_nodes())
-    edges = set(rule.deleted_edges())
-    for e in edges:
-        nodes.add(rule.edges[e].src)
-        nodes.add(rule.edges[e].tgt)
-    deletion = rule.lhs.subgraph(nodes, edges)
-    boundary_nodes = {n for n in nodes if rule.tags[n] != DELETE}
-    boundary = deletion.subgraph(boundary_nodes, set())
-    return CreationProfile(rule, deletion, boundary)
+    return _profile(rule, rule.lhs, DELETE)
 
 
 @dataclass(frozen=True)
@@ -252,30 +249,58 @@ def _context_identifications(
     return results
 
 
-def _realizable(
-    source: Rule, sink: Rule, span: InstanceGraph, embedding: Morphism
+def _realize(
+    first: Rule, second: Rule, base: dict[str, str]
 ) -> tuple[InstanceGraph, Morphism, Morphism] | None:
-    """Glue the two rule sides along the span and certify both directions.
+    """Glue first's result side and second's pattern, certifying both steps.
 
-    Returns (glued host, source comatch, sink match) or None when either the
-    source step cannot have produced the host or the sink step cannot fire.
-    The sink's unshared context may additionally coincide with context the
-    source preserves, so every such identification counts as a realization;
-    the returned witness is the smallest one that works.
+    `base` identifies some of second's pattern elements with first's result
+    side (the overlap).  Returns (glued host, first comatch, second match) or
+    None when either the first step cannot have produced the host or the
+    second step cannot fire on it.  Second's unshared context may
+    additionally coincide with context first preserves, so every such
+    identification counts as a realization; the returned witness is the
+    smallest one that works.
     """
-    sink_to_source = {}
-    for x, image in {**embedding.node_map, **embedding.edge_map}.items():
-        sink_to_source[image] = x
-    for identification in _context_identifications(source, sink.lhs, sink_to_source):
-        glued, source_in, sink_in = _glue(source.rhs, sink.lhs, identification)
+    for identification in _context_identifications(first, second.lhs, base):
+        glued, first_in, second_in = _glue(first.rhs, second.lhs, identification)
         try:
-            apply_inverse(source, glued, source_in)
+            apply_inverse(first, glued, first_in)
         except NotReversibleError:
             continue
-        if not check_dangling(sink_in, sink.deleted_nodes()):
+        if not check_dangling(second_in, second.deleted_nodes()):
             continue
-        return glued, source_in, sink_in
+        return glued, first_in, second_in
     return None
+
+
+def _reason(
+    reason_id: str,
+    source: Rule,
+    sink: Rule,
+    span: InstanceGraph,
+    embedding: Morphism,
+    tainted: bool | None = None,
+) -> DependencyReason | None:
+    """The reason for a span embedded into the sink pattern, if it is realizable."""
+    sink_to_source = {
+        image: x for x, image in {**embedding.node_map, **embedding.edge_map}.items()
+    }
+    outcome = _realize(source, sink, sink_to_source)
+    if outcome is None:
+        return None
+    glued, source_in, sink_in = outcome
+    return DependencyReason(
+        id=reason_id,
+        source_rule=source.name,
+        sink_rule=sink.name,
+        span=span,
+        into_sink=embedding,
+        glued=glued,
+        source_comatch=source_in,
+        sink_match=sink_in,
+        tainted=tainted,
+    )
 
 
 def dependency_reasons(source: Rule, sink: Rule) -> list[DependencyReason]:
@@ -287,10 +312,11 @@ def dependency_reasons(source: Rule, sink: Rule) -> list[DependencyReason]:
     seen: set[tuple] = set()
     for span in _spans(profile):
         for embedding in enumerate_matches(span, sink.lhs):
-            outcome = _realizable(source, sink, span, embedding)
-            if outcome is None:
+            reason = _reason(
+                f"{source.name}->{sink.name}#{len(reasons)}", source, sink, span, embedding
+            )
+            if reason is None:
                 continue
-            glued, source_in, sink_in = outcome
             key = (
                 frozenset(span.nodes),
                 frozenset(span.edges),
@@ -302,18 +328,7 @@ def dependency_reasons(source: Rule, sink: Rule) -> list[DependencyReason]:
             if key in seen:
                 raise AssertionError("duplicate span enumerated")
             seen.add(key)
-            reasons.append(
-                DependencyReason(
-                    id=f"{source.name}->{sink.name}#{len(reasons)}",
-                    source_rule=source.name,
-                    sink_rule=sink.name,
-                    span=span,
-                    into_sink=embedding,
-                    glued=glued,
-                    source_comatch=source_in,
-                    sink_match=sink_in,
-                )
-            )
+            reasons.append(reason)
     return reasons
 
 
@@ -329,22 +344,10 @@ def delete_overlap_reasons(first: Rule, second: Rule) -> list[dict]:
     witnesses = []
     for span in _spans(profile):
         for embedding in enumerate_matches(span, first.rhs):
-            # glue keeps the first rule's result ids; the span lives in the
-            # second rule's pattern here, so the gluing runs the other way
-            base = {x: embedding.node_map.get(x) or embedding.edge_map.get(x)
-                    for x in list(span.nodes) + list(span.edges)}
-            witness = None
-            for identification in _context_identifications(first, second.lhs, base):
-                glued, first_in, second_in = _glue(first.rhs, second.lhs, identification)
-                try:
-                    apply_inverse(first, glued, first_in)
-                except NotReversibleError:
-                    continue
-                if not check_dangling(second_in, second.deleted_nodes()):
-                    continue
-                witness = glued
-                break
-            if witness is None:
+            # the span lives in the second rule's pattern here, so its
+            # embedding already maps second's ids onto first's result side
+            outcome = _realize(first, second, {**embedding.node_map, **embedding.edge_map})
+            if outcome is None:
                 continue
             witnesses.append(
                 {
@@ -352,7 +355,7 @@ def delete_overlap_reasons(first: Rule, second: Rule) -> list[dict]:
                     "second_rule": second.name,
                     "span_nodes": sorted(span.nodes),
                     "span_edges": sorted(span.edges),
-                    "glued": witness,
+                    "glued": outcome[0],
                 }
             )
     return witnesses
@@ -407,57 +410,12 @@ def extract_reason(
             edge_map[e] = host_to_sink_edge[image]
     span = creation.subgraph(node_map, edge_map)
     embedding = Morphism(span, t2.rule.lhs, node_map, edge_map)
-    outcome = _realizable(t1.rule, t2.rule, span, embedding)
-    if outcome is None:
-        raise AssertionError("extracted span from a concrete pair must be realizable")
-    glued, source_in, sink_in = outcome
-    return DependencyReason(
-        id=f"{t1.rule.name}->{t2.rule.name}#extracted",
-        source_rule=t1.rule.name,
-        sink_rule=t2.rule.name,
-        span=span,
-        into_sink=embedding,
-        glued=glued,
-        source_comatch=source_in,
-        sink_match=sink_in,
+    reason = _reason(
+        f"{t1.rule.name}->{t2.rule.name}#extracted", t1.rule, t2.rule, span, embedding
     )
-
-
-@dataclass(frozen=True)
-class DependencyGraphResult:
-    """Rules plus, per ordered pair, the reasons connecting them."""
-
-    rules: tuple[str, ...]
-    reasons: dict[tuple[str, str], tuple[DependencyReason, ...]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "reasons", {pair: tuple(rs) for pair, rs in self.reasons.items() if rs}
-        )
-
-    def edges(self) -> list[tuple[str, str]]:
-        return sorted(self.reasons)
-
-    def all_reasons(self) -> list[DependencyReason]:
-        return [r for pair in self.edges() for r in self.reasons[pair]]
-
-    def reason_by_id(self, reason_id: str) -> DependencyReason:
-        for r in self.all_reasons():
-            if r.id == reason_id:
-                return r
-        raise GraphError(f"unknown reason id {reason_id}")
-
-
-def dependency_graph(rules: Iterable[Rule]) -> DependencyGraphResult:
-    """All produce-use edges over the given rules, pair by pair."""
-    ordered = sorted(rules, key=lambda r: r.name)
-    reasons: dict[tuple[str, str], tuple[DependencyReason, ...]] = {}
-    for source in ordered:
-        for sink in ordered:
-            found = dependency_reasons(source, sink)
-            if found:
-                reasons[(source.name, sink.name)] = tuple(found)
-    return DependencyGraphResult(tuple(r.name for r in ordered), reasons)
+    if reason is None:
+        raise AssertionError("extracted span from a concrete pair must be realizable")
+    return reason
 
 
 def reason_to_doc(reason: DependencyReason) -> dict:
@@ -484,52 +442,7 @@ def reason_from_doc(doc: dict, rules_by_name: dict[str, Rule]) -> DependencyReas
         raise GraphError(f"malformed reason document: {exc}") from exc
     span = creation_profile(source).creation.subgraph(span_nodes, span_edges)
     embedding = Morphism(span, sink.lhs, embedding_nodes, embedding_edges)
-    outcome = _realizable(source, sink, span, embedding)
-    if outcome is None:
+    reason = _reason(doc["id"], source, sink, span, embedding, doc.get("tainted"))
+    if reason is None:
         raise GraphError(f"reason {doc.get('id')} is not realizable for these rules")
-    glued, source_in, sink_in = outcome
-    return DependencyReason(
-        id=doc["id"],
-        source_rule=source.name,
-        sink_rule=sink.name,
-        span=span,
-        into_sink=embedding,
-        glued=glued,
-        source_comatch=source_in,
-        sink_match=sink_in,
-        tainted=doc.get("tainted"),
-    )
-
-
-def analysis_to_doc(result: DependencyGraphResult) -> dict:
-    return {
-        "rules": list(result.rules),
-        "edges": [list(pair) for pair in result.edges()],
-        "pairs": [
-            {
-                "source": pair[0],
-                "sink": pair[1],
-                "reasons": [reason_to_doc(r) for r in result.reasons[pair]],
-            }
-            for pair in result.edges()
-        ],
-    }
-
-
-def analysis_from_doc(doc: dict, rules_by_name: dict[str, Rule]) -> DependencyGraphResult:
-    try:
-        rule_names = tuple(doc["rules"])
-        pairs = doc["pairs"]
-    except KeyError as exc:
-        raise GraphError(f"malformed analysis document: {exc}") from exc
-    reasons: dict[tuple[str, str], tuple[DependencyReason, ...]] = {}
-    for entry in pairs:
-        pair = (entry["source"], entry["sink"])
-        reasons[pair] = tuple(
-            reason_from_doc(r, rules_by_name) for r in entry["reasons"]
-        )
-    return DependencyGraphResult(rule_names, reasons)
-
-
-def with_tainted_flag(reason: DependencyReason, tainted: bool) -> DependencyReason:
-    return replace(reason, tainted=tainted)
+    return reason

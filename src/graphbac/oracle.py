@@ -93,32 +93,29 @@ def produce_use_disagreements(
                 "matches no reported reason"
             )
     for reason in reported:
-        if _realize_reason(source, sink, reason) is None:
+        if not _realize_reason(source, sink, reason):
             out.append(f"{reason.id}: reported reason has no concrete realization")
     return out
 
 
-def _realize_reason(source: Rule, sink: Rule, reason) -> tuple | None:
-    """A concrete consecutive pair whose extracted span equals the reason's."""
+def _witness_pairs(
+    first: Rule, second: Rule, glued: InstanceGraph, comatch: Morphism
+):
+    """Every consecutive pair from the host a static witness says first came from."""
     try:
-        before = apply_inverse(source, reason.glued, reason.source_comatch)
+        before = apply_inverse(first, glued, comatch)
     except NotReversibleError:
-        return None
-    for m1 in enumerate_matches(source.lhs, before):
-        try:
-            t1 = apply(source, before, m1)
-        except NotApplicableError:
-            continue
-        for m2 in enumerate_matches(sink.lhs, t1.result):
-            try:
-                t2 = apply(sink, t1.result, m2)
-            except NotApplicableError:
-                continue
-            if classify_transformation_pair(t1, t2) != PRODUCE_USE:
-                continue
-            if extract_reason(t1, t2).same_span(reason):
-                return t1, t2
-    return None
+        return
+    yield from _consecutive_pairs(first, second, [before])
+
+
+def _realize_reason(source: Rule, sink: Rule, reason) -> bool:
+    """True when a concrete consecutive pair's extracted span equals the reason's."""
+    return any(
+        classify_transformation_pair(t1, t2) == PRODUCE_USE
+        and extract_reason(t1, t2).same_span(reason)
+        for t1, t2 in _witness_pairs(source, sink, reason.glued, reason.source_comatch)
+    )
 
 
 def _switched(t1: DirectTransformation, t2: DirectTransformation):
@@ -169,28 +166,16 @@ def independence_disagreements(
 def _dependent_pair_exists(first: Rule, second: Rule) -> bool:
     """Realize at least one dependent pair from the static witnesses themselves."""
     for reason in dependency_reasons(first, second):
-        if _realize_reason(first, second, reason) is not None:
+        if _realize_reason(first, second, reason):
             return True
     for witness in delete_overlap_reasons(first, second):
         glued = witness["glued"]
-        try:
-            before = apply_inverse(
-                first, glued, Morphism.inclusion(first.rhs, glued)
-            )
-        except NotReversibleError:
-            continue
-        for m1 in enumerate_matches(first.lhs, before):
-            try:
-                t1 = apply(first, before, m1)
-            except NotApplicableError:
-                continue
-            for m2 in enumerate_matches(second.lhs, t1.result):
-                try:
-                    t2 = apply(second, t1.result, m2)
-                except NotApplicableError:
-                    continue
-                if classify_transformation_pair(t1, t2) != INDEPENDENT:
-                    return True
+        comatch = Morphism.inclusion(first.rhs, glued)
+        if any(
+            classify_transformation_pair(t1, t2) != INDEPENDENT
+            for t1, t2 in _witness_pairs(first, second, glued, comatch)
+        ):
+            return True
     return False
 
 

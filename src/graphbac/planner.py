@@ -320,23 +320,6 @@ class TestPlan:
 # setup synthesis
 
 
-def synthesize_setup(
-    rule: Rule,
-    initial: InstanceGraph,
-    rules: Iterable[Rule],
-    depth_bound: int = 6,
-) -> list[DirectTransformation]:
-    """Shortest rule-application prefix after which the rule's pattern embeds."""
-    steps = _search_embedding(rule.lhs, initial, rules, depth_bound)
-    if steps is None:
-        wanted = ", ".join(f"{n}:{t}" for n, t in sorted(rule.lhs.nodes.items()))
-        raise PlanningError(
-            f"no setup within {depth_bound} steps embeds the pattern of "
-            f"{rule.name} (needs {wanted or 'nothing'})"
-        )
-    return steps
-
-
 def _search_embedding(
     pattern: InstanceGraph,
     initial: InstanceGraph,

@@ -143,13 +143,6 @@ class Rule:
         return self.call.operation if self.call else self.name
 
 
-def classify_rule(rule: Rule) -> str:
-    """"read" when nothing is created or deleted, else "write"."""
-    if any(tag != PRESERVE for tag in rule.tags.values()):
-        return "write"
-    return "read"
-
-
 @dataclass(frozen=True)
 class DirectTransformation:
     """One rule application: host => result through the intermediate graph."""

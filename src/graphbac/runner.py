@@ -244,13 +244,13 @@ def http_transport(endpoint: str) -> Transport:
         )
         try:
             with urllib.request.urlopen(req, timeout=timeout) as resp:
-                return json.loads(resp.read())
+                status, body = resp.status, resp.read()
         except urllib.error.HTTPError as exc:
-            body = exc.read()
-            try:
-                return json.loads(body)
-            except json.JSONDecodeError:
-                raise OSError(f"HTTP {exc.code}: {body[:200]!r}") from exc
+            status, body = exc.code, exc.read()
+        try:
+            return json.loads(body)
+        except ValueError as exc:  # not JSON, or not even text
+            raise OSError(f"HTTP {status}: {body[:200]!r}") from exc
 
     return send
 
@@ -277,12 +277,10 @@ def _resolve_bindings(
     return variables, None
 
 
-def _query_text(step_rule: str, rules: Mapping[str, Rule] | None) -> str:
-    if rules is not None:
-        rule = rules.get(step_rule)
-        if rule is not None and rule.call is not None and rule.call.document_template:
-            return rule.call.document_template
-    return f"# operation {step_rule}, dispatched by operationName"
+def _query_text(operation: str, rule: Rule | None) -> str:
+    if rule is not None and rule.call is not None and rule.call.document_template:
+        return rule.call.document_template
+    return f"# operation {operation}, dispatched by operationName"
 
 
 def _run_test(
@@ -313,10 +311,14 @@ def _run_test(
                 StepTranscript(index, step.rule, step.role, {}, None, False, problem)
             )
             return inconclusive(f"step {index} ({step.rule}): {problem}")
+        rule = rules.get(step.rule) if rules is not None else None
+        # the target dispatches and answers under the operation name, which
+        # may differ from the rule name
+        operation = rule.operation() if rule is not None else step.rule
         request = {
-            "query": _query_text(step.rule, rules),
+            "query": _query_text(operation, rule),
             "variables": variables,
-            "operationName": step.rule,
+            "operationName": operation,
         }
         headers = {
             "Authorization": f"{config.scheme_for(step.role)} {config.tokens[step.role]}"
@@ -325,6 +327,10 @@ def _run_test(
             response = transport(request, headers, config.timeout)
         except OSError as exc:
             problem = f"transport failure: {exc}"
+        else:
+            if not isinstance(response, dict):
+                problem = f"response is not a JSON object: {response!r:.200}"
+        if problem is not None:
             transcripts.append(
                 StepTranscript(index, step.rule, step.role, request, None, False, problem)
             )
@@ -343,7 +349,7 @@ def _run_test(
             observed = True
             break  # a denied call ends the execution sequence
         data = response.get("data") or {}
-        outputs.append(data.get(step.rule) if isinstance(data, dict) else None)
+        outputs.append(data.get(operation) if isinstance(data, dict) else None)
 
     classification = classify_outcome(test.expected_access, observed)
     verdict = SUCCESS if classification.endswith("-success") else FAIL

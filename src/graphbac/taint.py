@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .core import GraphError, TypeGraph
 from .dependency import (
-    DependencyGraphResult,
     DependencyReason,
     dependency_reasons,
     universally_sequentially_independent,
@@ -168,9 +167,7 @@ class TaintedFlow:
         )
 
 
-def tainted_flow(
-    api: TaintedGraphAPI, analysis: DependencyGraphResult | None = None
-) -> TaintedFlow:
+def tainted_flow(api: TaintedGraphAPI) -> TaintedFlow:
     """All dependency reasons between sources and sinks sharing a tainted type.
 
     Every reason of such a pair is part of the flow; reasons whose span
@@ -180,11 +177,7 @@ def tainted_flow(
     reasons: list[DependencyReason] = []
     for source_name, sink_name in api.pairs():
         source = api.rule(source_name)
-        if analysis is not None:
-            found = list(analysis.reasons.get((source_name, sink_name), ()))
-        else:
-            found = dependency_reasons(source, api.rule(sink_name))
-        for reason in found:
+        for reason in dependency_reasons(source, api.rule(sink_name)):
             tainted = any(
                 source.tags[n] == CREATE
                 and api.tainted_typegraph.is_tainted(source.nodes[n])

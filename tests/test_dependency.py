@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,24 +15,22 @@ from graphbac.dependency import (
     INDEPENDENT,
     PRODUCE_USE,
     USE_DELETE,
-    analysis_from_doc,
-    analysis_to_doc,
     classify_transformation_pair,
     creation_profile,
     delete_overlap_reasons,
     deletion_profile,
-    dependency_graph,
     dependency_reasons,
     extract_reason,
     reason_from_doc,
+    reason_to_doc,
     universally_sequentially_independent,
-    with_tainted_flag,
 )
 from graphbac.rules import Rule, apply
 
 from fixtures import (
     analyzed_collab_rules,
     chain_initial,
+    collab_rules,
     chain_rules,
     collab_typegraph,
     incident_initial,
@@ -54,9 +54,16 @@ def rules():
     return analyzed_collab_rules()
 
 
+def _all_reasons(rules):
+    """Reasons of every ordered pair that has any, keyed by (source, sink)."""
+    names = sorted(rules)
+    pairs = {(a, b): dependency_reasons(rules[a], rules[b]) for a in names for b in names}
+    return {pair: found for pair, found in pairs.items() if found}
+
+
 @pytest.fixture(scope="module")
 def analysis(rules):
-    return dependency_graph(rules.values())
+    return _all_reasons(rules)
 
 
 def test_creation_profile_shape(rules):
@@ -75,19 +82,21 @@ def test_deletion_profile_shape(rules):
 
 
 def test_dependency_graph_exact_edge_set(analysis):
-    assert set(analysis.edges()) == EXPECTED_EDGES
+    assert set(analysis) == EXPECTED_EDGES
     for pair in EXPECTED_EDGES:
-        assert len(analysis.reasons[pair]) == 1
+        assert len(analysis[pair]) == 1
 
 
 def test_reason_ids_are_stable(rules, analysis):
-    again = dependency_graph(rules.values())
-    assert [r.id for r in again.all_reasons()] == [r.id for r in analysis.all_reasons()]
-    assert analysis.reasons[("createRepo", "updateRepo")][0].id == "createRepo->updateRepo#0"
+    again = _all_reasons(rules)
+    assert [r.id for rs in again.values() for r in rs] == [
+        r.id for rs in analysis.values() for r in rs
+    ]
+    assert analysis[("createRepo", "updateRepo")][0].id == "createRepo->updateRepo#0"
 
 
 def test_repo_update_reason_spans_whole_result_side(rules, analysis):
-    (reason,) = analysis.reasons[("createRepo", "updateRepo")]
+    (reason,) = analysis[("createRepo", "updateRepo")]
     rhs = rules["createRepo"].rhs
     assert set(reason.span.nodes) == set(rhs.nodes)
     assert set(reason.span.edges) == set(rhs.edges)
@@ -182,7 +191,7 @@ def test_classify_produce_use_and_extract(rules, analysis):
     t2 = apply(rules["updateRepo"], t1.result, m2)
     assert classify_transformation_pair(t1, t2) == PRODUCE_USE
     extracted = extract_reason(t1, t2)
-    (reported,) = analysis.reasons[("createRepo", "updateRepo")]
+    (reported,) = analysis[("createRepo", "updateRepo")]
     assert extracted.same_span(reported)
 
 
@@ -217,10 +226,58 @@ def test_universal_independence_examples(rules):
     assert delete_overlap_reasons(rules["getProject"], rules["deleteProject"])
 
 
+# every ordered pair of running-example rules that is not universally
+# sequentially independent, and the (span nodes, span edges) of every delete
+# overlap witness; all other pairs are independent and have no witness
+DEPENDENT_PAIRS = {
+    ("createIssue", "deleteIssue"),
+    ("createIssue", "updateIssue"),
+    ("createProject", "deleteProject"),
+    ("createProject", "getProject"),
+    ("createRepo", "createIssue"),
+    ("createRepo", "updateRepo"),
+    ("createUser", "createProject"),
+    ("createUser", "createRepo"),
+    ("createUser", "getUser"),
+    ("getProject", "deleteProject"),
+    ("updateIssue", "deleteIssue"),
+}
+DELETE_OVERLAPS = {
+    ("createIssue", "deleteIssue"): [(["i", "r"], ["repo"])],
+    ("createProject", "deleteProject"): [(["p", "u"], ["projects"])],
+    ("getProject", "deleteProject"): [
+        (["p"], []),
+        (["p", "u"], []),
+        (["p", "u"], ["projects"]),
+    ],
+    ("updateIssue", "deleteIssue"): [
+        (["i"], []),
+        (["i", "r"], []),
+        (["i", "r"], ["repo"]),
+    ],
+}
+
+
+def test_independence_and_delete_overlaps_on_every_ordered_pair():
+    rules = collab_rules()
+    names = sorted(rules)
+    assert len(names) == 10
+    for first in names:
+        for second in names:
+            pair = (first, second)
+            assert universally_sequentially_independent(
+                rules[first], rules[second]
+            ) == (pair not in DEPENDENT_PAIRS), pair
+            witnesses = delete_overlap_reasons(rules[first], rules[second])
+            assert [
+                (w["span_nodes"], w["span_edges"]) for w in witnesses
+            ] == DELETE_OVERLAPS.get(pair, []), pair
+
+
 def test_reported_reason_is_concretely_realizable(rules, analysis):
     from graphbac.rules import apply_inverse, isomorphic
 
-    (reason,) = analysis.reasons[("createRepo", "updateRepo")]
+    (reason,) = analysis[("createRepo", "updateRepo")]
     rule = rules["createRepo"]
     before = apply_inverse(rule, reason.glued, reason.source_comatch)
     redone = [apply(rule, before, m) for m in enumerate_matches(rule.lhs, before)]
@@ -228,20 +285,21 @@ def test_reported_reason_is_concretely_realizable(rules, analysis):
 
 
 def test_analysis_doc_round_trip(rules, analysis):
-    doc = analysis_to_doc(analysis)
-    back = analysis_from_doc(doc, rules)
-    assert back.rules == analysis.rules
-    assert back.edges() == analysis.edges()
-    for pair in analysis.edges():
-        for a, b in zip(analysis.reasons[pair], back.reasons[pair]):
-            assert a.id == b.id
-            assert a.same_span(b)
+    # analysis.json lists each reason as its reason document
+    for i, reason in enumerate(r for rs in analysis.values() for r in rs):
+        assert reason.tainted is None
+        flagged = replace(reason, tainted=i % 2 == 0)
+        doc = json.loads(json.dumps(reason_to_doc(flagged)))
+        back = reason_from_doc(doc, rules)
+        assert back.id == reason.id
+        assert back.same_span(reason)
+        assert back.glued == reason.glued
+        assert back.tainted is flagged.tainted
+        assert reason_to_doc(back) == doc
 
 
 def test_reason_doc_rejects_unrealizable_span(rules, analysis):
-    from graphbac.dependency import reason_to_doc
-
-    (reason,) = analysis.reasons[("createProject", "getProject")]
+    (reason,) = analysis[("createProject", "getProject")]
     doc = reason_to_doc(reason)
     doc["span"] = {
         "nodes": [{"id": "p", "type": "Project"}],
@@ -250,12 +308,6 @@ def test_reason_doc_rejects_unrealizable_span(rules, analysis):
     doc["embedding"] = {"nodes": {"p": "p"}, "edges": {}}
     with pytest.raises(GraphError):
         reason_from_doc(doc, rules)
-
-
-def test_tainted_flag_round_trip(analysis):
-    reason = analysis.all_reasons()[0]
-    assert reason.tainted is None
-    assert with_tainted_flag(reason, True).tainted is True
 
 
 @settings(max_examples=40, deadline=None)

@@ -27,8 +27,8 @@ from graphbac.planner import (
     TestPlan,
     check_flow_coverage,
     check_role_coverage,
+    _search_embedding,
     generate_minimal_tests,
-    synthesize_setup,
 )
 from graphbac.taint import (
     SECURED,
@@ -125,19 +125,21 @@ def test_policy_roundtrip():
 def test_synthesize_setup_prefixes():
     rules = collab_rules()
     pool = list(rules.values())
-    assert synthesize_setup(rules["createUser"], empty_host(), pool) == []
-    repo_setup = synthesize_setup(rules["createRepo"], empty_host(), pool)
-    assert [t.rule.name for t in repo_setup] == ["createUser"]
-    issue_setup = synthesize_setup(rules["createIssue"], empty_host(), pool)
-    assert [t.rule.name for t in issue_setup] == ["createUser", "createRepo"]
+
+    def setup(name):
+        return _search_embedding(rules[name].lhs, empty_host(), pool, 6)
+
+    assert setup("createUser") == []
+    assert [t.rule.name for t in setup("createRepo")] == ["createUser"]
+    assert [t.rule.name for t in setup("createIssue")] == ["createUser", "createRepo"]
 
 
 def test_synthesize_setup_reports_unreachable_patterns():
     rules = collab_rules()
-    with pytest.raises(PlanningError, match="updateRepo.*r:Repository"):
-        synthesize_setup(
-            rules["updateRepo"], empty_host(), [rules["getUser"]], depth_bound=3
-        )
+    assert (
+        _search_embedding(rules["updateRepo"].lhs, empty_host(), [rules["getUser"]], 3)
+        is None
+    )
 
 
 def test_plan_shape(plan):

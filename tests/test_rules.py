@@ -25,7 +25,6 @@ from graphbac.rules import (
     apply,
     apply_inverse,
     canonical_form,
-    classify_rule,
     isomorphic,
     rule_from_doc,
     rule_to_doc,
@@ -83,13 +82,6 @@ def test_rule_derived_graphs():
     # the interface is the intersection of both sides by construction
     assert rule.interface.is_subgraph_of(rule.lhs)
     assert rule.interface.is_subgraph_of(rule.rhs)
-
-
-def test_classify_rule():
-    assert classify_rule(create_repo_rule()) == "write"
-    assert classify_rule(update_repo_rule()) == "read"
-    empty = Rule(name="noop", typegraph=TG)
-    assert classify_rule(empty) == "read"
 
 
 def test_invalid_rules_rejected():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import threading
+from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from fixtures import collab_plan, collab_policy, collab_roles, collab_rules
@@ -27,6 +30,7 @@ from graphbac.runner import (
     RunnerConfig,
     RunnerError,
     classify_outcome,
+    http_transport,
     run_plan,
     tokens_from_env,
 )
@@ -38,9 +42,9 @@ TOKENS = {
 }
 
 
-def make_target(faults=()) -> MockTarget:
+def make_target(faults=(), rules=None) -> MockTarget:
     return MockTarget(
-        rules=collab_rules().values(),
+        rules=(rules or collab_rules()).values(),
         roles=collab_roles(),
         policies={"bearer": collab_policy()},
         tokens={token: TokenEntry(role) for role, token in TOKENS.items()},
@@ -148,6 +152,69 @@ def test_transport_failure_is_inconclusive(plan):
     assert all(r.verdict == INCONCLUSIVE for r in report.results)
     assert all("transport failure" in r.detail for r in report.results)
     assert report.detected_vulnerabilities == ()
+
+
+@pytest.mark.parametrize("body", [[], "x"])
+def test_response_that_is_not_an_object_is_inconclusive(plan, body):
+    report = run_plan(plan, make_config(), transport=lambda *args: body)
+    assert all(r.verdict == INCONCLUSIVE for r in report.results)
+    assert all("not a JSON object" in r.detail for r in report.results)
+    json.dumps(report.to_doc())  # the report is still writable
+
+
+@pytest.mark.parametrize("status", [200, 500])
+def test_body_that_is_not_json_is_inconclusive_over_http(plan, status):
+    class NotJson(BaseHTTPRequestHandler):
+        def do_POST(self):  # noqa: N802  (http.server naming)
+            self.rfile.read(int(self.headers["Content-Length"]))
+            raw = b"<html>oops</html>"
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+
+        def log_message(self, fmt, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), NotJson)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}/graphql"
+        with pytest.raises(OSError, match=f"HTTP {status}"):
+            http_transport(endpoint)({}, {}, 5.0)
+        report = run_plan(plan, make_config(endpoint=endpoint))
+        assert all(r.verdict == INCONCLUSIVE for r in report.results)
+        assert all("transport failure" in r.detail for r in report.results)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("faults", [(), (FaultInjection("drop_check", "updateIssue"),)])
+def test_renamed_operations_run_like_the_originals(plan, faults):
+    operations = {name: f"{name}Op" for name in collab_rules()}
+    operations["createUser"] = "userCreate"
+    renamed = {
+        name: replace(rule, call=replace(rule.call, operation=operations[name]))
+        for name, rule in collab_rules().items()
+    }
+    original = run_plan(
+        plan, make_config(), transport=make_target(faults).transport(), rules=collab_rules()
+    )
+    report = run_plan(
+        plan,
+        make_config(),
+        transport=make_target(faults, renamed).transport(),
+        rules=renamed,
+    )
+    assert report.counts() == original.counts()
+    assert report.detected_vulnerabilities == original.detected_vulnerabilities
+    assert report.counts()[INCONCLUSIVE] == 0
+    sent = report.results[0].transcripts[0].request
+    assert sent["operationName"] == "userCreate"
 
 
 def test_non_access_error_is_inconclusive(plan):

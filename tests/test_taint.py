@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbac.core import GraphError, InstanceGraph, enumerate_matches
-from graphbac.dependency import dependency_graph, extract_reason
+from graphbac.dependency import extract_reason
 from graphbac.rules import CREATE, PRESERVE, Rule, apply
 from graphbac.taint import (
     ReviewEntry,
@@ -83,12 +83,6 @@ def test_flow_covers_the_six_pairs(flow):
     ]
     assert len(flow.reasons) == 6
     assert all(r.tainted for r in flow.reasons)
-
-
-def test_flow_reuses_precomputed_analysis(api, flow):
-    analysis = dependency_graph(analyzed_collab_rules().values())
-    again = tainted_flow(api, analysis)
-    assert again.reason_ids() == flow.reason_ids()
 
 
 def test_incident_toy_vulnerable_pair_has_empty_flow():
