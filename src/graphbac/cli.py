@@ -21,7 +21,7 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .core import GraphError, InstanceGraph, TypeGraph
 from .dependency import reason_to_doc
@@ -62,6 +62,8 @@ from .taint import (
     tainted_flow,
 )
 
+T = TypeVar("T")
+
 # Document names resolved relative to the project directory; project.json may
 # override any of them.
 _DEFAULT_PATHS = {
@@ -82,13 +84,17 @@ _DEFAULT_PATHS = {
 _SETTINGS = ("endpoint", "schemes", "matcher", "timeout", "cleanup", "include_inputs")
 
 
-def _load_json(path: Path) -> object:
+def _read(path: Path) -> str:
     try:
-        text = path.read_text()
+        return path.read_text()
     except FileNotFoundError:
         raise GraphError(f"{path}: file not found") from None
     except OSError as exc:
         raise GraphError(f"{path}: {exc.strerror}") from exc
+
+
+def _load_json(path: Path) -> object:
+    text = _read(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -113,11 +119,12 @@ def _write_doc(path: Path, doc: object) -> None:
 
 
 class Project:
-    """A project directory with lazily loaded, cross-validated documents."""
+    """A project directory with cross-validated documents, loaded once per command."""
 
     def __init__(self, root: Path, config: dict):
         self.root = root
         self.config = config
+        self._loaded: dict[Path, object] = {}
 
     @classmethod
     def load(cls, root: str | Path) -> "Project":
@@ -141,16 +148,19 @@ class Project:
     def setting(self, key: str, default: object = None) -> object:
         return self.config.get(key, default)
 
+    def _parsed(self, path: Path, parse: Callable[[object], T], text: bool = False) -> T:
+        """`parse` of the document at `path` (JSON unless `text`) on first use,
+        its kept result after; the errors it raises name the file."""
+        if path not in self._loaded:
+            doc = _read(path) if text else _load_json(path)
+            with _file_context(path):
+                self._loaded[path] = parse(doc)
+        return self._loaded[path]
+
     # ---- documents ------------------------------------------------------
 
     def schema_model(self):
-        path = self.path("schema")
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            raise GraphError(f"{path}: file not found") from None
-        with _file_context(path):
-            return parse_sdl(text)
+        return self._parsed(self.path("schema"), parse_sdl, text=True)
 
     def typegraph(self) -> TypeGraph:
         """From the schema when present, else from a stored type graph document."""
@@ -163,14 +173,10 @@ class Project:
                 f"{self.path('schema')}: file not found "
                 f"(and no {tg_path.name} to fall back on)"
             )
-        with _file_context(tg_path):
-            return TypeGraph.from_doc(_load_json(tg_path))
+        return self._parsed(tg_path, TypeGraph.from_doc)
 
     def rules(self) -> list[Rule]:
-        path = self.path("rules")
-        doc = _load_json(path)
-        with _file_context(path):
-            return rules_from_doc(doc, self.typegraph())
+        return self._parsed(self.path("rules"), lambda d: rules_from_doc(d, self.typegraph()))
 
     def rules_by_name(self) -> dict[str, Rule]:
         return {r.name: r for r in self.rules()}
@@ -182,12 +188,14 @@ class Project:
         return [r for r in self.rules() if r.setup_only]
 
     def tainted_typegraph(self) -> TaintedTypeGraph:
-        path = self.path("taint")
-        doc = _load_json(path)
-        with _file_context(path):
-            if not isinstance(doc, dict) or "tainted_types" not in doc:
+        def parse(doc: object) -> TaintedTypeGraph:
+            if not isinstance(doc, dict) or not isinstance(doc.get("tainted_types"), list):
                 raise GraphError("taint document must have a tainted_types array")
+            if not all(isinstance(t, str) for t in doc["tainted_types"]):
+                raise GraphError("tainted_types must hold type names")
             return TaintedTypeGraph(self.typegraph(), tuple(doc["tainted_types"]))
+
+        return self._parsed(self.path("taint"), parse)
 
     def api(self) -> TaintedGraphAPI:
         return classify_sources_sinks(self.analyzed_rules(), self.tainted_typegraph())
@@ -197,28 +205,24 @@ class Project:
         flow = tainted_flow(self.api())
         ledger_path = self.path("ledger")
         if reviewed and ledger_path.exists():
+            entries = self._parsed(ledger_path, ledger_from_doc)
             with _file_context(ledger_path):
-                flow = apply_review(flow, ledger_from_doc(_load_json(ledger_path)))
+                flow = apply_review(flow, entries)
         return flow
 
     def roles(self) -> RoleSpec:
-        path = self.path("roles")
-        doc = _load_json(path)
-        with _file_context(path):
-            return RoleSpec.from_doc(doc)
+        return self._parsed(self.path("roles"), RoleSpec.from_doc)
 
     def policy(self) -> PolicyAnnotation:
-        path = self.path("policy")
-        doc = _load_json(path)
-        with _file_context(path):
+        def parse(doc: object) -> PolicyAnnotation:
             policy = PolicyAnnotation.from_doc(doc)
             policy.validate_against(self.roles(), [r.name for r in self.rules()])
-        return policy
+            return policy
+
+        return self._parsed(self.path("policy"), parse)
 
     def plan(self, override: str | None = None) -> TestPlan:
-        path = Path(override) if override else self.path("plan")
-        doc = _load_json(path)
-        with _file_context(path):
+        def parse(doc: object) -> TestPlan:
             plan = TestPlan.from_doc(doc)
             spec = self.roles()
             used = set(plan.roles.roles) | {
@@ -230,15 +234,15 @@ class Project:
                     "plan uses role(s) not in the project role spec: "
                     + ", ".join(extra)
                 )
-        return plan
+            return plan
+
+        return self._parsed(Path(override) if override else self.path("plan"), parse)
 
     def initial(self) -> InstanceGraph:
         path = self.path("initial")
         if not path.exists():
             return InstanceGraph.empty(self.typegraph())
-        doc = _load_json(path)
-        with _file_context(path):
-            return InstanceGraph.from_doc(doc, self.typegraph())
+        return self._parsed(path, lambda d: InstanceGraph.from_doc(d, self.typegraph()))
 
 
 # --------------------------------------------------------------------------

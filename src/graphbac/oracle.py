@@ -6,6 +6,8 @@ analysis reports: every concrete produce-use pair must match a reported
 reason, every reported reason must be concretely realizable, and a pair of
 rules declared universally independent must never exhibit a dependent
 consecutive pair (and independent pairs must commute up to isomorphism).
+The reachable states come from `rules.explore`, the same breadth-first search
+the planner uses for setup steps.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import GraphError, InstanceGraph, Morphism, enumerate_matches
+from .core import GraphError, InstanceGraph, Morphism
 from .dependency import (
     INDEPENDENT,
     PRODUCE_USE,
@@ -26,47 +28,21 @@ from .dependency import (
 )
 from .rules import (
     DirectTransformation,
-    NotApplicableError,
     NotReversibleError,
     Rule,
     apply,
     apply_inverse,
-    canonical_form,
+    explore,
     isomorphic,
+    transformations,
 )
-
-
-def transformations(rule: Rule, host: InstanceGraph) -> list[DirectTransformation]:
-    """Every way the rule can fire on the host, in match order."""
-    out = []
-    for match in enumerate_matches(rule.lhs, host):
-        try:
-            out.append(apply(rule, host, match))
-        except NotApplicableError:
-            continue
-    return out
 
 
 def reachable_hosts(
     rules: Iterable[Rule], initial: InstanceGraph, depth: int
 ) -> list[InstanceGraph]:
     """All hosts reachable in at most `depth` steps, one per isomorphism class."""
-    ordered = sorted(rules, key=lambda r: r.name)
-    seen = {canonical_form(initial): initial}
-    frontier = [initial]
-    for _ in range(depth):
-        new_frontier = []
-        for host in frontier:
-            for rule in ordered:
-                for t in transformations(rule, host):
-                    key = canonical_form(t.result)
-                    if key not in seen:
-                        seen[key] = t.result
-                        new_frontier.append(t.result)
-        if not new_frontier:
-            break
-        frontier = new_frontier
-    return list(seen.values())
+    return [host for host, _ in explore(rules, initial, depth)]
 
 
 def _consecutive_pairs(first: Rule, second: Rule, hosts: Sequence[InstanceGraph]):
@@ -145,7 +121,7 @@ def independence_disagreements(
             continue
         try:
             t1p = _switched(t1, t2)
-        except (GraphError, NotApplicableError) as exc:
+        except GraphError as exc:
             out.append(
                 f"{first.name};{second.name}: independent pair is not switchable ({exc})"
             )

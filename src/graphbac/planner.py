@@ -7,7 +7,8 @@ each prefixed by the setup steps that make the source applicable.  The plan
 is then augmented to role coverage: one diagonal positive test per role and
 one negative test per strictly ordered role pair.  Binding hints are symbolic
 references to earlier steps' outputs, resolved by the runner once the server
-has assigned ids.
+has assigned ids.  Setup steps are the shortest trace `rules.explore` finds
+to a host the source's context embeds in.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from .dependency import DependencyReason
 from .rules import (
     CREATE,
     DirectTransformation,
-    NotApplicableError,
     Rule,
     apply,
     apply_inverse,
-    canonical_form,
+    explore,
 )
 from .taint import TaintedFlow
 
@@ -32,6 +32,9 @@ FLOW_POSITIVE = "flow-positive"
 FLOW_NEGATIVE = "flow-negative"
 ROLE_POSITIVE = "role-positive"
 ROLE_NEGATIVE = "role-negative"
+
+# most setup steps searched for before a test's context counts as unreachable
+SETUP_DEPTH = 6
 
 
 class PlanningError(GraphError):
@@ -226,10 +229,15 @@ class TestStep:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TestStep":
+        bindings = doc.get("bindings", {})
+        if not isinstance(bindings, dict) or not all(
+            isinstance(h, dict) for h in bindings.values()
+        ):
+            raise GraphError(f"step {doc.get('rule')}: bindings must map names to objects")
         return cls(
             rule=doc["rule"],
             role=doc["role"],
-            bindings={var: dict(h) for var, h in doc.get("bindings", {}).items()},
+            bindings={var: dict(h) for var, h in bindings.items()},
             setup=bool(doc.get("setup", False)),
         )
 
@@ -324,35 +332,12 @@ def _search_embedding(
     pattern: InstanceGraph,
     initial: InstanceGraph,
     rules: Iterable[Rule],
-    depth_bound: int,
+    depth: int,
 ) -> list[DirectTransformation] | None:
-    if enumerate_matches(pattern, initial):
-        return []
-    ordered = sorted(rules, key=lambda r: r.name)
-    seen = {canonical_form(initial)}
-    frontier: list[tuple[InstanceGraph, tuple[DirectTransformation, ...]]] = [
-        (initial, ())
-    ]
-    for _ in range(depth_bound):
-        next_frontier = []
-        for host, trace in frontier:
-            for rule in ordered:
-                for match in enumerate_matches(rule.lhs, host):
-                    try:
-                        t = apply(rule, host, match)
-                    except NotApplicableError:
-                        continue
-                    key = canonical_form(t.result)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    new_trace = trace + (t,)
-                    if enumerate_matches(pattern, t.result):
-                        return list(new_trace)
-                    next_frontier.append((t.result, new_trace))
-        if not next_frontier:
-            return None
-        frontier = next_frontier
+    """The steps to the first explored host the pattern embeds in, else None."""
+    for host, trace in explore(rules, initial, depth):
+        if enumerate_matches(pattern, host):
+            return list(trace)
     return None
 
 
@@ -428,7 +413,6 @@ def generate_minimal_tests(
     setup_rules: Sequence[Rule] = (),
     initial: InstanceGraph | None = None,
     include_unreviewed: bool = False,
-    depth_bound: int = 6,
 ) -> TestPlan:
     if not include_unreviewed and flow.unreviewed_ids():
         raise PlanningError(
@@ -436,7 +420,7 @@ def generate_minimal_tests(
             + ", ".join(flow.unreviewed_ids())
             + " (review them or force generation)"
         )
-    planner = _Planner(flow, roles, policy, setup_rules, initial, depth_bound)
+    planner = _Planner(flow, roles, policy, setup_rules, initial)
     return planner.plan()
 
 
@@ -448,13 +432,11 @@ class _Planner:
         policy: PolicyAnnotation,
         setup_rules: Sequence[Rule],
         initial: InstanceGraph | None,
-        depth_bound: int,
     ) -> None:
         self.flow = flow
         self.roles = roles
         self.policy = policy
         self.api = flow.api
-        self.depth_bound = depth_bound
         tg = self.api.tainted_typegraph.typegraph
         self.initial = initial if initial is not None else InstanceGraph(tg, {}, {})
         self.all_rules = list(self.api.rules) + [
@@ -507,7 +489,7 @@ class _Planner:
             run.add(self.seed_rule, role, match, setup=True)
 
     def _complete(self, run: _SymbolicRun, pattern: InstanceGraph, role: str) -> None:
-        steps = _search_embedding(pattern, run.host, self.all_rules, self.depth_bound)
+        steps = _search_embedding(pattern, run.host, self.all_rules, SETUP_DEPTH)
         if steps is None:
             wanted = ", ".join(f"{n}:{t}" for n, t in sorted(pattern.nodes.items()))
             raise PlanningError(f"no setup embeds the required context ({wanted})")

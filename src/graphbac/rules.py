@@ -6,13 +6,16 @@ L = preserve+delete, K = preserve, R = preserve+create, so K = L intersect R
 holds by construction.  Application deletes first and then creates fresh
 copies; inverse application undoes a step from its comatch and is the engine
 primitive used to certify that glued overlap graphs are actually reachable.
+`transformations` lists every way a rule fires on a host, and `explore` is
+the one breadth-first search over them: the planner looks in it for setup
+steps and the oracle enumerates the reachable states with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     Edge,
@@ -21,6 +24,7 @@ from .core import (
     Morphism,
     TypeGraph,
     check_dangling,
+    enumerate_matches,
 )
 
 PRESERVE = "preserve"
@@ -280,6 +284,43 @@ def apply_inverse(rule: Rule, host: InstanceGraph, comatch: Morphism) -> Instanc
     return stripped.add(old_nodes, old_edges)
 
 
+def transformations(rule: Rule, host: InstanceGraph) -> list[DirectTransformation]:
+    """Every way the rule can fire on the host, in match order."""
+    out = []
+    for match in enumerate_matches(rule.lhs, host):
+        try:
+            out.append(apply(rule, host, match))
+        except NotApplicableError:
+            continue
+    return out
+
+
+def explore(
+    rules: Iterable[Rule], initial: InstanceGraph, depth: int
+) -> Iterator[tuple[InstanceGraph, tuple[DirectTransformation, ...]]]:
+    """Search breadth-first through the hosts reachable in at most `depth` steps.
+
+    Yields one host per isomorphism class with the steps that reached it
+    first, rules in name order; the initial host comes first, with no steps.
+    """
+    yield initial, ()
+    ordered = sorted(rules, key=lambda r: r.name)
+    seen = {canonical_form(initial)}
+    frontier = [(initial, ())]
+    for _ in range(depth):
+        next_frontier = []
+        for host, trace in frontier:
+            for rule in ordered:
+                for t in transformations(rule, host):
+                    key = canonical_form(t.result)
+                    if key not in seen:
+                        seen.add(key)
+                        reached = (t.result, trace + (t,))
+                        yield reached
+                        next_frontier.append(reached)
+        frontier = next_frontier
+
+
 def canonical_form(graph: InstanceGraph) -> tuple:
     """A labeling-independent certificate; equal certificates mean isomorphic graphs.
 
@@ -394,6 +435,8 @@ def rule_from_doc(doc: dict, typegraph: TypeGraph) -> Rule:
         raise GraphError(f"malformed rule document: {exc}") from exc
     call = None
     if "call" in doc:
+        if not isinstance(doc["call"], dict):
+            raise GraphError(f"malformed rule document: rule {name}: call must be an object")
         call = CallSpec(
             doc["call"].get("operation", name),
             doc["call"].get("document_template", ""),

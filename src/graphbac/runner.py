@@ -277,6 +277,17 @@ def _resolve_bindings(
     return variables, None
 
 
+def _well_formed_errors(errors: object) -> bool:
+    """A list of objects, each with a string message and object extensions
+    where it has them."""
+    return isinstance(errors, list) and all(
+        isinstance(e, dict)
+        and isinstance(e.get("message", ""), str)
+        and isinstance(e.get("extensions") or {}, dict)
+        for e in errors
+    )
+
+
 def _query_text(operation: str, rule: Rule | None) -> str:
     if rule is not None and rule.call is not None and rule.call.document_template:
         return rule.call.document_template
@@ -330,6 +341,11 @@ def _run_test(
         else:
             if not isinstance(response, dict):
                 problem = f"response is not a JSON object: {response!r:.200}"
+            elif not _well_formed_errors(response.get("errors") or []):
+                problem = (
+                    "response errors are not a list of error objects: "
+                    f"{response['errors']!r:.200}"
+                )
         if problem is not None:
             transcripts.append(
                 StepTranscript(index, step.rule, step.role, request, None, False, problem)

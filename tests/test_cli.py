@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from graphbac import cli
 from graphbac.cli import Project, main
 from graphbac.mockserver import start_in_background, target_from_doc
 
@@ -128,6 +129,57 @@ def test_tainted_type_outside_typegraph_fails_with_context(running_example, caps
     err = capsys.readouterr().err
     assert "taint.json" in err
     assert "Ghost" in err
+
+
+def _break_taint(doc):
+    doc["tainted_types"] = 5
+
+
+def _break_plan(doc):
+    doc["tests"][0]["steps"][0]["bindings"] = {"x": "ab"}
+
+
+def _break_rules(doc):
+    doc["rules"][0]["call"] = "str"
+
+
+@pytest.mark.parametrize(
+    "name, command, damage",
+    [
+        ("taint.json", "analyze", _break_taint),
+        ("plan.json", "check-coverage", _break_plan),
+        ("rules.json", "analyze", _break_rules),
+    ],
+)
+def test_malformed_document_exits_2_naming_the_file(
+    running_example, capsys, name, command, damage
+):
+    path = running_example / name
+    doc = json.loads(path.read_text())
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    assert main([command, "--project", str(running_example)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("command", ["plan-tests", "check-coverage"])
+def test_each_document_is_read_once_per_command(running_example, monkeypatch, command):
+    reads: dict[str, int] = {}
+    load_json, parse_sdl = cli._load_json, cli.parse_sdl
+
+    def counted_load(path):
+        reads[path.name] = reads.get(path.name, 0) + 1
+        return load_json(path)
+
+    def counted_parse(text):
+        reads["<sdl>"] = reads.get("<sdl>", 0) + 1
+        return parse_sdl(text)
+
+    monkeypatch.setattr(cli, "_load_json", counted_load)
+    monkeypatch.setattr(cli, "parse_sdl", counted_parse)
+    assert main([command, "--project", str(running_example)]) == 0
+    assert "<sdl>" in reads and "rules.json" in reads
+    assert all(count == 1 for count in reads.values()), reads
 
 
 # ---- review -------------------------------------------------------------

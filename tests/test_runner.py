@@ -154,11 +154,23 @@ def test_transport_failure_is_inconclusive(plan):
     assert report.detected_vulnerabilities == ()
 
 
-@pytest.mark.parametrize("body", [[], "x"])
+@pytest.mark.parametrize(
+    "body",
+    [
+        [],
+        "x",
+        {"errors": "x"},
+        {"errors": [1]},
+        {"errors": {"message": "m"}},
+        {"errors": [{"message": "m", "extensions": "x"}]},
+        {"errors": [{"message": 5}]},
+    ],
+)
 def test_response_that_is_not_an_object_is_inconclusive(plan, body):
     report = run_plan(plan, make_config(), transport=lambda *args: body)
+    problem = "not a list of error objects" if isinstance(body, dict) else "not a JSON object"
     assert all(r.verdict == INCONCLUSIVE for r in report.results)
-    assert all("not a JSON object" in r.detail for r in report.results)
+    assert all(problem in r.detail for r in report.results)
     json.dumps(report.to_doc())  # the report is still writable
 
 
