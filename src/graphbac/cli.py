@@ -11,7 +11,8 @@ control and the ledger and plan stay editable by the analyst.
 Exit codes: 0 on success; 1 when an analysis or run reports a failure
 (unsatisfied coverage, inconclusive theorem check, failed test verdict,
 oracle disagreement); 2 on configuration or validation errors; 3 when a test
-run finished without failures but with inconclusive verdicts.
+run finished without failures but with inconclusive verdicts; 4 when the tool
+itself failed (an internal error, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -148,13 +150,22 @@ class Project:
     def setting(self, key: str, default: object = None) -> object:
         return self.config.get(key, default)
 
-    def _parsed(self, path: Path, parse: Callable[[object], T], text: bool = False) -> T:
-        """`parse` of the document at `path` (JSON unless `text`) on first use,
-        its kept result after; the errors it raises name the file."""
+    def _parsed(
+        self,
+        path: Path,
+        parse: Callable[..., T],
+        *needs: Callable[[], object],
+        text: bool = False,
+    ) -> T:
+        """`parse(doc, *needed)` of the document at `path` (JSON unless `text`)
+        on first use, its kept result after.  The errors `parse` raises name
+        this file; the documents it needs are loaded first, outside that
+        context, so their errors name only their own file."""
         if path not in self._loaded:
             doc = _read(path) if text else _load_json(path)
+            needed = [need() for need in needs]
             with _file_context(path):
-                self._loaded[path] = parse(doc)
+                self._loaded[path] = parse(doc, *needed)
         return self._loaded[path]
 
     # ---- documents ------------------------------------------------------
@@ -176,7 +187,7 @@ class Project:
         return self._parsed(tg_path, TypeGraph.from_doc)
 
     def rules(self) -> list[Rule]:
-        return self._parsed(self.path("rules"), lambda d: rules_from_doc(d, self.typegraph()))
+        return self._parsed(self.path("rules"), rules_from_doc, self.typegraph)
 
     def rules_by_name(self) -> dict[str, Rule]:
         return {r.name: r for r in self.rules()}
@@ -188,14 +199,14 @@ class Project:
         return [r for r in self.rules() if r.setup_only]
 
     def tainted_typegraph(self) -> TaintedTypeGraph:
-        def parse(doc: object) -> TaintedTypeGraph:
+        def parse(doc: object, typegraph: TypeGraph) -> TaintedTypeGraph:
             if not isinstance(doc, dict) or not isinstance(doc.get("tainted_types"), list):
                 raise GraphError("taint document must have a tainted_types array")
             if not all(isinstance(t, str) for t in doc["tainted_types"]):
                 raise GraphError("tainted_types must hold type names")
-            return TaintedTypeGraph(self.typegraph(), tuple(doc["tainted_types"]))
+            return TaintedTypeGraph(typegraph, tuple(doc["tainted_types"]))
 
-        return self._parsed(self.path("taint"), parse)
+        return self._parsed(self.path("taint"), parse, self.typegraph)
 
     def api(self) -> TaintedGraphAPI:
         return classify_sources_sinks(self.analyzed_rules(), self.tainted_typegraph())
@@ -214,17 +225,16 @@ class Project:
         return self._parsed(self.path("roles"), RoleSpec.from_doc)
 
     def policy(self) -> PolicyAnnotation:
-        def parse(doc: object) -> PolicyAnnotation:
+        def parse(doc: object, roles: RoleSpec, rules: list[Rule]) -> PolicyAnnotation:
             policy = PolicyAnnotation.from_doc(doc)
-            policy.validate_against(self.roles(), [r.name for r in self.rules()])
+            policy.validate_against(roles, [r.name for r in rules])
             return policy
 
-        return self._parsed(self.path("policy"), parse)
+        return self._parsed(self.path("policy"), parse, self.roles, self.rules)
 
     def plan(self, override: str | None = None) -> TestPlan:
-        def parse(doc: object) -> TestPlan:
+        def parse(doc: object, spec: RoleSpec) -> TestPlan:
             plan = TestPlan.from_doc(doc)
-            spec = self.roles()
             used = set(plan.roles.roles) | {
                 s.role for t in plan.tests for s in t.steps
             }
@@ -236,13 +246,14 @@ class Project:
                 )
             return plan
 
-        return self._parsed(Path(override) if override else self.path("plan"), parse)
+        path = Path(override) if override else self.path("plan")
+        return self._parsed(path, parse, self.roles)
 
     def initial(self) -> InstanceGraph:
         path = self.path("initial")
         if not path.exists():
             return InstanceGraph.empty(self.typegraph())
-        return self._parsed(path, lambda d: InstanceGraph.from_doc(d, self.typegraph()))
+        return self._parsed(path, InstanceGraph.from_doc, self.typegraph)
 
 
 # --------------------------------------------------------------------------
@@ -498,10 +509,9 @@ def cmd_mock_serve(args: argparse.Namespace) -> int:
     if args.fault:
         doc = {**doc, "faults": list(doc.get("faults", []))}
         doc["faults"].extend(_parse_fault(spec) for spec in args.fault)
+    rules, roles, initial = project.rules(), project.roles(), project.initial()
     with _file_context(config_path):
-        target = target_from_doc(
-            doc, project.rules(), project.roles(), initial=project.initial()
-        )
+        target = target_from_doc(doc, rules, roles, initial=initial)
     server = serve(target, port=args.port)
     port = server.server_address[1]
     print(f"serving mock target on http://127.0.0.1:{port}/graphql", flush=True)
@@ -652,6 +662,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

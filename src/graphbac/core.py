@@ -8,7 +8,6 @@ values are immutable after construction, so they can be shared freely.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -140,15 +139,14 @@ class InstanceGraph:
             eid for eid, e in self.edges.items() if e.src == nid or e.tgt == nid
         )
 
-    def degree_signature(self, nid: str) -> Counter:
-        """Multiset of (edge type, direction) pairs at a node."""
-        sig: Counter = Counter()
+    def degree_signatures(self) -> dict[str, dict[tuple[str, str], int]]:
+        """Each node's multiset of (edge type, direction) pairs, in one pass."""
+        sigs: dict[str, dict[tuple[str, str], int]] = {n: {} for n in self.nodes}
         for e in self.edges.values():
-            if e.src == nid:
-                sig[(e.type, "out")] += 1
-            if e.tgt == nid:
-                sig[(e.type, "in")] += 1
-        return sig
+            out, into = sigs[e.src], sigs[e.tgt]
+            out[(e.type, "out")] = out.get((e.type, "out"), 0) + 1
+            into[(e.type, "in")] = into.get((e.type, "in"), 0) + 1
+        return sigs
 
     def subgraph(self, node_ids: Iterable[str], edge_ids: Iterable[str]) -> "InstanceGraph":
         """The induced subgraph on the given ids; endpoints must be included."""
@@ -206,6 +204,8 @@ class InstanceGraph:
 
     @classmethod
     def from_doc(cls, doc: dict, typegraph: TypeGraph) -> "InstanceGraph":
+        if not isinstance(doc, dict):
+            raise GraphError("malformed graph document: expected an object")
         try:
             nodes = {n["id"]: n["type"] for n in doc.get("nodes", [])}
             edges = {
@@ -282,22 +282,48 @@ class Morphism:
 
 
 def enumerate_matches(pattern: InstanceGraph, host: InstanceGraph) -> list[Morphism]:
-    """All injective typed morphisms pattern -> host, sorted by mapped ids.
+    """All injective typed morphisms pattern -> host: every match
+    `iter_matches` yields, sorted by mapped ids."""
+    return sorted(iter_matches(pattern, host), key=Morphism.mapped_tuple)
+
+
+def _search_order(pattern: InstanceGraph) -> list[str]:
+    """Pattern nodes in assignment order: each next one is the first, by
+    neighbour count then id, that is adjacent to one already placed (as in
+    VF2), else the first left, so isolated nodes come last."""
+    neighbours: dict[str, set[str]] = {n: set() for n in pattern.nodes}
+    for e in pattern.edges.values():
+        neighbours[e.src].add(e.tgt)
+        neighbours[e.tgt].add(e.src)
+    rest = sorted(pattern.nodes, key=lambda n: (-len(neighbours[n]), n))
+    order: list[str] = []
+    placed: set[str] = set()
+    while rest:
+        pn = next((n for n in rest if neighbours[n] & placed), rest[0])
+        rest.remove(pn)
+        order.append(pn)
+        placed.add(pn)
+    return order
+
+
+def iter_matches(pattern: InstanceGraph, host: InstanceGraph) -> Iterator[Morphism]:
+    """Yield the injective typed morphisms pattern -> host one at a time.
 
     Backtracking over candidate node images with type and degree pruning,
-    followed by backtracking over parallel-edge images.
+    followed by backtracking over parallel-edge images.  Nodes are assigned
+    in `_search_order`, so the yield order is not the sorted order of
+    `enumerate_matches`; a caller that only needs one match stops early.
     """
     if pattern.typegraph != host.typegraph:
         raise GraphError("pattern and host are typed over different type graphs")
 
-    pnodes = sorted(pattern.nodes)
     host_by_type: dict[str, list[str]] = {}
     for nid in sorted(host.nodes):
         host_by_type.setdefault(host.nodes[nid], []).append(nid)
-    pattern_sig = {n: pattern.degree_signature(n) for n in pnodes}
-    host_sig = {n: host.degree_signature(n) for n in host.nodes}
+    pattern_sig = pattern.degree_signatures()
+    host_sig = host.degree_signatures()
+    pnodes = _search_order(pattern)
 
-    matches: list[Morphism] = []
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
@@ -318,11 +344,11 @@ def enumerate_matches(pattern: InstanceGraph, host: InstanceGraph) -> list[Morph
                     return False
         return True
 
-    def assign_edges(pedges: list[str], edge_map: dict[str, str], used_edges: set[str]) -> None:
+    def assign_edges(
+        pedges: list[str], edge_map: dict[str, str], used_edges: set[str]
+    ) -> Iterator[Morphism]:
         if not pedges:
-            matches.append(
-                Morphism(pattern, host, dict(assignment), dict(edge_map))
-            )
+            yield Morphism(pattern, host, dict(assignment), dict(edge_map))
             return
         pe, rest = pedges[0], pedges[1:]
         want = pattern.edges[pe]
@@ -332,13 +358,13 @@ def enumerate_matches(pattern: InstanceGraph, host: InstanceGraph) -> list[Morph
                 continue
             edge_map[pe] = he
             used_edges.add(he)
-            assign_edges(rest, edge_map, used_edges)
+            yield from assign_edges(rest, edge_map, used_edges)
             del edge_map[pe]
             used_edges.discard(he)
 
-    def extend(i: int) -> None:
+    def extend(i: int) -> Iterator[Morphism]:
         if i == len(pnodes):
-            assign_edges(sorted(pattern.edges), {}, set())
+            yield from assign_edges(sorted(pattern.edges), {}, set())
             return
         pn = pnodes[i]
         psig = pattern_sig[pn]
@@ -346,18 +372,16 @@ def enumerate_matches(pattern: InstanceGraph, host: InstanceGraph) -> list[Morph
             if hn in used:
                 continue
             hsig = host_sig[hn]
-            if any(hsig[key] < count for key, count in psig.items()):
+            if any(hsig.get(key, 0) < count for key, count in psig.items()):
                 continue
             assignment[pn] = hn
             used.add(hn)
             if edges_still_possible(pn):
-                extend(i + 1)
+                yield from extend(i + 1)
             del assignment[pn]
             used.discard(hn)
 
-    extend(0)
-    matches.sort(key=Morphism.mapped_tuple)
-    return matches
+    yield from extend(0)
 
 
 def check_dangling(match: Morphism, deleted_nodes: Iterable[str]) -> bool:

@@ -203,6 +203,8 @@ class PolicyAnnotation:
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise GraphError(f"malformed policy annotation: {exc}") from exc
+        if not all(isinstance(r, str) for roles in allowed.values() for r in roles):
+            raise GraphError("malformed policy annotation: allowed must list role names")
         return cls(allowed=allowed, creator_only=creator_only, non_monotone=non_monotone)
 
 
@@ -229,6 +231,8 @@ class TestStep:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TestStep":
+        if not isinstance(doc, dict):
+            raise GraphError("malformed test step: expected an object")
         bindings = doc.get("bindings", {})
         if not isinstance(bindings, dict) or not all(
             isinstance(h, dict) for h in bindings.values()

@@ -8,7 +8,10 @@ copies; inverse application undoes a step from its comatch and is the engine
 primitive used to certify that glued overlap graphs are actually reachable.
 `transformations` lists every way a rule fires on a host, and `explore` is
 the one breadth-first search over them: the planner looks in it for setup
-steps and the oracle enumerates the reachable states with it.
+steps and the oracle enumerates the reachable states with it.  Two hosts
+are the same state when `isomorphic`, which asks the matcher for one
+injective match; `canonical_form` is only a cheap invariant that buckets
+hosts before that check.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .core import (
     TypeGraph,
     check_dangling,
     enumerate_matches,
+    iter_matches,
 )
 
 PRESERVE = "preserve"
@@ -302,19 +306,21 @@ def explore(
 
     Yields one host per isomorphism class with the steps that reached it
     first, rules in name order; the initial host comes first, with no steps.
+    Hosts are bucketed by `canonical_form`, and a result is new when no
+    host in its bucket is `isomorphic` to it.
     """
     yield initial, ()
     ordered = sorted(rules, key=lambda r: r.name)
-    seen = {canonical_form(initial)}
+    seen = {canonical_form(initial): [initial]}
     frontier = [(initial, ())]
     for _ in range(depth):
         next_frontier = []
         for host, trace in frontier:
             for rule in ordered:
                 for t in transformations(rule, host):
-                    key = canonical_form(t.result)
-                    if key not in seen:
-                        seen.add(key)
+                    bucket = seen.setdefault(canonical_form(t.result), [])
+                    if not any(isomorphic(t.result, kept) for kept in bucket):
+                        bucket.append(t.result)
                         reached = (t.result, trace + (t,))
                         yield reached
                         next_frontier.append(reached)
@@ -322,70 +328,29 @@ def explore(
 
 
 def canonical_form(graph: InstanceGraph) -> tuple:
-    """A labeling-independent certificate; equal certificates mean isomorphic graphs.
+    """An isomorphism invariant: the sorted multiset of node types with their
+    degree signatures.
 
-    Iterative colour refinement by type and incident-edge structure, with
-    backtracking individualization when refinement leaves colour classes.
-    Adequate for the desk-scale graphs this package handles.
+    Isomorphic graphs get equal keys, but equal keys do not prove
+    isomorphism; `isomorphic` decides it.  One pass, no search.
     """
-
-    def refine(colors: dict[str, tuple]) -> dict[str, tuple]:
-        while True:
-            new = {}
-            for n in graph.nodes:
-                signature = []
-                for e in graph.edges.values():
-                    if e.src == n:
-                        signature.append((e.type, "out", colors[e.tgt]))
-                    if e.tgt == n:
-                        signature.append((e.type, "in", colors[e.src]))
-                new[n] = (colors[n], tuple(sorted(signature)))
-            # compress to dense ranks so colour tuples stay small
-            ranks = {c: i for i, c in enumerate(sorted(set(new.values())))}
-            compressed = {n: (ranks[new[n]],) for n in new}
-            if compressed == colors:
-                return colors
-            colors = compressed
-
-    def certificate(order: list[str]) -> tuple:
-        index = {n: i for i, n in enumerate(order)}
-        return (
-            tuple(graph.nodes[n] for n in order),
-            tuple(sorted((e.type, index[e.src], index[e.tgt]) for e in graph.edges.values())),
-        )
-
-    def search(colors: dict[str, tuple]) -> tuple:
-        colors = refine(colors)
-        classes: dict[tuple, list[str]] = {}
-        for n, c in colors.items():
-            classes.setdefault(c, []).append(n)
-        ambiguous = sorted(
-            (c for c, members in classes.items() if len(members) > 1)
-        )
-        if not ambiguous:
-            order = sorted(graph.nodes, key=lambda n: colors[n])
-            return certificate(order)
-        target = ambiguous[0]
-        best: tuple | None = None
-        for member in sorted(classes[target]):
-            branched = dict(colors)
-            branched[member] = colors[member] + ("pinned",)
-            candidate = search(branched)
-            if best is None or candidate < best:
-                best = candidate
-        return best
-
-    initial = {n: (graph.nodes[n],) for n in graph.nodes}
-    return search(initial)
+    sigs = graph.degree_signatures()
+    return tuple(
+        sorted((ntype, tuple(sorted(sigs[n].items()))) for n, ntype in graph.nodes.items())
+    )
 
 
 def isomorphic(a: InstanceGraph, b: InstanceGraph) -> bool:
-    """True iff the graphs are isomorphic as typed graphs."""
+    """True iff the graphs are isomorphic as typed graphs.
+
+    With equal node and edge counts an injective morphism a -> b is a
+    bijection on nodes and on edges, so one match decides it.
+    """
     if a.typegraph != b.typegraph:
         return False
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return False
-    return canonical_form(a) == canonical_form(b)
+    return next(iter_matches(a, b), None) is not None
 
 
 def rule_to_doc(rule: Rule) -> dict:
@@ -461,7 +426,7 @@ def rules_to_doc(rules: Iterable[Rule]) -> dict:
 
 
 def rules_from_doc(doc: dict, typegraph: TypeGraph) -> list[Rule]:
-    if "rules" not in doc or not isinstance(doc["rules"], list):
+    if not isinstance(doc, dict) or not isinstance(doc.get("rules"), list):
         raise GraphError("rule document must contain a rules array")
     rules = [rule_from_doc(r, typegraph) for r in doc["rules"]]
     names = [r.name for r in rules]

@@ -133,14 +133,35 @@ def test_tainted_type_outside_typegraph_fails_with_context(running_example, caps
 
 def _break_taint(doc):
     doc["tainted_types"] = 5
+    return doc
 
 
 def _break_plan(doc):
     doc["tests"][0]["steps"][0]["bindings"] = {"x": "ab"}
+    return doc
+
+
+def _break_plan_step(doc):
+    doc["tests"][0]["steps"][0] = "x"
+    return doc
 
 
 def _break_rules(doc):
     doc["rules"][0]["call"] = "str"
+    return doc
+
+
+def _break_policy(doc):
+    doc["rules"]["createIssue"]["allowed"] = [["owner"]]
+    return doc
+
+
+def _as_list(doc):
+    return []
+
+
+def _as_null(doc):
+    return None
 
 
 @pytest.mark.parametrize(
@@ -148,18 +169,36 @@ def _break_rules(doc):
     [
         ("taint.json", "analyze", _break_taint),
         ("plan.json", "check-coverage", _break_plan),
+        ("plan.json", "check-coverage", _break_plan_step),
         ("rules.json", "analyze", _break_rules),
+        ("rules.json", "analyze", _as_null),
+        ("policy.json", "plan-tests", _break_policy),
+        ("initial.json", "plan-tests", _as_list),
+        ("roles.json", "check-coverage", _as_list),
     ],
 )
 def test_malformed_document_exits_2_naming_the_file(
     running_example, capsys, name, command, damage
 ):
     path = running_example / name
-    doc = json.loads(path.read_text())
-    damage(doc)
-    path.write_text(json.dumps(doc))
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    path.write_text(json.dumps(damage(doc)))
     assert main([command, "--project", str(running_example)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    # the message names no other file of the project
+    assert err.count(str(running_example)) == 1, err
+
+
+def test_internal_error_exits_4_with_a_traceback(running_example, capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_analyze", crash)
+    assert main(["analyze", "--project", str(running_example)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().endswith("RuntimeError: boom")
 
 
 @pytest.mark.parametrize("command", ["plan-tests", "check-coverage"])

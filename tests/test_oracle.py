@@ -7,6 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphbac.rules
 from graphbac.core import InstanceGraph
 from graphbac.oracle import (
     find_flow_witness,
@@ -16,7 +17,7 @@ from graphbac.oracle import (
     run_oracle,
     transformations,
 )
-from graphbac.rules import canonical_form, isomorphic
+from graphbac.rules import isomorphic
 
 from fixtures import (
     analyzed_collab_rules,
@@ -39,8 +40,18 @@ def test_reachable_hosts_dedups_isomorphic_states():
     two_steps = reachable_hosts(rules.values(), initial, 2)
     # adds: two users, user+repo, user+project
     assert len(two_steps) == 5
-    keys = [canonical_form(g) for g in two_steps]
-    assert len(set(keys)) == len(keys)
+    for i, g in enumerate(two_steps):
+        assert not any(isomorphic(g, h) for h in two_steps[i + 1 :])
+
+
+def test_reachable_hosts_use_the_key_only_to_bucket(monkeypatch):
+    rules = collab_rules()
+    initial = InstanceGraph(collab_typegraph(), {}, {})
+    expected = [g.to_doc() for g in reachable_hosts(rules.values(), initial, 3)]
+    # one bucket for every host: `isomorphic` alone must give the same classes
+    monkeypatch.setattr(graphbac.rules, "canonical_form", lambda graph: ())
+    one_bucket = [g.to_doc() for g in reachable_hosts(rules.values(), initial, 3)]
+    assert one_bucket == expected
 
 
 def test_transformations_skip_blocked_matches():

@@ -259,15 +259,28 @@ def test_frame_property(seed):
 
 def test_isomorphism_on_relabeled_graph():
     rng = random.Random(11)
+    cases = []
     for _ in range(20):
         tg = random_typegraph(rng)
         g = host_with_embedded_lhs(rng, random_rule(rng, tg))
         node_names = sorted(g.nodes)
         shuffled = node_names[:]
         rng.shuffle(shuffled)
-        rename = dict(zip(node_names, shuffled))
+        cases.append((g, dict(zip(node_names, shuffled))))
+    # ten interchangeable nodes beside a chain, all of one type; the isolated
+    # nodes sort first in the original and last in the copy
+    tg = TypeGraph(("A",), (EdgeType("E", "A", "A"),))
+    g = InstanceGraph(
+        tg,
+        {f"a{i:02}": "A" for i in range(10)} | {f"c{i}": "A" for i in range(3)},
+        {"e0": Edge("E", "c0", "c1"), "e1": Edge("E", "c1", "c2")},
+    )
+    cases.append(
+        (g, {n: ("b" if n.startswith("c") else "d") + n[1:] for n in g.nodes})
+    )
+    for g, rename in cases:
         relabeled = InstanceGraph(
-            tg,
+            g.typegraph,
             {rename[n]: t for n, t in g.nodes.items()},
             {
                 f"re_{e}": Edge(d.type, rename[d.src], rename[d.tgt])
@@ -275,31 +288,33 @@ def test_isomorphism_on_relabeled_graph():
             },
         )
         assert isomorphic(g, relabeled)
+        assert canonical_form(g) == canonical_form(relabeled)
 
 
 def test_isomorphism_distinguishes_cycle_structure():
-    # same degrees everywhere, different cycle structure
+    # same degrees everywhere, different cycle structure; shuffled ids keep
+    # neighbours apart in id order, so the search must follow the edges
     tg = TypeGraph(("A",), (EdgeType("E", "A", "A"),))
-    nodes = {f"n{i}": "A" for i in range(6)}
-    two_triangles = InstanceGraph(
-        tg,
-        nodes,
-        {
-            f"e{i}": Edge("E", f"n{i}", f"n{(i + 1) % 3}")
-            for i in range(3)
-        }
-        | {
-            f"f{i}": Edge("E", f"n{3 + i}", f"n{3 + (i + 1) % 3}")
-            for i in range(3)
-        },
-    )
-    one_hexagon = InstanceGraph(
-        tg,
-        nodes,
-        {f"e{i}": Edge("E", f"n{i}", f"n{(i + 1) % 6}") for i in range(6)},
-    )
-    assert not isomorphic(two_triangles, one_hexagon)
-    assert isomorphic(two_triangles, two_triangles)
+
+    def cycles(*rings: list[str]) -> InstanceGraph:
+        return InstanceGraph(
+            tg,
+            {n: "A" for ring in rings for n in ring},
+            {
+                f"e_{n}": Edge("E", n, ring[(i + 1) % len(ring)])
+                for ring in rings
+                for i, n in enumerate(ring)
+            },
+        )
+
+    for k in (3, 7):
+        ids = [f"n{i:02}" for i in range(2 * k)]
+        random.Random(k).shuffle(ids)
+        two_rings, one_ring = cycles(ids[:k], ids[k:]), cycles(ids)
+        assert not isomorphic(two_rings, one_ring)
+        assert isomorphic(two_rings, two_rings)
+        # the invariant cannot tell them apart; only the match decides
+        assert canonical_form(two_rings) == canonical_form(one_ring)
 
 
 def test_isomorphism_respects_types_and_counts():
