@@ -126,7 +126,8 @@ class Project:
     def __init__(self, root: Path, config: dict):
         self.root = root
         self.config = config
-        self._loaded: dict[Path, object] = {}
+        # document path (or path and derived form) -> parsed value
+        self._loaded: dict[object, object] = {}
 
     @classmethod
     def load(cls, root: str | Path) -> "Project":
@@ -175,9 +176,15 @@ class Project:
 
     def typegraph(self) -> TypeGraph:
         """From the schema when present, else from a stored type graph document."""
-        if self.path("schema").exists():
-            include_inputs = bool(self.setting("include_inputs", False))
-            return to_type_graph(self.schema_model(), include_inputs=include_inputs)
+        schema_path = self.path("schema")
+        if schema_path.exists():
+            key = (schema_path, "typegraph")
+            if key not in self._loaded:
+                self._loaded[key] = to_type_graph(
+                    self.schema_model(),
+                    include_inputs=bool(self.setting("include_inputs", False)),
+                )
+            return self._loaded[key]
         tg_path = self.path("typegraph")
         if not tg_path.exists():
             raise GraphError(

@@ -9,6 +9,7 @@ values are immutable after construction, so they can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -134,19 +135,56 @@ class InstanceGraph:
         return sorted(self.edges)
 
     def incident(self, nid: str) -> list[str]:
-        """Edge ids touching the given node, sorted."""
-        return sorted(
-            eid for eid, e in self.edges.items() if e.src == nid or e.tgt == nid
-        )
+        """Edge ids touching the given node, sorted (shared; do not modify)."""
+        return self._incidence.get(nid, [])
 
     def degree_signatures(self) -> dict[str, dict[tuple[str, str], int]]:
-        """Each node's multiset of (edge type, direction) pairs, in one pass."""
+        """Each node's multiset of (edge type, direction) pairs (shared; do
+        not modify)."""
+        return self._signatures
+
+    # The caches below are built on first use, so a graph that is never
+    # matched or checked for dangling edges pays for none of them.
+
+    @cached_property
+    def _incidence(self) -> dict[str, list[str]]:
+        incidence: dict[str, list[str]] = {n: [] for n in self.nodes}
+        for eid in sorted(self.edges):
+            e = self.edges[eid]
+            incidence[e.src].append(eid)
+            if e.tgt != e.src:
+                incidence[e.tgt].append(eid)
+        return incidence
+
+    @cached_property
+    def _signatures(self) -> dict[str, dict[tuple[str, str], int]]:
         sigs: dict[str, dict[tuple[str, str], int]] = {n: {} for n in self.nodes}
         for e in self.edges.values():
             out, into = sigs[e.src], sigs[e.tgt]
             out[(e.type, "out")] = out.get((e.type, "out"), 0) + 1
             into[(e.type, "in")] = into.get((e.type, "in"), 0) + 1
         return sigs
+
+    @cached_property
+    def _plans(self) -> dict[frozenset[str], "_Plan"]:
+        """The matcher's search plans with this graph as the pattern, by
+        set of anchored nodes (see `_plan`)."""
+        return {}
+
+    @cached_property
+    def _index(self) -> "_HostIndex":
+        by_type: dict[str, list[str]] = {}
+        for nid in sorted(self.nodes):
+            by_type.setdefault(self.nodes[nid], []).append(nid)
+        by_edge: dict[Edge, list[str]] = {}
+        for eid, e in self.edges.items():
+            by_edge.setdefault(e, []).append(eid)
+        # one entry per distinct triple keeps the lists free of duplicates
+        neighbours: dict[tuple[str, str, str], list[str]] = {}
+        for etype, src, tgt in by_edge:
+            neighbours.setdefault((src, etype, "out"), []).append(tgt)
+            neighbours.setdefault((tgt, etype, "in"), []).append(src)
+        return _HostIndex(by_type, by_edge, neighbours, self._signatures)
 
     def subgraph(self, node_ids: Iterable[str], edge_ids: Iterable[str]) -> "InstanceGraph":
         """The induced subgraph on the given ids; endpoints must be included."""
@@ -281,107 +319,207 @@ class Morphism:
         )
 
 
+class _HostIndex(NamedTuple):
+    """What the matcher looks up in a host, built once per graph."""
+
+    by_type: dict[str, list[str]]  # node type -> node ids, sorted
+    by_edge: dict[Edge, list[str]]  # (type, src, tgt) -> edge ids
+    # (node, edge type, "out" | "in") -> distinct neighbours
+    neighbours: dict[tuple[str, str, str], list[str]]
+    signatures: dict[str, dict[tuple[str, str], int]]
+
+
+# A search plan is (steps, edges).  Each step places one pattern node and
+# is (node, node type, degree signature items, sources, checks): sources
+# are (placed pattern node, edge type, "out" | "in"), and the node's
+# candidates are that node's image's neighbours along the edge type; checks
+# are (edge type, src, tgt, count) for the pattern edge triples whose
+# endpoints are all placed once this node is, and the host needs as many
+# parallel edges.  `edges` lists the pattern's (edge id, Edge) in id order.
+_Step = tuple[str, str, tuple, tuple, tuple]
+_Plan = tuple[tuple[_Step, ...], tuple[tuple[str, Edge], ...]]
+
+
+def _plan(pattern: InstanceGraph, anchored: frozenset[str]) -> _Plan:
+    """The pattern's search plan for a set of anchored nodes.
+
+    A plan is kept on the pattern from its second search on: rule patterns
+    are searched for again and again, but most other patterns (spans, new
+    hosts tested for isomorphism) only once, and keeping their plans would
+    hold memory for nothing.
+    """
+    plans = pattern._plans
+    plan = plans.get(anchored)
+    if plan is None:
+        plan = _build_plan(pattern, anchored)
+        plans[anchored] = plan if anchored in plans else None
+    return plan
+
+
+def _build_plan(pattern: InstanceGraph, anchored: frozenset[str]) -> _Plan:
+    """Anchored nodes are placed first, in id order.  Each next node is the
+    first, by neighbour count then id, that is adjacent to one already
+    placed (as in VF2), else the first left, so isolated nodes come last."""
+    nodes = pattern.nodes
+    if not pattern.edges:
+        order = sorted(anchored) + sorted(nodes.keys() - anchored)
+        return tuple((n, nodes[n], (), (), ()) for n in order), ()
+    counts: dict[Edge, int] = {}
+    for e in pattern.edges.values():
+        counts[e] = counts.get(e, 0) + 1
+    adjacent: dict[str, set[str]] = {n: set() for n in nodes}
+    sigs: dict[str, dict[tuple[str, str], int]] = {n: {} for n in nodes}
+    for (t, src, tgt), c in counts.items():
+        adjacent[src].add(tgt)
+        adjacent[tgt].add(src)
+        out, into = sigs[src], sigs[tgt]
+        out[(t, "out")] = out.get((t, "out"), 0) + c
+        into[(t, "in")] = into.get((t, "in"), 0) + c
+    order = sorted(anchored)
+    reached: set[str] = set()  # nodes adjacent to a placed one
+    for n in order:
+        reached |= adjacent[n]
+    rest = sorted(nodes.keys() - anchored, key=lambda n: (-len(adjacent[n]), n))
+    while rest:
+        for k, pn in enumerate(rest):
+            if pn in reached:
+                break
+        else:
+            k, pn = 0, rest[0]
+        del rest[k]
+        order.append(pn)
+        reached |= adjacent[pn]
+    # each edge triple is checked, and may give candidates, at the step
+    # that places the later of its endpoints
+    rank = {n: i for i, n in enumerate(order)}
+    checks: list[list[tuple[str, str, str, int]]] = [[] for _ in order]
+    sources: list[list[tuple[str, str, str]]] = [[] for _ in order]
+    for (t, src, tgt), c in counts.items():
+        i = max(rank[src], rank[tgt])
+        checks[i].append((t, src, tgt, c))
+        if src != tgt and order[i] not in anchored:
+            sources[i].append((src, t, "out") if rank[tgt] == i else (tgt, t, "in"))
+    steps = tuple(
+        (pn, nodes[pn], tuple(sigs[pn].items()), tuple(sources[i]), tuple(checks[i]))
+        for i, pn in enumerate(order)
+    )
+    return steps, tuple(sorted(pattern.edges.items()))
+
+
 def enumerate_matches(pattern: InstanceGraph, host: InstanceGraph) -> list[Morphism]:
     """All injective typed morphisms pattern -> host: every match
     `iter_matches` yields, sorted by mapped ids."""
     return sorted(iter_matches(pattern, host), key=Morphism.mapped_tuple)
 
 
-def _search_order(pattern: InstanceGraph) -> list[str]:
-    """Pattern nodes in assignment order: each next one is the first, by
-    neighbour count then id, that is adjacent to one already placed (as in
-    VF2), else the first left, so isolated nodes come last."""
-    neighbours: dict[str, set[str]] = {n: set() for n in pattern.nodes}
-    for e in pattern.edges.values():
-        neighbours[e.src].add(e.tgt)
-        neighbours[e.tgt].add(e.src)
-    rest = sorted(pattern.nodes, key=lambda n: (-len(neighbours[n]), n))
-    order: list[str] = []
-    placed: set[str] = set()
-    while rest:
-        pn = next((n for n in rest if neighbours[n] & placed), rest[0])
-        rest.remove(pn)
-        order.append(pn)
-        placed.add(pn)
-    return order
-
-
-def iter_matches(pattern: InstanceGraph, host: InstanceGraph) -> Iterator[Morphism]:
+def iter_matches(
+    pattern: InstanceGraph,
+    host: InstanceGraph,
+    fixed: dict[str, object] | None = None,
+) -> Iterator[Morphism]:
     """Yield the injective typed morphisms pattern -> host one at a time.
 
-    Backtracking over candidate node images with type and degree pruning,
-    followed by backtracking over parallel-edge images.  Nodes are assigned
-    in `_search_order`, so the yield order is not the sorted order of
-    `enumerate_matches`; a caller that only needs one match stops early.
+    `fixed` anchors pattern nodes to host ids: only matches that send each
+    anchored node to its id are yielded, so none when an anchor names a
+    node outside the pattern, or an id that is not a host node of that
+    node's type.  Backtracking over node images in the plan's order: an
+    anchored node has its id as only candidate, a node next to a placed one
+    takes that node's image's neighbours along a connecting edge, any other
+    node every host node of its type.  Degree signatures and parallel-edge
+    counts prune candidates; then backtracking over parallel-edge images.
+    The yield order is not the sorted order of `enumerate_matches`; a
+    caller that only needs one match stops early.
     """
     if pattern.typegraph != host.typegraph:
         raise GraphError("pattern and host are typed over different type graphs")
+    fixed = fixed or {}
+    for pn, hn in fixed.items():
+        if (
+            pn not in pattern.nodes
+            or not isinstance(hn, str)
+            or host.nodes.get(hn) != pattern.nodes[pn]
+        ):
+            return
 
-    host_by_type: dict[str, list[str]] = {}
-    for nid in sorted(host.nodes):
-        host_by_type.setdefault(host.nodes[nid], []).append(nid)
-    pattern_sig = pattern.degree_signatures()
-    host_sig = host.degree_signatures()
-    pnodes = _search_order(pattern)
-
+    by_type, by_edge, neighbours, host_sig = host._index
+    # a cheap necessary condition before any plan is built: enough host
+    # nodes of each type
+    need: dict[str, int] = {}
+    for ntype in pattern.nodes.values():
+        need[ntype] = need.get(ntype, 0) + 1
+    for ntype, count in need.items():
+        if len(by_type.get(ntype, ())) < count:
+            return
+    steps, pedges = _plan(pattern, frozenset(fixed))
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
-    def parallel_count(graph: InstanceGraph, a: str, b: str, etype: str) -> int:
-        return sum(
-            1 for e in graph.edges.values() if e == Edge(etype, a, b)
-        )
-
-    def edges_still_possible(last: str) -> bool:
-        # every fully assigned pattern edge pair must have enough host edges
-        for e in pattern.edges.values():
-            if last not in (e.src, e.tgt):
-                continue
-            if e.src in assignment and e.tgt in assignment:
-                need = parallel_count(pattern, e.src, e.tgt, e.type)
-                have = parallel_count(host, assignment[e.src], assignment[e.tgt], e.type)
-                if have < need:
-                    return False
-        return True
-
     def assign_edges(
-        pedges: list[str], edge_map: dict[str, str], used_edges: set[str]
+        k: int, edge_map: dict[str, str], used_edges: set[str]
     ) -> Iterator[Morphism]:
-        if not pedges:
+        if k == len(pedges):
             yield Morphism(pattern, host, dict(assignment), dict(edge_map))
             return
-        pe, rest = pedges[0], pedges[1:]
-        want = pattern.edges[pe]
-        target = Edge(want.type, assignment[want.src], assignment[want.tgt])
-        for he in sorted(host.edges):
-            if he in used_edges or host.edges[he] != target:
+        pe, want = pedges[k]
+        for he in by_edge[Edge(want.type, assignment[want.src], assignment[want.tgt])]:
+            if he in used_edges:
                 continue
             edge_map[pe] = he
             used_edges.add(he)
-            yield from assign_edges(rest, edge_map, used_edges)
+            yield from assign_edges(k + 1, edge_map, used_edges)
             del edge_map[pe]
             used_edges.discard(he)
 
     def extend(i: int) -> Iterator[Morphism]:
-        if i == len(pnodes):
-            yield from assign_edges(sorted(pattern.edges), {}, set())
+        if i == len(steps):
+            yield from assign_edges(0, {}, set())
             return
-        pn = pnodes[i]
-        psig = pattern_sig[pn]
-        for hn in host_by_type.get(pattern.nodes[pn], []):
+        pn, ptype, psig, sources, checks = steps[i]
+        if pn in fixed:
+            candidates = (fixed[pn],)
+        elif len(sources) == 1:
+            q, t, d = sources[0]
+            candidates = neighbours.get((assignment[q], t, d), ())
+        elif sources:
+            candidates = min(
+                (neighbours.get((assignment[q], t, d), ()) for q, t, d in sources),
+                key=len,
+            )
+        else:
+            candidates = by_type.get(ptype, ())
+        for hn in candidates:
             if hn in used:
                 continue
             hsig = host_sig[hn]
-            if any(hsig.get(key, 0) < count for key, count in psig.items()):
+            if any(hsig.get(key, 0) < count for key, count in psig):
                 continue
             assignment[pn] = hn
-            used.add(hn)
-            if edges_still_possible(pn):
+            for t, src, tgt, count in checks:
+                if len(by_edge.get(Edge(t, assignment[src], assignment[tgt]), ())) < count:
+                    break
+            else:
+                used.add(hn)
                 yield from extend(i + 1)
+                used.discard(hn)
             del assignment[pn]
-            used.discard(hn)
 
-    yield from extend(0)
+    try:
+        yield from extend(0)
+    finally:
+        # the two recursive closures reference themselves, a cycle that
+        # would keep the host and its index alive until the collector runs
+        del extend, assign_edges
+
+
+def dangling_edge(
+    host: InstanceGraph, node_ids: Iterable[str], kept_edges: frozenset[str]
+) -> str | None:
+    """The lowest-id host edge outside `kept_edges` that touches one of the
+    given nodes, or None."""
+    return min(
+        (e for n in node_ids for e in host.incident(n) if e not in kept_edges),
+        default=None,
+    )
 
 
 def check_dangling(match: Morphism, deleted_nodes: Iterable[str]) -> bool:
@@ -390,11 +528,5 @@ def check_dangling(match: Morphism, deleted_nodes: Iterable[str]) -> bool:
     A host edge incident to a deleted node's image must itself be in the match
     image (rule validity then guarantees it is a deleted edge).
     """
-    deleted_images = {match.node_map[n] for n in deleted_nodes}
-    matched_edges = match.edge_image()
-    for eid, edge in match.target.edges.items():
-        if eid in matched_edges:
-            continue
-        if edge.src in deleted_images or edge.tgt in deleted_images:
-            return False
-    return True
+    deleted_images = [match.node_map[n] for n in deleted_nodes]
+    return dangling_edge(match.target, deleted_images, match.edge_image()) is None

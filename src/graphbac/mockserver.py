@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable
 
-from .core import GraphError, InstanceGraph, enumerate_matches, graph_to_doc
+from .core import GraphError, InstanceGraph, Morphism, graph_to_doc, iter_matches
 from .planner import PolicyAnnotation, RoleSpec
 from .rules import CREATE, NotApplicableError, Rule, apply
 
@@ -179,12 +179,13 @@ class MockTarget:
         if allowed and rule.name in policy.creator_only and rule.call is not None:
             for var in rule.call.bindings:
                 target = variables.get(var)
-                if target is None or self.creators.get(target) != token:
+                # only a node id can name a resource the caller created
+                if not isinstance(target, str) or self.creators.get(target) != token:
                     return False
         return allowed
 
     def _transition(self, rule: Rule, token: str, variables: dict) -> dict:
-        constraints: dict[str, str] = {}
+        constraints: dict[str, object] = {}
         if rule.call is not None:
             for var, node in rule.call.bindings.items():
                 value = variables.get(var)
@@ -202,17 +203,18 @@ class MockTarget:
                     NOT_FOUND, "the calling principal has no resource yet"
                 )
             constraints[rule.actor] = principal
-        matches = [
-            m
-            for m in enumerate_matches(rule.lhs, self.graph)
-            if all(m.node_map.get(n) == v for n, v in constraints.items())
-        ]
-        if not matches:
+        # the first match in sorted order among those the bindings allow
+        match = min(
+            iter_matches(rule.lhs, self.graph, constraints),
+            key=Morphism.mapped_tuple,
+            default=None,
+        )
+        if match is None:
             return _error(
                 NOT_FOUND, f"no resource satisfies the bindings of {rule.name}"
             )
         try:
-            t = apply(rule, self.graph, matches[0])
+            t = apply(rule, self.graph, match)
         except NotApplicableError as exc:
             return _error(NOT_FOUND, f"cannot apply {rule.name}: {exc}")
         self.graph = t.result

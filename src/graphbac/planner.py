@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import GraphError, InstanceGraph, Morphism, enumerate_matches
+from .core import GraphError, InstanceGraph, Morphism, enumerate_matches, iter_matches
 from .dependency import DependencyReason
 from .rules import (
     CREATE,
@@ -340,7 +340,7 @@ def _search_embedding(
 ) -> list[DirectTransformation] | None:
     """The steps to the first explored host the pattern embeds in, else None."""
     for host, trace in explore(rules, initial, depth):
-        if enumerate_matches(pattern, host):
+        if next(iter_matches(pattern, host), None) is not None:
             return list(trace)
     return None
 

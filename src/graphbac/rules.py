@@ -26,7 +26,7 @@ from .core import (
     InstanceGraph,
     Morphism,
     TypeGraph,
-    check_dangling,
+    dangling_edge,
     enumerate_matches,
     iter_matches,
 )
@@ -204,8 +204,10 @@ def apply(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformat
     if match.source != rule.lhs or match.target != host:
         raise GraphError(f"match does not connect {rule.name}'s pattern to the host")
     deleted_nodes = rule.deleted_nodes()
-    if not check_dangling(match, deleted_nodes):
-        edge = _offending_edge(match, deleted_nodes)
+    edge = dangling_edge(
+        host, [match.node_map[n] for n in deleted_nodes], match.edge_image()
+    )
+    if edge is not None:
         raise NotApplicableError(
             f"rule {rule.name} not applicable: host edge {edge} would dangle"
         )
@@ -240,16 +242,6 @@ def apply(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformat
     return DirectTransformation(rule, host, match, intermediate, result, comatch)
 
 
-def _offending_edge(match: Morphism, deleted_nodes: Iterable[str]) -> str:
-    deleted_images = {match.node_map[n] for n in deleted_nodes}
-    matched = match.edge_image()
-    for eid in sorted(match.target.edges):
-        edge = match.target.edges[eid]
-        if eid not in matched and (edge.src in deleted_images or edge.tgt in deleted_images):
-            return eid
-    raise AssertionError("no offending edge found")
-
-
 def apply_inverse(rule: Rule, host: InstanceGraph, comatch: Morphism) -> InstanceGraph:
     """Undo one application of the rule from an injective comatch of its result side.
 
@@ -259,16 +251,12 @@ def apply_inverse(rule: Rule, host: InstanceGraph, comatch: Morphism) -> Instanc
     """
     if comatch.source != rule.rhs or comatch.target != host:
         raise GraphError(f"comatch does not connect {rule.name}'s result side to the host")
-    created_images = {comatch.node_map[n] for n in rule.created_nodes()}
-    matched_edges = comatch.edge_image()
-    for eid in sorted(host.edges):
-        edge = host.edges[eid]
-        if eid in matched_edges:
-            continue
-        if edge.src in created_images or edge.tgt in created_images:
-            raise NotReversibleError(
-                f"rule {rule.name} not reversible: host edge {eid} touches a created node"
-            )
+    created_images = [comatch.node_map[n] for n in rule.created_nodes()]
+    edge = dangling_edge(host, created_images, comatch.edge_image())
+    if edge is not None:
+        raise NotReversibleError(
+            f"rule {rule.name} not reversible: host edge {edge} touches a created node"
+        )
 
     stripped = host.remove(
         created_images, (comatch.edge_map[e] for e in rule.created_edges())

@@ -201,10 +201,10 @@ def test_internal_error_exits_4_with_a_traceback(running_example, capsys, monkey
     assert err.rstrip().endswith("RuntimeError: boom")
 
 
-@pytest.mark.parametrize("command", ["plan-tests", "check-coverage"])
+@pytest.mark.parametrize("command", ["analyze", "plan-tests", "check-coverage"])
 def test_each_document_is_read_once_per_command(running_example, monkeypatch, command):
     reads: dict[str, int] = {}
-    load_json, parse_sdl = cli._load_json, cli.parse_sdl
+    load_json, parse_sdl, to_type_graph = cli._load_json, cli.parse_sdl, cli.to_type_graph
 
     def counted_load(path):
         reads[path.name] = reads.get(path.name, 0) + 1
@@ -214,10 +214,15 @@ def test_each_document_is_read_once_per_command(running_example, monkeypatch, co
         reads["<sdl>"] = reads.get("<sdl>", 0) + 1
         return parse_sdl(text)
 
+    def counted_derivation(model, **options):
+        reads["<typegraph>"] = reads.get("<typegraph>", 0) + 1
+        return to_type_graph(model, **options)
+
     monkeypatch.setattr(cli, "_load_json", counted_load)
     monkeypatch.setattr(cli, "parse_sdl", counted_parse)
+    monkeypatch.setattr(cli, "to_type_graph", counted_derivation)
     assert main([command, "--project", str(running_example)]) == 0
-    assert "<sdl>" in reads and "rules.json" in reads
+    assert {"<sdl>", "<typegraph>", "rules.json"} <= set(reads)
     assert all(count == 1 for count in reads.values()), reads
 
 

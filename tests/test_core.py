@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,10 @@ from graphbac.core import (
     Morphism,
     TypeGraph,
     check_dangling,
+    dangling_edge,
     enumerate_matches,
     graph_to_doc,
+    iter_matches,
 )
 from randgen import random_graph, random_typegraph
 
@@ -125,6 +128,42 @@ def test_matches_equal_naive_enumeration(seed):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_anchored_matches_equal_filtered_naive_enumeration(seed):
+    # anchors on host nodes of any type, on absent ids, on values that are
+    # no id at all and on names outside the pattern
+    rng = random.Random(seed)
+    tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
+    pattern = random_graph(rng, tg, max_nodes=3, max_edges=3, prefix="p")
+    host = random_graph(rng, tg, max_nodes=5, max_edges=6, prefix="h")
+    values = sorted(host.nodes) + ["absent", 5, ["h0"]]
+    names = sorted(pattern.nodes) + ["not-in-pattern"]
+    fixed = {n: rng.choice(values) for n in names if rng.random() < 0.4}
+    found = [m.mapped_tuple() for m in iter_matches(pattern, host, fixed)]
+    assert len(found) == len(set(found))
+    assert set(found) == as_tuples(
+        m
+        for m in naive_matches(pattern, host)
+        if all(m.node_map.get(n) == v for n, v in fixed.items())
+    )
+
+
+def test_matching_cost_follows_the_pattern_not_the_host():
+    # about 3000 s when every candidate pair scans every host edge
+    tg = TypeGraph(("A", "B"), (EdgeType("E", "A", "B"),))
+    pattern = InstanceGraph(tg, {"a": "A", "b": "B"}, {"e": Edge("E", "a", "b")})
+    n = 2000
+    host = InstanceGraph(
+        tg,
+        {**{f"a{i}": "A" for i in range(n)}, **{f"b{i}": "B" for i in range(n)}},
+        {f"e{i}": Edge("E", f"a{i}", f"b{i}") for i in range(n)},
+    )
+    start = time.perf_counter()
+    assert len(enumerate_matches(pattern, host)) == n
+    assert time.perf_counter() - start < 5
+
+
 def test_identity_and_inclusion_morphisms():
     host = user_repo_host()
     sub = host.subgraph(["u"], [])
@@ -170,13 +209,22 @@ def test_dangling_equals_incident_edge_scan(seed):
     tg = random_typegraph(rng)
     pattern = random_graph(rng, tg, max_nodes=3, max_edges=3, prefix="p")
     host = random_graph(rng, tg, max_nodes=5, max_edges=6, prefix="h")
+    for nid in host.nodes:
+        assert host.incident(nid) == sorted(
+            eid for eid, e in host.edges.items() if nid in (e.src, e.tgt)
+        )
     for m in enumerate_matches(pattern, host):
         deleted = {n for n in pattern.nodes if rng.random() < 0.5}
-        incident_outside = set()
-        for n in deleted:
-            incident_outside.update(m.target.incident(m.node_map[n]))
-        incident_outside -= m.edge_image()
+        images = {m.node_map[n] for n in deleted}
+        incident_outside = {
+            eid
+            for eid, e in host.edges.items()
+            if (e.src in images or e.tgt in images) and eid not in m.edge_image()
+        }
         assert check_dangling(m, deleted) == (not incident_outside)
+        assert dangling_edge(host, images, m.edge_image()) == min(
+            incident_outside, default=None
+        )
 
 
 def test_graph_document_round_trip():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
 import urllib.request
+from pathlib import Path
 
 import pytest
 from fixtures import collab_policy, collab_roles, collab_rules, collab_typegraph
@@ -18,11 +20,13 @@ from graphbac.mockserver import (
     FaultInjection,
     MockTarget,
     TokenEntry,
+    _error,
     start_in_background,
     target_from_doc,
 )
-from graphbac.planner import PolicyAnnotation
-from graphbac.rules import apply
+from graphbac.planner import PolicyAnnotation, RoleSpec
+from graphbac.rules import CREATE, NotApplicableError, apply, rules_from_doc
+from graphbac.schema import parse_sdl, to_type_graph
 
 TOKENS = {
     "tok-owner": TokenEntry("Owner"),
@@ -281,3 +285,144 @@ def test_concurrent_requests_are_serialized():
     projects = [n for n, t in target.graph.nodes.items() if t == "Project"]
     assert len(projects) == workers * 5
     assert len(target.graph.edges) == workers * 5  # one containment edge each
+
+
+# ---- the running example ------------------------------------------------
+
+RUNNING_EXAMPLE = Path(__file__).resolve().parent.parent / "projects" / "running-example"
+
+
+def running_example_target(
+    cls=MockTarget, creator_only=(), faults=(), bind_created=False
+) -> MockTarget:
+    """The running-example mock; `bind_created` also binds createIssue's
+    created issue to a variable, which no request can satisfy."""
+    typegraph = to_type_graph(parse_sdl((RUNNING_EXAMPLE / "schema.graphql").read_text()))
+    rules_doc = json.loads((RUNNING_EXAMPLE / "rules.json").read_text())
+    if bind_created:
+        for rule in rules_doc["rules"]:
+            if rule["name"] == "createIssue":
+                rule["call"]["bindings"]["issue"] = "i"
+    doc = json.loads((RUNNING_EXAMPLE / "mock.json").read_text())
+    for name in creator_only:
+        doc["policies"]["bearer"]["rules"][name]["creator_only"] = True
+    return cls(
+        rules=rules_from_doc(rules_doc, typegraph),
+        roles=RoleSpec.from_doc(json.loads((RUNNING_EXAMPLE / "roles.json").read_text())),
+        policies={s: PolicyAnnotation.from_doc(p) for s, p in doc["policies"].items()},
+        tokens={t: TokenEntry(**entry) for t, entry in doc["tokens"].items()},
+        faults=faults,
+    )
+
+
+def seed_running_example(target) -> str:
+    """The id of a repository the owner created."""
+    call(target, "owner-token", "createUser")
+    return call(target, "owner-token", "createRepo")["data"]["createRepo"]["r"]
+
+
+NOT_AN_ID = (["x"], {"id": "x"}, 5, 1.5, True)
+
+
+@pytest.mark.parametrize("value", NOT_AN_ID, ids=repr)
+def test_creator_only_refuses_a_variable_that_is_not_an_id(value):
+    target = running_example_target(creator_only=("updateIssue",))
+    repo = seed_running_example(target)
+    call(target, "owner-token", "createIssue", {"repo": repo})
+    response = call(target, "owner-token", "updateIssue", {"issue": value})
+    assert code_of(response) == FORBIDDEN
+
+
+def test_bindings_no_resource_satisfies_are_not_found():
+    target = running_example_target()
+    repo = seed_running_example(target)
+    call(target, "owner-token", "createIssue", {"repo": repo})
+    before = target.snapshot()
+    for value in (*NOT_AN_ID, "ghost", repo):  # repo: an id of another type
+        response = call(target, "owner-token", "updateIssue", {"issue": value})
+        assert code_of(response) == NOT_FOUND, value
+    assert target.snapshot() == before
+    # a binding of createIssue's created node, outside its pattern
+    target = running_example_target(bind_created=True)
+    repo = seed_running_example(target)
+    before = target.snapshot()
+    response = call(target, "owner-token", "createIssue", {"repo": repo, "issue": repo})
+    assert code_of(response) == NOT_FOUND
+    assert target.snapshot() == before
+
+
+class SortThenFilterTarget(MockTarget):
+    """The reference: every match of the pattern in the whole state, sorted,
+    then filtered by the bindings."""
+
+    def _transition(self, rule, token, variables):
+        constraints = {}
+        if rule.call is not None:
+            for var, node in rule.call.bindings.items():
+                value = variables.get(var)
+                if value is None:
+                    return _error(BAD_REQUEST, f"missing variable {var}")
+                constraints[node] = value
+        if (
+            rule.actor is not None
+            and rule.tags[rule.actor] != CREATE
+            and rule.actor not in constraints
+        ):
+            principal = self.identities.get(token)
+            if principal is None:
+                return _error(NOT_FOUND, "the calling principal has no resource yet")
+            constraints[rule.actor] = principal
+        matches = [
+            m
+            for m in enumerate_matches(rule.lhs, self.graph)
+            if all(m.node_map.get(n) == v for n, v in constraints.items())
+        ]
+        if not matches:
+            return _error(NOT_FOUND, f"no resource satisfies the bindings of {rule.name}")
+        try:
+            t = apply(rule, self.graph, matches[0])
+        except NotApplicableError as exc:
+            return _error(NOT_FOUND, f"cannot apply {rule.name}: {exc}")
+        self.graph = t.result
+        for node in rule.created_nodes():
+            self.creators[t.comatch.node_map[node]] = token
+        if rule.actor is not None and rule.tags[rule.actor] == CREATE:
+            self.identities[token] = t.comatch.node_map[rule.actor]
+        payload = {
+            node: t.comatch.node_map.get(node, t.match.node_map.get(node))
+            for node in rule.nodes
+        }
+        return {"data": {rule.operation(): payload}}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_anchored_transitions_equal_sort_then_filter(seed):
+    rng = random.Random(seed)
+    options = {
+        "creator_only": ("updateIssue", "deleteIssue") if seed % 3 == 1 else (),
+        "faults": (FaultInjection("drop_check", "updateIssue"),) if seed % 3 == 2 else (),
+        "bind_created": seed % 2 == 1,
+    }
+    target = running_example_target(**options)
+    reference = running_example_target(SortThenFilterTarget, **options)
+    operations = sorted(target.rules) + ["__reset"]
+    tokens = ("owner-token", "collab-token", "nope-token")
+    for step in range(120):
+        op = rng.choice(operations if step % 40 else ["__reset"])
+        variables = {}
+        rule = target.rules.get(op)
+        for var, node in sorted(rule.call.bindings.items()) if rule and rule.call else ():
+            nodes = target.graph.nodes
+            typed = sorted(n for n, t in nodes.items() if t == rule.nodes[node])
+            choice = rng.random()
+            if choice < 0.6 and typed:
+                variables[var] = rng.choice(typed)
+            elif choice < 0.8 and nodes:
+                variables[var] = rng.choice(sorted(nodes))
+            elif choice < 0.95:
+                variables[var] = rng.choice(NOT_AN_ID + ("ghost",))
+        token = rng.choice(tokens)
+        got = call(target, token, op, variables)
+        want = call(reference, token, op, variables)
+        assert got == want, (step, op, variables)
+        assert target.snapshot() == reference.snapshot(), (step, op)

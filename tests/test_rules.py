@@ -149,11 +149,16 @@ def test_apply_rejects_dangling_deletion():
     delete_t = Rule(
         name="deleteT", typegraph=tg, nodes={"t": "T"}, tags={"t": "delete"}
     )
-    host = InstanceGraph(tg, {"ht": "T", "ha": "A"}, {"e": Edge("inc", "ht", "ha")})
+    # two edges would dangle; the error names the one with the lowest id
+    host = InstanceGraph(
+        tg,
+        {"ht": "T", "ha": "A"},
+        {"e2": Edge("inc", "ht", "ha"), "e1": Edge("inc", "ht", "ha")},
+    )
     (match,) = enumerate_matches(delete_t.lhs, host)
     with pytest.raises(NotApplicableError) as err:
         apply(delete_t, host, match)
-    assert "e" in str(err.value)
+    assert "host edge e1 would dangle" in str(err.value)
 
 
 def test_apply_deletes_node_with_matched_edges():
@@ -204,18 +209,23 @@ def test_inverse_blocked_by_outside_edge():
         edges={"e": Edge("inc", "t", "a")},
         tags={"a": "preserve", "t": "create", "e": "create"},
     )
-    # host carries one extra incident edge the comatch does not account for
+    # host carries two extra incident edges the comatch does not account
+    # for; the error names the one with the lowest id
     host = InstanceGraph(
         tg,
         {"ha": "A", "ht": "T", "hb": "A"},
-        {"he": Edge("inc", "ht", "ha"), "extra": Edge("inc", "ht", "hb")},
+        {
+            "he": Edge("inc", "ht", "ha"),
+            "xtra": Edge("inc", "ht", "hb"),
+            "extra": Edge("inc", "ht", "hb"),
+        },
     )
     comatch = Morphism(
         create_t.rhs, host, {"a": "ha", "t": "ht"}, {"e": "he"}
     )
     with pytest.raises(NotReversibleError) as err:
         apply_inverse(create_t, host, comatch)
-    assert "extra" in str(err.value)
+    assert "host edge extra touches" in str(err.value)
 
 
 @settings(max_examples=80, deadline=None)
