@@ -50,7 +50,7 @@ from .runner import (
     run_plan,
     tokens_from_env,
 )
-from .schema import parse_sdl, to_type_graph, derive_rule_skeletons
+from .schema import SchemaModel, derive_rule_skeletons, parse_sdl, to_type_graph
 from .taint import (
     TaintedFlow,
     TaintedGraphAPI,
@@ -171,7 +171,7 @@ class Project:
 
     # ---- documents ------------------------------------------------------
 
-    def schema_model(self):
+    def schema_model(self) -> SchemaModel:
         return self._parsed(self.path("schema"), parse_sdl, text=True)
 
     def typegraph(self) -> TypeGraph:
@@ -267,10 +267,18 @@ class Project:
 # subcommands
 
 
+def _warned_schema(project: Project) -> SchemaModel:
+    """The parsed schema, once what the parser ignored is printed to stderr."""
+    model = project.schema_model()
+    for text in model.warnings:
+        print(f"warning: {project.path('schema')}: {text}", file=sys.stderr)
+    return model
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
     tg = to_type_graph(
-        project.schema_model(),
+        _warned_schema(project),
         include_inputs=bool(project.setting("include_inputs", False)),
     )
     print(
@@ -284,7 +292,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_derive_rules(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
     result = derive_rule_skeletons(
-        project.schema_model(),
+        _warned_schema(project),
         include_inputs=bool(project.setting("include_inputs", False)),
     )
     print(f"derived {len(result.rules)} rule skeletons from {project.path('schema')}")
@@ -464,18 +472,20 @@ def cmd_run_tests(args: argparse.Namespace) -> int:
         raise GraphError(
             "no endpoint configured; pass --endpoint or set endpoint in project.json"
         )
+    tokens = tokens_from_env(plan.roles)
     matcher_doc = project.setting("matcher")
     schemes = project.setting("schemes") or {}
-    if not isinstance(schemes, dict):
-        raise GraphError(f"{project.root / 'project.json'}: schemes must be an object")
-    config = RunnerConfig(
-        endpoint=str(endpoint),
-        tokens=tokens_from_env(plan.roles),
-        schemes={str(k): str(v) for k, v in schemes.items()},
-        matcher=BacMatcher.from_doc(matcher_doc) if matcher_doc else BacMatcher(),
-        timeout=float(project.setting("timeout", 10.0)),
-        cleanup=args.cleanup or str(project.setting("cleanup", "none")),
-    )
+    with _file_context(project.root / "project.json"):
+        if not isinstance(schemes, dict):
+            raise GraphError("schemes must be an object")
+        config = RunnerConfig(
+            endpoint=str(endpoint),
+            tokens=tokens,
+            schemes={str(k): str(v) for k, v in schemes.items()},
+            matcher=BacMatcher.from_doc(matcher_doc) if matcher_doc else BacMatcher(),
+            timeout=project.setting("timeout", 10.0),
+            cleanup=args.cleanup or str(project.setting("cleanup", "none")),
+        )
     report = run_plan(plan, config, rules=project.rules_by_name())
     print(report.render_text())
     _write_doc(project.path("report"), report.to_doc())
@@ -528,9 +538,9 @@ def cmd_mock_serve(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
-    rules = project.rules()
-    analyzed = [r for r in rules if not r.setup_only]
-    report = run_oracle(analyzed, rules, project.initial(), depth=args.max_depth)
+    report = run_oracle(
+        project.analyzed_rules(), project.rules(), project.initial(), args.max_depth
+    )
     print(
         f"oracle at depth {report.depth}: explored {report.hosts_explored} hosts, "
         f"checked {report.pairs_checked} ordered rule pairs "

@@ -412,6 +412,18 @@ def enumerate_matches(pattern: InstanceGraph, host: InstanceGraph) -> list[Morph
     return sorted(iter_matches(pattern, host), key=Morphism.mapped_tuple)
 
 
+def first_match(
+    pattern: InstanceGraph,
+    host: InstanceGraph,
+    fixed: dict[str, object] | None = None,
+) -> Morphism | None:
+    """The first match in `enumerate_matches` order among those the anchors
+    allow, or None.  Mock responses and planned steps are fixed by it."""
+    return min(
+        iter_matches(pattern, host, fixed), key=Morphism.mapped_tuple, default=None
+    )
+
+
 def iter_matches(
     pattern: InstanceGraph,
     host: InstanceGraph,

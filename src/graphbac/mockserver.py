@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable
 
-from .core import GraphError, InstanceGraph, Morphism, graph_to_doc, iter_matches
+from .core import GraphError, InstanceGraph, first_match, graph_to_doc
 from .planner import PolicyAnnotation, RoleSpec
 from .rules import CREATE, NotApplicableError, Rule, apply
 
@@ -42,12 +42,6 @@ class FaultInjection:
             raise GraphError(f"unknown fault kind {self.kind}")
         if self.kind == OVER_RESTRICT and self.role is None:
             raise GraphError("over_restrict needs a role")
-
-    def to_doc(self) -> dict:
-        doc = {"kind": self.kind, "rule": self.rule}
-        if self.role is not None:
-            doc["role"] = self.role
-        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FaultInjection":
@@ -104,9 +98,7 @@ class MockTarget:
             initial = InstanceGraph(some_rule.typegraph, {}, {})
         self._initial = initial
         self._lock = threading.Lock()
-        self.graph = initial
-        self.creators: dict[str, str] = {}  # node id -> creating token
-        self.identities: dict[str, str] = {}  # token -> principal node id
+        self._restart()
 
     # -- state inspection (used by tests and differential checks)
 
@@ -117,9 +109,13 @@ class MockTarget:
 
     def reset(self) -> None:
         with self._lock:
-            self.graph = self._initial
-            self.creators = {}
-            self.identities = {}
+            self._restart()
+
+    def _restart(self) -> None:
+        """Back to the initial state; callers other than `__init__` hold the lock."""
+        self.graph = self._initial
+        self.creators: dict[str, str] = {}  # node id -> creating token
+        self.identities: dict[str, str] = {}  # token -> principal node id
 
     # -- request handling
 
@@ -143,9 +139,7 @@ class MockTarget:
             )
         with self._lock:
             if operation == RESET_OPERATION:
-                self.graph = self._initial
-                self.creators = {}
-                self.identities = {}
+                self._restart()
                 return {"data": {RESET_OPERATION: True}}
             rule = self.rules.get(operation)
             if rule is None:
@@ -203,12 +197,7 @@ class MockTarget:
                     NOT_FOUND, "the calling principal has no resource yet"
                 )
             constraints[rule.actor] = principal
-        # the first match in sorted order among those the bindings allow
-        match = min(
-            iter_matches(rule.lhs, self.graph, constraints),
-            key=Morphism.mapped_tuple,
-            default=None,
-        )
+        match = first_match(rule.lhs, self.graph, constraints)
         if match is None:
             return _error(
                 NOT_FOUND, f"no resource satisfies the bindings of {rule.name}"

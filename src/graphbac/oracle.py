@@ -210,16 +210,6 @@ class OracleReport:
     def agreed(self) -> bool:
         return not self.disagreements
 
-    def to_doc(self) -> dict:
-        return {
-            "depth": self.depth,
-            "hosts_explored": self.hosts_explored,
-            "pairs_checked": self.pairs_checked,
-            "agreed": self.agreed,
-            "disagreements": list(self.disagreements),
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
-
 
 def run_oracle(
     analyzed: Iterable[Rule],

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import GraphError, InstanceGraph, Morphism, enumerate_matches, iter_matches
+from .core import GraphError, InstanceGraph, Morphism, first_match, iter_matches
 from .dependency import DependencyReason
 from .rules import (
     CREATE,
@@ -255,9 +255,6 @@ class TaintTest:
     covered_reasons: tuple[str, ...] = ()
     covered_role_pairs: tuple[tuple[str, str], ...] = ()
 
-    def payload_steps(self) -> list[TestStep]:
-        return [s for s in self.steps if not s.setup]
-
     @property
     def sink_rule(self) -> str:
         return self.steps[-1].rule
@@ -399,12 +396,6 @@ class _SymbolicRun:
             self.comatches.append(None)
         return index
 
-    def first_match(self, rule: Rule) -> Morphism:
-        matches = enumerate_matches(rule.lhs, self.host)
-        if not matches:
-            raise PlanningError(f"no match for {rule.name} in the planned host")
-        return matches[0]
-
 
 # --------------------------------------------------------------------------
 # plan generation
@@ -492,7 +483,11 @@ class _Planner:
             match = Morphism(self.seed_rule.lhs, run.host, {}, {})
             run.add(self.seed_rule, role, match, setup=True)
 
-    def _complete(self, run: _SymbolicRun, pattern: InstanceGraph, role: str) -> None:
+    def _complete(
+        self, run: _SymbolicRun, pattern: InstanceGraph, role: str
+    ) -> Morphism:
+        """Add the setup steps after which the pattern embeds in the planned
+        host, and return its first match there."""
         steps = _search_embedding(pattern, run.host, self.all_rules, SETUP_DEPTH)
         if steps is None:
             wanted = ", ".join(f"{n}:{t}" for n, t in sorted(pattern.nodes.items()))
@@ -501,6 +496,8 @@ class _Planner:
             # replay the searched step on the symbolic host (same graph by
             # construction, so the recorded match carries over)
             run.add(t.rule, self._setup_role(t.rule.name, role), t.match, setup=True)
+        # the replayed host is the explored one, which the pattern embeds in
+        return first_match(pattern, run.host)
 
     # -- flow tests
 
@@ -526,12 +523,7 @@ class _Planner:
         run = _SymbolicRun(self.initial)
         seed_roles = [source_role] + ([sink_role] if expected else [])
         self._seed(run, seed_roles)
-        pre = self._reason_pre_context(reason)
-        self._complete(run, pre, source_role)
-        embeddings = enumerate_matches(pre, run.host)
-        if not embeddings:
-            raise PlanningError("planned setup lost the required context")
-        embed = embeddings[0]
+        embed = self._complete(run, self._reason_pre_context(reason), source_role)
         source_match = Morphism(
             source.lhs,
             run.host,
@@ -589,9 +581,11 @@ class _Planner:
     def _repeated_rule_test(self, role: str, rule: Rule) -> TaintTest:
         run = _SymbolicRun(self.initial)
         self._seed(run, [role])
-        self._complete(run, rule.lhs, role)
-        run.add(rule, role, run.first_match(rule))
-        run.add(rule, role, run.first_match(rule))
+        run.add(rule, role, self._complete(run, rule.lhs, role))
+        again = first_match(rule.lhs, run.host)
+        if again is None:
+            raise PlanningError(f"no match for {rule.name} in the planned host")
+        run.add(rule, role, again)
         return TaintTest(
             id=f"role-pos:{role}",
             kind=ROLE_POSITIVE,
@@ -719,23 +713,6 @@ class FlowCoverageReport:
     def uncovered(self) -> list[str]:
         return [r.reason_id for r in self.reasons if not r.satisfied]
 
-    def to_doc(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "secured_satisfied": self.secured_satisfied,
-            "unsecured_satisfied": self.unsecured_satisfied,
-            "reasons": [
-                {
-                    "reason_id": r.reason_id,
-                    "positive": r.positive,
-                    "negative": r.negative,
-                    "negative_infeasible": r.negative_infeasible,
-                    "satisfied": r.satisfied,
-                }
-                for r in self.reasons
-            ],
-        }
-
 
 def check_flow_coverage(plan: TestPlan, flow: TaintedFlow) -> FlowCoverageReport:
     """Every reason needs a positive and a negative test exercising it."""
@@ -787,21 +764,6 @@ class RoleCoverageReport:
 
     def uncovered(self) -> list[str]:
         return [r.role for r in self.roles if not r.satisfied]
-
-    def to_doc(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "roles": [
-                {
-                    "role": r.role,
-                    "positive": r.positive,
-                    "negative": r.negative,
-                    "negative_waived": r.negative_waived,
-                    "satisfied": r.satisfied,
-                }
-                for r in self.roles
-            ],
-        }
 
 
 def check_role_coverage(plan: TestPlan, roles: RoleSpec) -> RoleCoverageReport:

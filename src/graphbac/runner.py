@@ -10,9 +10,11 @@ rather than letting noise masquerade as a security verdict.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -56,7 +58,12 @@ class BacMatcher:
         if not self.codes and not self.message_pattern:
             raise GraphError("matcher must test error codes or messages")
         if self.message_pattern is not None:
-            re.compile(self.message_pattern)
+            if not isinstance(self.message_pattern, str):
+                raise GraphError("matcher message_pattern must be a string")
+            try:
+                re.compile(self.message_pattern)
+            except re.error as exc:
+                raise GraphError(f"matcher message_pattern: {exc}") from exc
 
     def is_bac(self, errors: Iterable[dict]) -> bool:
         for error in errors:
@@ -69,15 +76,14 @@ class BacMatcher:
                 return True
         return False
 
-    def to_doc(self) -> dict:
-        return {"codes": list(self.codes), "message_pattern": self.message_pattern}
-
     @classmethod
-    def from_doc(cls, doc: dict) -> "BacMatcher":
-        return cls(
-            codes=tuple(doc.get("codes", ())),
-            message_pattern=doc.get("message_pattern"),
-        )
+    def from_doc(cls, doc: object) -> "BacMatcher":
+        if not isinstance(doc, dict):
+            raise GraphError("matcher must be an object")
+        codes = doc.get("codes", [])
+        if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
+            raise GraphError("matcher codes must be a list of strings")
+        return cls(codes=tuple(codes), message_pattern=doc.get("message_pattern"))
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,15 @@ class RunnerConfig:
     def __post_init__(self) -> None:
         if self.cleanup not in ("none", "reset"):
             raise GraphError(f"unknown cleanup mode {self.cleanup}")
+        try:
+            timeout = float(self.timeout)
+        except (TypeError, ValueError):
+            timeout = math.nan
+        if not 0 < timeout < math.inf:
+            raise GraphError(
+                f"timeout must be a positive number of seconds, got {self.timeout!r}"
+            )
+        object.__setattr__(self, "timeout", timeout)
 
     def scheme_for(self, role: str) -> str:
         return self.schemes.get(role, "bearer")
@@ -237,6 +252,13 @@ class TestReport:
 
 
 def http_transport(endpoint: str) -> Transport:
+    try:
+        url = urllib.parse.urlsplit(endpoint)
+    except ValueError:  # an unbalanced IPv6 bracket, say
+        url = None
+    if url is None or url.scheme not in ("http", "https") or not url.netloc:
+        raise RunnerError(f"endpoint must be an http or https URL, got {endpoint!r}")
+
     def send(request: dict, headers: dict, timeout: float) -> dict:
         data = json.dumps(request).encode()
         req = urllib.request.Request(

@@ -151,12 +151,6 @@ class ObjectDef:
     fields: tuple[FieldDef, ...]
     is_input: bool = False
 
-    def field(self, name: str) -> FieldDef:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise SchemaError(f"type {self.name} has no field {name}")
-
 
 @dataclass(frozen=True)
 class SchemaModel:

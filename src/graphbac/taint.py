@@ -67,12 +67,6 @@ class TaintedGraphAPI:
                 return r
         raise GraphError(f"unknown rule {name}")
 
-    def source_rules(self) -> list[str]:
-        return sorted({name for names in self.sources.values() for name in names})
-
-    def sink_rules(self) -> list[str]:
-        return sorted({name for names in self.sinks.values() for name in names})
-
     def pairs(self) -> list[tuple[str, str]]:
         """Ordered rule pairs sharing at least one tainted type."""
         out = set()
@@ -132,12 +126,6 @@ class TaintedFlow:
 
     def reason_ids(self) -> list[str]:
         return [r.id for r in self.reasons]
-
-    def reason(self, reason_id: str) -> DependencyReason:
-        for r in self.reasons:
-            if r.id == reason_id:
-                return r
-        raise GraphError(f"unknown reason id {reason_id}")
 
     def status_of(self, reason_id: str) -> str:
         entry = self.entries.get(reason_id)
@@ -272,20 +260,6 @@ class TheoremCheck:
         """No reason and no conclusive condition: an indirect dependency between
         this pair would be invisible to minimal tests."""
         return self.reason_count == 0 and not self.conclusive
-
-    def to_doc(self) -> dict:
-        return {
-            "source": self.source,
-            "sink": self.sink,
-            "condition1_holds": self.condition1_holds,
-            "condition1_failures": list(self.condition1_failures),
-            "condition2_holds": self.condition2_holds,
-            "condition2_failures": list(self.condition2_failures),
-            "verdict": self.verdict,
-            "reason_count": self.reason_count,
-            "blind_spot": self.blind_spot,
-            "caveat": self.caveat,
-        }
 
 
 def check_theorem_conditions(

@@ -58,8 +58,9 @@ def _served(project_dir: Path, faults: list[dict] | None = None):
 
 def test_ingest_is_idempotent(running_example, capsys):
     assert main(["ingest", "--project", str(running_example)]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "4 node types, 4 edge types" in out
+    assert err == ""  # the shipped schema uses nothing the parser ignores
     first = (running_example / "typegraph.json").read_bytes()
     assert main(["ingest", "--project", str(running_example)]) == 0
     assert (running_example / "typegraph.json").read_bytes() == first
@@ -82,6 +83,23 @@ def test_derive_rules_reports_unhandled_fields(tmp_path, capsys):
     assert "unhandled entry field (model by hand): Query.search" in out
     doc = json.loads((tmp_path / "derived-rules.json").read_text())
     assert [r["name"] for r in doc["rules"]] == ["createIssue"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "derive-rules"])
+def test_schema_warnings_go_to_stderr(tmp_path, capsys, command):
+    schema = tmp_path / "schema.graphql"
+    schema.write_text(
+        "interface Node { id: ID! }\n"
+        "type Mutation { createIssue(title: String): Issue }\n"
+        "type Issue implements Node { id: ID! title: String }\n"
+    )
+    assert main([command, "--project", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"warning: {schema}: 1:1: interface definition ignored",
+        f"warning: {schema}: 3:12: implements clause on Issue ignored",
+    ]
+    assert "ignored" not in out
 
 
 # ---- analyze ------------------------------------------------------------
@@ -409,6 +427,49 @@ def test_run_tests_requires_an_endpoint(running_example, capsys, monkeypatch):
     (running_example / "project.json").write_text(json.dumps(config))
     assert main(["run-tests", "--project", str(running_example)]) == 2
     assert "no endpoint configured" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        pytest.param("matcher", "x", id="matcher-not-an-object"),
+        pytest.param("matcher", {"codes": 5}, id="matcher-codes-not-a-list"),
+        pytest.param("matcher", {"codes": []}, id="matcher-tests-nothing"),
+        pytest.param("matcher", {"message_pattern": "("}, id="matcher-bad-pattern"),
+        pytest.param("timeout", "abc", id="timeout-text"),
+        pytest.param("timeout", [], id="timeout-list"),
+        pytest.param("timeout", -1, id="timeout-negative"),
+        pytest.param("cleanup", 5, id="cleanup-number"),
+    ],
+)
+def test_malformed_run_setting_exits_2_naming_project_json(
+    running_example, capsys, monkeypatch, setting, value
+):
+    for var, token in RUNNING_TOKENS.items():
+        monkeypatch.setenv(var, token)
+    path = running_example / "project.json"
+    config = json.loads(path.read_text())
+    config[setting] = value
+    path.write_text(json.dumps(config))
+    # the port is never contacted: the settings are refused before any request
+    assert main([
+        "run-tests", "--project", str(running_example),
+        "--endpoint", "http://127.0.0.1:1/graphql",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+    assert not (running_example / "report.json").exists()
+
+
+@pytest.mark.parametrize("endpoint", ["notaurl", "ftp://127.0.0.1/graphql", "http://[::1"])
+def test_run_tests_rejects_an_endpoint_that_is_not_an_http_url(
+    running_example, capsys, monkeypatch, endpoint
+):
+    for var, token in RUNNING_TOKENS.items():
+        monkeypatch.setenv(var, token)
+    args = ["run-tests", "--project", str(running_example), "--endpoint", endpoint]
+    assert main(args) == 2
+    assert "endpoint must be an http or https URL" in capsys.readouterr().err
 
 
 def test_run_tests_reproduces_the_permissions_issue(github_issue, capsys, monkeypatch):

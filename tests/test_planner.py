@@ -199,25 +199,31 @@ def test_flow_negative_denies_highest_denied_role(plan):
     assert deleted.steps[-1].role == COLLAB  # highest role the policy denies
 
 
+def _payload(test):
+    """(rule, role) of each step that is not setup."""
+    return [(s.rule, s.role) for s in test.steps if not s.setup]
+
+
 def test_role_positive_diagonals(plan):
     owner = plan.test("role-pos:Owner")
-    assert [(s.rule, s.role) for s in owner.payload_steps()] == [
+    assert _payload(owner) == [
         ("createIssue", OWNER),
         ("deleteIssue", OWNER),
     ]
     collab = plan.test("role-pos:Collaborator")
-    assert [(s.rule, s.role) for s in collab.payload_steps()] == [
+    assert _payload(collab) == [
         ("createIssue", COLLAB),
         ("updateIssue", COLLAB),
     ]
     assert collab.covered_reasons == ("createIssue->updateIssue#0",)
     nope = plan.test("role-pos:NoPe-Collaborator")
-    assert [(s.rule, s.role) for s in nope.payload_steps()] == [
+    assert _payload(nope) == [
         ("getUser", NOPE),
         ("getUser", NOPE),
     ]
     assert nope.covered_reasons == ()
-    for step in nope.payload_steps():
+    for step in nope.steps[-2:]:
+        assert not step.setup
         assert step.bindings == {"user": {"step": 0, "node": "u"}}
 
 
@@ -230,7 +236,7 @@ def test_role_negatives_pick_first_reason(plan):
     for test_id, (hi, lo) in expectations.items():
         test = plan.test(test_id)
         assert not test.expected_access
-        assert [(s.rule, s.role) for s in test.payload_steps()] == [
+        assert _payload(test) == [
             ("createIssue", hi),
             ("deleteIssue", lo),
         ]

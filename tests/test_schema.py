@@ -41,7 +41,7 @@ def test_parse_object_types(collab_model):
     assert collab_model.query is not None
     assert collab_model.mutation is not None
     assert [f.name for f in collab_model.query.fields] == ["getUser", "getProject"]
-    update = collab_model.mutation.field("updateRepo")
+    (update,) = [f for f in collab_model.mutation.fields if f.name == "updateRepo"]
     assert [a.name for a in update.args] == ["repo"]
     assert update.args[0].type.render() == "ID!"
 
@@ -62,7 +62,7 @@ def test_parse_field_arguments_survive():
         """
     )
     ref = model.object("Ref")
-    compare = ref.field("compare")
+    (compare,) = [f for f in ref.fields if f.name == "compare"]
     assert [a.name for a in compare.args] == ["branch"]
     assert compare.type.name == "Comparison"
 

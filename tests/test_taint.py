@@ -51,24 +51,24 @@ def test_tainted_types_validated():
 
 
 def test_source_sink_classification(api):
-    assert api.source_rules() == ["createIssue", "createProject", "createRepo"]
-    assert api.sink_rules() == [
-        "createIssue",
-        "deleteIssue",
-        "deleteProject",
-        "getProject",
-        "updateIssue",
-        "updateRepo",
-    ]
-    assert api.sources["Repository"] == ("createRepo",)
-    assert "createIssue" in api.sinks["Repository"]
+    assert api.sources == {
+        "Issue": ("createIssue",),
+        "Project": ("createProject",),
+        "Repository": ("createRepo",),
+    }
+    assert api.sinks == {
+        "Issue": ("deleteIssue", "updateIssue"),
+        "Project": ("deleteProject", "getProject"),
+        "Repository": ("createIssue", "deleteIssue", "updateIssue", "updateRepo"),
+    }
 
 
 def test_empty_taint_set_classifies_nothing():
     ttg = TaintedTypeGraph(collab_typegraph(), ())
     api = classify_sources_sinks(analyzed_collab_rules().values(), ttg)
-    assert api.source_rules() == []
-    assert api.sink_rules() == []
+    assert api.sources == {}
+    assert api.sinks == {}
+    assert api.pairs() == []
     assert tainted_flow(api).reasons == ()
 
 
@@ -231,7 +231,14 @@ def test_classification_matches_tag_scan_and_is_monotone(seed):
     for r in rules:
         created_types = {r.nodes[n] for n in r.nodes if r.tags[n] == CREATE}
         lhs_types = {r.nodes[n] for n in r.lhs.nodes}
-        assert (r.name in api_small.source_rules()) == bool(created_types & small)
-        assert (r.name in api_small.sink_rules()) == bool(lhs_types & small)
-    assert set(api_small.source_rules()) <= set(api_large.source_rules())
-    assert set(api_small.sink_rules()) <= set(api_large.sink_rules())
+        for t in small:
+            assert (r.name in api_small.sources.get(t, ())) == (t in created_types)
+            assert (r.name in api_small.sinks.get(t, ())) == (t in lhs_types)
+    # tainting one more type keeps every entry of the smaller classification
+    for table_small, table_large in (
+        (api_small.sources, api_large.sources),
+        (api_small.sinks, api_large.sinks),
+    ):
+        assert set(table_small) <= small
+        for t, names in table_small.items():
+            assert table_large[t] == names
