@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from contextlib import contextmanager
@@ -151,6 +152,16 @@ class Project:
     def setting(self, key: str, default: object = None) -> object:
         return self.config.get(key, default)
 
+    def include_inputs(self) -> bool:
+        """The `include_inputs` setting, which must be a JSON boolean."""
+        value = self.setting("include_inputs", False)
+        if not isinstance(value, bool):
+            raise GraphError(
+                f"{self.root / 'project.json'}: include_inputs must be true or false, "
+                f"got {value!r}"
+            )
+        return value
+
     def _parsed(
         self,
         path: Path,
@@ -182,7 +193,7 @@ class Project:
             if key not in self._loaded:
                 self._loaded[key] = to_type_graph(
                     self.schema_model(),
-                    include_inputs=bool(self.setting("include_inputs", False)),
+                    include_inputs=self.include_inputs(),
                 )
             return self._loaded[key]
         tg_path = self.path("typegraph")
@@ -279,7 +290,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
     tg = to_type_graph(
         _warned_schema(project),
-        include_inputs=bool(project.setting("include_inputs", False)),
+        include_inputs=project.include_inputs(),
     )
     print(
         f"ingested {project.path('schema')}: "
@@ -293,7 +304,7 @@ def cmd_derive_rules(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
     result = derive_rule_skeletons(
         _warned_schema(project),
-        include_inputs=bool(project.setting("include_inputs", False)),
+        include_inputs=project.include_inputs(),
     )
     print(f"derived {len(result.rules)} rule skeletons from {project.path('schema')}")
     for name in result.unhandled:
@@ -473,16 +484,21 @@ def cmd_run_tests(args: argparse.Namespace) -> int:
             "no endpoint configured; pass --endpoint or set endpoint in project.json"
         )
     tokens = tokens_from_env(plan.roles)
-    matcher_doc = project.setting("matcher")
-    schemes = project.setting("schemes") or {}
+    schemes = project.setting("schemes", {})
     with _file_context(project.root / "project.json"):
         if not isinstance(schemes, dict):
             raise GraphError("schemes must be an object")
+        if not all(isinstance(v, str) for v in schemes.values()):
+            raise GraphError("schemes must map each role to a string")
         config = RunnerConfig(
             endpoint=str(endpoint),
             tokens=tokens,
-            schemes={str(k): str(v) for k, v in schemes.items()},
-            matcher=BacMatcher.from_doc(matcher_doc) if matcher_doc else BacMatcher(),
+            schemes=schemes,
+            matcher=(
+                BacMatcher.from_doc(project.setting("matcher"))
+                if "matcher" in project.config
+                else BacMatcher()
+            ),
             timeout=project.setting("timeout", 10.0),
             cleanup=args.cleanup or str(project.setting("cleanup", "none")),
         )
@@ -675,7 +691,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, a closed stdout raises in this block and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`graphbac ingest ... | head -1`):
+        # point stdout at devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a reader that left
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -61,13 +61,26 @@ class TypeGraph:
 
     def edge_type(self, name: str) -> EdgeType:
         """Look up an edge type by name."""
-        for e in self.edge_types:
-            if e.name == name:
-                return e
-        raise GraphError(f"unknown edge type {name}")
+        try:
+            return self._edge_types_by_name[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise GraphError(f"unknown edge type {name}") from None
 
     def has_node_type(self, name: str) -> bool:
-        return name in self.node_types
+        try:
+            return name in self._node_type_set
+        except TypeError:  # an unhashable name
+            return False
+
+    # lookup tables for the two methods above, built on first use
+
+    @cached_property
+    def _node_type_set(self) -> frozenset[str]:
+        return frozenset(self.node_types)
+
+    @cached_property
+    def _edge_types_by_name(self) -> dict[str, EdgeType]:
+        return {e.name: e for e in self.edge_types}
 
     def to_doc(self) -> dict:
         """Serializable form with node_types and edge_types arrays."""
@@ -102,6 +115,10 @@ class InstanceGraph:
 
     nodes maps node id -> node type name; edges maps edge id -> Edge.  Node and
     edge ids live in one namespace so rule element sets are unambiguous.
+
+    The constructor copies and validates the whole graph.  `add`, `remove`
+    and `subgraph` validate only what they change, so deriving a graph costs
+    in proportion to the change, not to the graph.
     """
 
     typegraph: TypeGraph
@@ -111,18 +128,17 @@ class InstanceGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", dict(self.nodes))
         object.__setattr__(self, "edges", {i: Edge(*e) for i, e in self.edges.items()})
-        overlap = set(self.nodes) & set(self.edges)
-        if overlap:
-            raise GraphError(f"ids used for both a node and an edge: {sorted(overlap)}")
-        for nid, ntype in self.nodes.items():
-            if not self.typegraph.has_node_type(ntype):
-                raise GraphError(f"node {nid} has unknown type {ntype}")
-        for eid, edge in self.edges.items():
-            et = self.typegraph.edge_type(edge.type)
-            if edge.src not in self.nodes or edge.tgt not in self.nodes:
-                raise GraphError(f"edge {eid} has a missing endpoint")
-            if self.nodes[edge.src] != et.src or self.nodes[edge.tgt] != et.tgt:
-                raise GraphError(f"edge {eid} endpoint types do not match {edge.type}")
+        _check_elements(self.typegraph, self.nodes, self.nodes, self.edges)
+
+    @classmethod
+    def _trusted(
+        cls, typegraph: TypeGraph, nodes: dict[str, str], edges: dict[str, Edge]
+    ) -> "InstanceGraph":
+        """A graph from dicts the caller owns and has validated: no copy and
+        no check."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(typegraph=typegraph, nodes=nodes, edges=edges)
+        return graph
 
     @classmethod
     def empty(cls, typegraph: TypeGraph) -> "InstanceGraph":
@@ -190,34 +206,45 @@ class InstanceGraph:
         """The induced subgraph on the given ids; endpoints must be included."""
         node_ids = set(node_ids)
         edge_ids = set(edge_ids)
-        missing = node_ids - set(self.nodes)
-        missing |= edge_ids - set(self.edges)
+        missing = {n for n in node_ids if n not in self.nodes}
+        missing |= {e for e in edge_ids if e not in self.edges}
         if missing:
             raise GraphError(f"subgraph references unknown ids: {sorted(missing)}")
-        return InstanceGraph(
-            self.typegraph,
-            {n: self.nodes[n] for n in node_ids},
-            {e: self.edges[e] for e in edge_ids},
+        edges = {e: self.edges[e] for e in edge_ids}
+        for eid, edge in edges.items():
+            if edge.src not in node_ids or edge.tgt not in node_ids:
+                raise GraphError(f"edge {eid} has a missing endpoint")
+        return InstanceGraph._trusted(
+            self.typegraph, {n: self.nodes[n] for n in node_ids}, edges
         )
 
     def add(self, nodes: dict[str, str], edges: dict[str, Edge]) -> "InstanceGraph":
         """A new graph with the given elements added; ids must be fresh."""
-        clash = (set(nodes) | set(edges)) & (set(self.nodes) | set(self.edges))
+        clash = {
+            i for i in (*nodes, *edges) if i in self.nodes or i in self.edges
+        }
         if clash:
             raise GraphError(f"ids already present: {sorted(clash)}")
-        return InstanceGraph(
-            self.typegraph, {**self.nodes, **nodes}, {**self.edges, **edges}
-        )
+        edges = {i: Edge(*e) for i, e in edges.items()}
+        merged = {**self.nodes, **nodes}
+        _check_elements(self.typegraph, merged, nodes, edges)
+        return InstanceGraph._trusted(self.typegraph, merged, {**self.edges, **edges})
 
     def remove(self, node_ids: Iterable[str], edge_ids: Iterable[str]) -> "InstanceGraph":
-        """A new graph with the given elements removed."""
+        """A new graph with the given elements removed; no kept edge may
+        touch a removed node."""
         node_ids = set(node_ids)
         edge_ids = set(edge_ids)
-        return InstanceGraph(
-            self.typegraph,
-            {n: t for n, t in self.nodes.items() if n not in node_ids},
-            {e: d for e, d in self.edges.items() if e not in edge_ids},
-        )
+        edge = dangling_edge(self, node_ids, edge_ids)
+        if edge is not None:
+            raise GraphError(f"edge {edge} has a missing endpoint")
+        nodes = dict(self.nodes)
+        for n in node_ids:
+            nodes.pop(n, None)
+        edges = dict(self.edges)
+        for e in edge_ids:
+            edges.pop(e, None)
+        return InstanceGraph._trusted(self.typegraph, nodes, edges)
 
     def is_subgraph_of(self, other: "InstanceGraph") -> bool:
         """True iff every element exists in other with the same type and endpoints."""
@@ -255,6 +282,29 @@ class InstanceGraph:
         if len(nodes) != len(doc.get("nodes", [])) or len(edges) != len(doc.get("edges", [])):
             raise GraphError("duplicate element id in graph document")
         return cls(typegraph, nodes, edges)
+
+
+def _check_elements(
+    typegraph: TypeGraph,
+    nodes: dict[str, str],
+    new_nodes: dict[str, str],
+    new_edges: dict[str, Edge],
+) -> None:
+    """Check the new elements of a graph whose nodes are `nodes`: no id names
+    both a node and an edge, node types are known, and edge endpoints exist
+    with the types their edge type declares."""
+    overlap = new_nodes.keys() & new_edges.keys()
+    if overlap:
+        raise GraphError(f"ids used for both a node and an edge: {sorted(overlap)}")
+    for nid, ntype in new_nodes.items():
+        if not typegraph.has_node_type(ntype):
+            raise GraphError(f"node {nid} has unknown type {ntype}")
+    for eid, edge in new_edges.items():
+        et = typegraph.edge_type(edge.type)
+        if edge.src not in nodes or edge.tgt not in nodes:
+            raise GraphError(f"edge {eid} has a missing endpoint")
+        if nodes[edge.src] != et.src or nodes[edge.tgt] != et.tgt:
+            raise GraphError(f"edge {eid} endpoint types do not match {edge.type}")
 
 
 def graph_to_doc(graph: InstanceGraph) -> dict:
@@ -297,6 +347,22 @@ class Morphism:
             set(self.edge_map.values())
         ) != len(self.edge_map):
             raise GraphError("morphism has colliding images")
+
+    @classmethod
+    def _trusted(
+        cls,
+        source: InstanceGraph,
+        target: InstanceGraph,
+        node_map: dict[str, str],
+        edge_map: dict[str, str],
+    ) -> "Morphism":
+        """A morphism from maps the caller owns and has built to be valid
+        (the matcher, a rule step): no copy and no check."""
+        morphism = object.__new__(cls)
+        morphism.__dict__.update(
+            source=source, target=target, node_map=node_map, edge_map=edge_map
+        )
+        return morphism
 
     @classmethod
     def inclusion(cls, sub: InstanceGraph, sup: InstanceGraph) -> "Morphism":
@@ -439,7 +505,8 @@ def iter_matches(
     takes that node's image's neighbours along a connecting edge, any other
     node every host node of its type.  Degree signatures and parallel-edge
     counts prune candidates; then backtracking over parallel-edge images.
-    The yield order is not the sorted order of `enumerate_matches`; a
+    The matches are built valid, so they skip `Morphism`'s checks.  The
+    yield order is not the sorted order of `enumerate_matches`; a
     caller that only needs one match stops early.
     """
     if pattern.typegraph != host.typegraph:
@@ -470,7 +537,9 @@ def iter_matches(
         k: int, edge_map: dict[str, str], used_edges: set[str]
     ) -> Iterator[Morphism]:
         if k == len(pedges):
-            yield Morphism(pattern, host, dict(assignment), dict(edge_map))
+            # valid by construction: every node and edge placed once, along
+            # its own type, and edges looked up between placed endpoints
+            yield Morphism._trusted(pattern, host, dict(assignment), dict(edge_map))
             return
         pe, want = pedges[k]
         for he in by_edge[Edge(want.type, assignment[want.src], assignment[want.tgt])]:
@@ -524,12 +593,12 @@ def iter_matches(
 
 
 def dangling_edge(
-    host: InstanceGraph, node_ids: Iterable[str], kept_edges: frozenset[str]
+    host: InstanceGraph, node_ids: Iterable[str], exempt: Container[str]
 ) -> str | None:
-    """The lowest-id host edge outside `kept_edges` that touches one of the
+    """The lowest-id host edge outside `exempt` that touches one of the
     given nodes, or None."""
     return min(
-        (e for n in node_ids for e in host.incident(n) if e not in kept_edges),
+        (e for n in node_ids for e in host.incident(n) if e not in exempt),
         default=None,
     )
 

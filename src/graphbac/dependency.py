@@ -191,6 +191,19 @@ def _spans(profile: CreationProfile) -> Iterable[InstanceGraph]:
     return out
 
 
+def _rule_spans(rule: Rule, tag: str) -> list[InstanceGraph]:
+    """`_spans` of the rule's creation (CREATE) or deletion (DELETE) profile,
+    enumerated on first use and kept in the rule's instance dict, as its
+    `lhs` and `rhs` are (shared; do not modify).  A rule meets every other
+    rule as source and as sink, so this saves one enumeration per pair."""
+    key = f"_spans_{tag}"
+    spans = rule.__dict__.get(key)
+    if spans is None:
+        profile = creation_profile(rule) if tag == CREATE else deletion_profile(rule)
+        spans = rule.__dict__[key] = _spans(profile)
+    return spans
+
+
 def _context_identifications(
     producer: Rule, pattern: InstanceGraph, base: dict[str, str]
 ) -> list[dict[str, str]]:
@@ -307,10 +320,9 @@ def dependency_reasons(source: Rule, sink: Rule) -> list[DependencyReason]:
     """Every realizable produce-use reason from source to sink, in stable order."""
     if source.typegraph != sink.typegraph:
         raise GraphError("rules are typed over different type graphs")
-    profile = creation_profile(source)
     reasons: list[DependencyReason] = []
     seen: set[tuple] = set()
-    for span in _spans(profile):
+    for span in _rule_spans(source, CREATE):
         for embedding in enumerate_matches(span, sink.lhs):
             reason = _reason(
                 f"{source.name}->{sink.name}#{len(reasons)}", source, sink, span, embedding
@@ -340,9 +352,8 @@ def delete_overlap_reasons(first: Rule, second: Rule) -> list[dict]:
     """
     if first.typegraph != second.typegraph:
         raise GraphError("rules are typed over different type graphs")
-    profile = deletion_profile(second)
     witnesses = []
-    for span in _spans(profile):
+    for span in _rule_spans(second, DELETE):
         for embedding in enumerate_matches(span, first.rhs):
             # the span lives in the second rule's pattern here, so its
             # embedding already maps second's ids onto first's result side

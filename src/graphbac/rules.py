@@ -168,6 +168,29 @@ class DirectTransformation:
         if not self.intermediate.is_subgraph_of(self.result):
             raise GraphError("intermediate graph must embed in the result")
 
+    @classmethod
+    def _trusted(
+        cls,
+        rule: Rule,
+        host: InstanceGraph,
+        match: Morphism,
+        intermediate: InstanceGraph,
+        result: InstanceGraph,
+        comatch: Morphism,
+    ) -> "DirectTransformation":
+        """A step `apply` derived, whose graphs embed by construction: no
+        check."""
+        step = object.__new__(cls)
+        step.__dict__.update(
+            rule=rule,
+            host=host,
+            match=match,
+            intermediate=intermediate,
+            result=result,
+            comatch=comatch,
+        )
+        return step
+
     def created_node_ids(self) -> set[str]:
         return {self.comatch.node_map[n] for n in self.rule.created_nodes()}
 
@@ -187,20 +210,27 @@ class DirectTransformation:
         return self.deleted_node_ids() | self.deleted_edge_ids()
 
 
-def _fresh_ids(bases: Iterable[str], taken: set[str]) -> dict[str, str]:
+def _fresh_ids(bases: Iterable[str], host: InstanceGraph) -> dict[str, str]:
     """Deterministic fresh host ids, one per base rule-element id."""
     out: dict[str, str] = {}
+    taken: set[str] = set()
     for base in bases:
         n = 1
-        while f"{base}~{n}" in taken:
+        while (
+            (fresh := f"{base}~{n}") in taken or fresh in host.nodes or fresh in host.edges
+        ):
             n += 1
-        out[base] = f"{base}~{n}"
-        taken.add(out[base])
+        out[base] = fresh
+        taken.add(fresh)
     return out
 
 
 def apply(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformation:
-    """Apply the rule at an injective match of its left-hand side."""
+    """Apply the rule at an injective match of its left-hand side.
+
+    The match is valid, so the comatch is too and the intermediate graph
+    embeds in host and result: both skip their checks.
+    """
     if match.source != rule.lhs or match.target != host:
         raise GraphError(f"match does not connect {rule.name}'s pattern to the host")
     deleted_nodes = rule.deleted_nodes()
@@ -217,8 +247,7 @@ def apply(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformat
         (match.edge_map[e] for e in rule.deleted_edges()),
     )
 
-    taken = set(host.nodes) | set(host.edges)
-    fresh = _fresh_ids(rule.created_nodes() + rule.created_edges(), taken)
+    fresh = _fresh_ids(rule.created_nodes() + rule.created_edges(), host)
 
     def image(node: str) -> str:
         return fresh[node] if rule.tags[node] == CREATE else match.node_map[node]
@@ -230,7 +259,7 @@ def apply(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformat
     }
     result = intermediate.add(new_nodes, new_edges)
 
-    comatch = Morphism(
+    comatch = Morphism._trusted(
         rule.rhs,
         result,
         {n: image(n) for n in rule.rhs.nodes},
@@ -239,7 +268,9 @@ def apply(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformat
             for e in rule.rhs.edges
         },
     )
-    return DirectTransformation(rule, host, match, intermediate, result, comatch)
+    return DirectTransformation._trusted(
+        rule, host, match, intermediate, result, comatch
+    )
 
 
 def apply_inverse(rule: Rule, host: InstanceGraph, comatch: Morphism) -> InstanceGraph:
@@ -262,8 +293,7 @@ def apply_inverse(rule: Rule, host: InstanceGraph, comatch: Morphism) -> Instanc
         created_images, (comatch.edge_map[e] for e in rule.created_edges())
     )
 
-    taken = set(host.nodes) | set(host.edges)
-    fresh = _fresh_ids(rule.deleted_nodes() + rule.deleted_edges(), taken)
+    fresh = _fresh_ids(rule.deleted_nodes() + rule.deleted_edges(), host)
 
     def image(node: str) -> str:
         return fresh[node] if rule.tags[node] == DELETE else comatch.node_map[node]

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +72,59 @@ def test_ingest_is_idempotent(running_example, capsys):
 def test_ingest_without_schema_fails_with_context(tmp_path, capsys):
     assert main(["ingest", "--project", str(tmp_path)]) == 2
     assert "schema.graphql: file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, node_types", [(True, 8), (False, 5)])
+def test_include_inputs_switches_input_types(github_issue, capsys, value, node_types):
+    path = github_issue / "project.json"
+    config = json.loads(path.read_text())
+    config["include_inputs"] = value
+    path.write_text(json.dumps(config))
+    assert main(["ingest", "--project", str(github_issue)]) == 0
+    assert f"{node_types} node types" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["ingest", "derive-rules", "analyze"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+def test_include_inputs_must_be_a_json_boolean(github_issue, capsys, command, value):
+    path = github_issue / "project.json"
+    config = json.loads(path.read_text())
+    config["include_inputs"] = value
+    path.write_text(json.dumps(config))
+    assert main([command, "--project", str(github_issue)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: include_inputs must be true or false"), err
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback(running_example, capsys, monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now raises BrokenPipeError
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["ingest", "--project", str(running_example)]) == 141
+        closed.write("flushed at exit\n")
+        closed.flush()  # stdout now points at devnull, so this cannot raise
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_reader_that_left_ends_the_process_quietly(running_example):
+    # `graphbac ingest | head -0`: the output flushed at exit is the last
+    # chance to raise BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(cli.__file__).resolve().parent.parent
+    paths = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "graphbac.cli", "ingest", "--project", str(running_example)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
 
 
 def test_derive_rules_reports_unhandled_fields(tmp_path, capsys):
@@ -440,6 +496,15 @@ def test_run_tests_requires_an_endpoint(running_example, capsys, monkeypatch):
         pytest.param("timeout", [], id="timeout-list"),
         pytest.param("timeout", -1, id="timeout-negative"),
         pytest.param("cleanup", 5, id="cleanup-number"),
+        pytest.param("matcher", [], id="matcher-empty-list"),
+        pytest.param("matcher", 0, id="matcher-zero"),
+        pytest.param("matcher", False, id="matcher-false"),
+        pytest.param("matcher", "", id="matcher-empty-text"),
+        pytest.param("matcher", None, id="matcher-null"),
+        pytest.param("schemes", {"Owner": 5}, id="scheme-number"),
+        pytest.param("schemes", {"Owner": None}, id="scheme-null"),
+        pytest.param("schemes", [], id="schemes-empty-list"),
+        pytest.param("schemes", "", id="schemes-empty-text"),
     ],
 )
 def test_malformed_run_setting_exits_2_naming_project_json(

@@ -227,6 +227,145 @@ def test_dangling_equals_incident_edge_scan(seed):
         )
 
 
+def assert_fully_valid(graph: InstanceGraph) -> None:
+    """The graph passes the public constructor's whole-graph validation."""
+    assert InstanceGraph(graph.typegraph, graph.nodes, graph.edges) == graph
+    assert all(type(e) is Edge for e in graph.edges.values())
+
+
+def assert_valid_morphism(m: Morphism) -> None:
+    assert Morphism(m.source, m.target, m.node_map, m.edge_map) == m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_matches_pass_full_validation(seed):
+    rng = random.Random(seed)
+    tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
+    pattern = random_graph(rng, tg, max_nodes=3, max_edges=4, prefix="p")
+    host = random_graph(rng, tg, max_nodes=6, max_edges=8, prefix="h")
+    names = sorted(pattern.nodes)
+    fixed = {n: rng.choice(sorted(host.nodes) or ["absent"]) for n in names[:1]}
+    for m in [*iter_matches(pattern, host), *iter_matches(pattern, host, fixed)]:
+        assert_valid_morphism(m)
+
+
+# The graph methods before they validated only their change: each built its
+# result through the whole-graph constructor.  References for the
+# differential test below.
+
+
+def reference_add(g: InstanceGraph, nodes: dict, edges: dict) -> InstanceGraph:
+    clash = (set(nodes) | set(edges)) & (set(g.nodes) | set(g.edges))
+    if clash:
+        raise GraphError(f"ids already present: {sorted(clash)}")
+    return InstanceGraph(g.typegraph, {**g.nodes, **nodes}, {**g.edges, **edges})
+
+
+def reference_remove(g: InstanceGraph, node_ids: set, edge_ids: set) -> InstanceGraph:
+    return InstanceGraph(
+        g.typegraph,
+        {n: t for n, t in g.nodes.items() if n not in node_ids},
+        {e: d for e, d in g.edges.items() if e not in edge_ids},
+    )
+
+
+def reference_subgraph(g: InstanceGraph, node_ids: set, edge_ids: set) -> InstanceGraph:
+    missing = (node_ids - set(g.nodes)) | (edge_ids - set(g.edges))
+    if missing:
+        raise GraphError(f"subgraph references unknown ids: {sorted(missing)}")
+    return InstanceGraph(
+        g.typegraph, {n: g.nodes[n] for n in node_ids}, {e: g.edges[e] for e in edge_ids}
+    )
+
+
+def outcome(build):
+    """The graph `build()` returns, or the message of the GraphError it raises."""
+    try:
+        graph = build()
+    except GraphError as exc:
+        return "error", str(exc)
+    assert_fully_valid(graph)
+    return "graph", graph
+
+
+def some(rng: random.Random, ids, p: float) -> set:
+    return {i for i in ids if rng.random() < p}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_derived_graphs_raise_exactly_when_the_whole_graph_check_does(seed):
+    # clashing ids, ids used for both a node and an edge, unknown node and
+    # edge types, missing endpoints, endpoint types that do not fit,
+    # removals that leave an edge dangling, subgraphs without an endpoint
+    rng = random.Random(seed)
+    tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
+    g = random_graph(rng, tg, max_nodes=5, max_edges=6, prefix="h")
+    ids = sorted(g.nodes) + sorted(g.edges)
+
+    def fresh_or_taken(fresh: str, taken: list[str]) -> str:
+        return rng.choice(taken) if taken and rng.random() < 0.1 else fresh
+
+    new_nodes = {}
+    for i in range(rng.randint(0, 3)):
+        ntype = rng.choice(tg.node_types) if rng.random() < 0.9 else "Nope"
+        new_nodes[fresh_or_taken(f"x{i}", ids)] = ntype
+    new_edges = {}
+    ends = sorted(g.nodes) + sorted(new_nodes) or ["ghost"]
+    for j in range(rng.randint(0, 3)):
+        eid = fresh_or_taken(f"y{j}", ids + sorted(new_nodes))
+        etype = rng.choice([e.name for e in tg.edge_types] or ["Nope"])
+        if rng.random() < 0.1:
+            etype = "Nope"
+        src, tgt = (fresh_or_taken(rng.choice(ends), ["ghost"]) for _ in "st")
+        new_edges[eid] = Edge(etype, src, tgt)
+    old = outcome(lambda: reference_add(g, new_nodes, new_edges))
+    assert outcome(lambda: g.add(new_nodes, new_edges)) == old
+
+    strays = ["ghost"] + sorted(g.edges)[:1] + sorted(g.nodes)[:1]
+    node_ids = some(rng, sorted(g.nodes), 0.4) | some(rng, strays, 0.2)
+    edge_ids = some(rng, sorted(g.edges), 0.5) | some(rng, strays, 0.2)
+    old = outcome(lambda: reference_remove(g, node_ids, edge_ids))
+    new = outcome(lambda: g.remove(node_ids, edge_ids))
+    # the message may name another dangling edge than the whole-graph check
+    assert new[0] == old[0] and (new[0] == "error" or new == old)
+
+    node_ids = some(rng, sorted(g.nodes), 0.6) | some(rng, ["ghost"], 0.1)
+    edge_ids = some(rng, sorted(g.edges), 0.5) | some(rng, ["ghost"], 0.1)
+    old = outcome(lambda: reference_subgraph(g, node_ids, edge_ids))
+    assert outcome(lambda: g.subgraph(node_ids, edge_ids)) == old
+
+
+def test_an_id_names_a_node_or_an_edge_not_both():
+    with pytest.raises(GraphError, match=r"ids used for both a node and an edge: \['u'\]"):
+        InstanceGraph(TG, {"u": "User", "r": "Repository"}, {"u": Edge("User.repos", "u", "r")})
+
+
+def test_remove_refuses_to_leave_an_edge_dangling():
+    host = user_repo_host()
+    with pytest.raises(GraphError, match="edge owner has a missing endpoint"):
+        host.remove(["u"], ["repos"])
+    assert host.remove(["u"], ["repos", "owner"]).nodes == {"r": "Repository"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_type_lookups_agree_with_a_linear_scan(seed):
+    rng = random.Random(seed)
+    tg = random_typegraph(rng)
+    names = [*tg.node_types, *(e.name for e in tg.edge_types)]
+    names += ["Nope", "", 5, None, ("T0",), ["T0"], {"T0": 1}, EdgeType("E0", "T0", "T0")]
+    for name in names:
+        assert tg.has_node_type(name) == any(t == name for t in tg.node_types)
+        scanned = [e for e in tg.edge_types if e.name == name]
+        if scanned:
+            assert tg.edge_type(name) == scanned[0]
+        else:
+            with pytest.raises(GraphError, match="unknown edge type"):
+                tg.edge_type(name)
+
+
 def test_graph_document_round_trip():
     host = user_repo_host()
     doc = graph_to_doc(host)

@@ -16,9 +16,11 @@ from graphbac.core import (
     Morphism,
     TypeGraph,
     enumerate_matches,
+    iter_matches,
 )
 from graphbac.rules import (
     CallSpec,
+    DirectTransformation,
     NotApplicableError,
     NotReversibleError,
     Rule,
@@ -265,6 +267,59 @@ def test_frame_property(seed):
             assert host.edges[e] == d and step.result.edges[e] == d
         assert set(step.result.nodes) == set(step.intermediate.nodes) | step.created_node_ids()
         assert set(step.result.edges) == set(step.intermediate.edges) | step.created_edge_ids()
+
+
+def revalidated_graph(graph: InstanceGraph) -> InstanceGraph:
+    """The graph rebuilt through the public, whole-graph-checking constructor."""
+    rebuilt = InstanceGraph(graph.typegraph, graph.nodes, graph.edges)
+    assert rebuilt == graph
+    assert all(type(e) is Edge for e in graph.edges.values())
+    return rebuilt
+
+
+def revalidated_morphism(m: Morphism) -> Morphism:
+    rebuilt = Morphism(
+        revalidated_graph(m.source), revalidated_graph(m.target), m.node_map, m.edge_map
+    )
+    assert rebuilt == m
+    return rebuilt
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_steps_pass_full_validation(seed):
+    # matches, steps and inverse steps skip the whole-graph checks; each
+    # must pass them when rebuilt through the public constructors
+    rng = random.Random(seed)
+    tg = random_typegraph(rng)
+    rules = [random_rule(rng, tg, name=f"r{i}") for i in range(3)]
+    host = host_with_embedded_lhs(rng, rules[0])
+    for _ in range(3):
+        steps = []
+        for rule in rules:
+            for match in iter_matches(rule.lhs, host):
+                revalidated_morphism(match)
+                try:
+                    step = apply(rule, host, match)
+                except NotApplicableError:
+                    continue
+                DirectTransformation(
+                    rule,
+                    host,
+                    match,
+                    revalidated_graph(step.intermediate),
+                    revalidated_graph(step.result),
+                    revalidated_morphism(step.comatch),
+                )
+                steps.append(step)
+            for comatch in iter_matches(rule.rhs, host):
+                try:
+                    revalidated_graph(apply_inverse(rule, host, comatch))
+                except NotReversibleError:
+                    continue
+        if not steps:
+            break
+        host = rng.choice(steps).result
 
 
 def test_isomorphism_on_relabeled_graph():
