@@ -534,6 +534,10 @@ def _serve_forever(server) -> None:
 
 
 def cmd_mock_serve(args: argparse.Namespace) -> int:
+    if not 0 <= args.port <= 65535:
+        raise GraphError(
+            f"--port {args.port}: the port must be 0 (any free port) to 65535"
+        )
     project = Project.load(args.project)
     config_path = Path(args.config) if args.config else project.path("mock")
     doc = _load_json(config_path)
@@ -545,7 +549,13 @@ def cmd_mock_serve(args: argparse.Namespace) -> int:
     rules, roles, initial = project.rules(), project.roles(), project.initial()
     with _file_context(config_path):
         target = target_from_doc(doc, rules, roles, initial=initial)
-    server = serve(target, port=args.port)
+    try:
+        server = serve(target, port=args.port)
+    except OSError as exc:
+        raise GraphError(
+            f"--port {args.port}: cannot bind 127.0.0.1:{args.port}: "
+            f"{exc.strerror or exc}"
+        ) from exc
     port = server.server_address[1]
     print(f"serving mock target on http://127.0.0.1:{port}/graphql", flush=True)
     _serve_forever(server)
@@ -553,6 +563,8 @@ def cmd_mock_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.max_depth < 0:
+        raise GraphError(f"--max-depth {args.max_depth}: the depth must be 0 or more")
     project = Project.load(args.project)
     report = run_oracle(
         project.analyzed_rules(), project.rules(), project.initial(), args.max_depth

@@ -8,18 +8,25 @@ rules declared universally independent must never exhibit a dependent
 consecutive pair (and independent pairs must commute up to isomorphism).
 The reachable states come from `rules.explore`, the same breadth-first search
 the planner uses for setup steps.
+
+Each ordered rule pair is checked against one concrete walk: the first
+rule's steps from every reachable host (computed once per first rule), each
+followed by every step of the second rule, each step pair classified once.
+Both checks read that walk and the pair's reported reasons, also computed
+once; the walk is dropped when the pair is done.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import GraphError, InstanceGraph, Morphism
 from .dependency import (
     INDEPENDENT,
     PRODUCE_USE,
+    DependencyReason,
     classify_transformation_pair,
     delete_overlap_reasons,
     dependency_reasons,
@@ -45,21 +52,28 @@ def reachable_hosts(
     return [host for host, _ in explore(rules, initial, depth)]
 
 
-def _consecutive_pairs(first: Rule, second: Rule, hosts: Sequence[InstanceGraph]):
-    for host in hosts:
-        for t1 in transformations(first, host):
-            for t2 in transformations(second, t1.result):
-                yield t1, t2
+StepPair = tuple[DirectTransformation, DirectTransformation, str]
+
+
+def _step_pairs(
+    firsts: Iterable[DirectTransformation], second: Rule
+) -> Iterator[StepPair]:
+    """Every second-rule step after each first step, with the pair's class."""
+    for t1 in firsts:
+        for t2 in transformations(second, t1.result):
+            yield t1, t2, classify_transformation_pair(t1, t2)
 
 
 def produce_use_disagreements(
-    source: Rule, sink: Rule, hosts: Sequence[InstanceGraph]
+    source: Rule,
+    sink: Rule,
+    steps: Sequence[StepPair],
+    reported: Sequence[DependencyReason],
 ) -> list[str]:
     """Completeness and soundness of the reported reasons for one rule pair."""
-    reported = dependency_reasons(source, sink)
     out = []
-    for t1, t2 in _consecutive_pairs(source, sink, hosts):
-        if classify_transformation_pair(t1, t2) != PRODUCE_USE:
+    for t1, t2, cls in steps:
+        if cls != PRODUCE_USE:
             continue
         extracted = extract_reason(t1, t2)
         if not any(extracted.same_span(r) for r in reported):
@@ -76,21 +90,22 @@ def produce_use_disagreements(
 
 def _witness_pairs(
     first: Rule, second: Rule, glued: InstanceGraph, comatch: Morphism
-):
+) -> Iterator[StepPair]:
     """Every consecutive pair from the host a static witness says first came from."""
     try:
         before = apply_inverse(first, glued, comatch)
     except NotReversibleError:
         return
-    yield from _consecutive_pairs(first, second, [before])
+    yield from _step_pairs(transformations(first, before), second)
 
 
-def _realize_reason(source: Rule, sink: Rule, reason) -> bool:
+def _realize_reason(source: Rule, sink: Rule, reason: DependencyReason) -> bool:
     """True when a concrete consecutive pair's extracted span equals the reason's."""
     return any(
-        classify_transformation_pair(t1, t2) == PRODUCE_USE
-        and extract_reason(t1, t2).same_span(reason)
-        for t1, t2 in _witness_pairs(source, sink, reason.glued, reason.source_comatch)
+        cls == PRODUCE_USE and extract_reason(t1, t2).same_span(reason)
+        for t1, t2, cls in _witness_pairs(
+            source, sink, reason.glued, reason.source_comatch
+        )
     )
 
 
@@ -105,13 +120,15 @@ def _switched(t1: DirectTransformation, t2: DirectTransformation):
 
 
 def independence_disagreements(
-    first: Rule, second: Rule, hosts: Sequence[InstanceGraph]
+    first: Rule,
+    second: Rule,
+    steps: Sequence[StepPair],
+    reported: Sequence[DependencyReason],
 ) -> list[str]:
     """The universal-independence verdict against every concrete pair."""
     verdict = universally_sequentially_independent(first, second)
     out = []
-    for t1, t2 in _consecutive_pairs(first, second, hosts):
-        cls = classify_transformation_pair(t1, t2)
+    for t1, t2, cls in steps:
         if cls != INDEPENDENT:
             if verdict:
                 out.append(
@@ -131,7 +148,7 @@ def independence_disagreements(
                 f"{first.name};{second.name}: switched order yields a different result"
             )
     if not verdict:
-        if not _dependent_pair_exists(first, second):
+        if not _dependent_pair_exists(first, second, reported):
             out.append(
                 f"{first.name};{second.name}: declared dependent but no concrete "
                 "dependent pair exists on any witness host"
@@ -139,17 +156,18 @@ def independence_disagreements(
     return out
 
 
-def _dependent_pair_exists(first: Rule, second: Rule) -> bool:
+def _dependent_pair_exists(
+    first: Rule, second: Rule, reported: Sequence[DependencyReason]
+) -> bool:
     """Realize at least one dependent pair from the static witnesses themselves."""
-    for reason in dependency_reasons(first, second):
-        if _realize_reason(first, second, reason):
-            return True
+    if any(_realize_reason(first, second, reason) for reason in reported):
+        return True
     for witness in delete_overlap_reasons(first, second):
         glued = witness["glued"]
         comatch = Morphism.inclusion(first.rhs, glued)
         if any(
-            classify_transformation_pair(t1, t2) != INDEPENDENT
-            for t1, t2 in _witness_pairs(first, second, glued, comatch)
+            cls != INDEPENDENT
+            for _, _, cls in _witness_pairs(first, second, glued, comatch)
         ):
             return True
     return False
@@ -224,10 +242,14 @@ def run_oracle(
     disagreements = []
     pairs = 0
     for a in analyzed:
+        firsts = [t for host in hosts for t in transformations(a, host)]
         for b in analyzed:
             pairs += 1
-            disagreements.extend(produce_use_disagreements(a, b, hosts))
-            disagreements.extend(independence_disagreements(a, b, hosts))
+            steps = list(_step_pairs(firsts, b))
+            reasons = dependency_reasons(a, b)
+            disagreements.extend(produce_use_disagreements(a, b, steps, reasons))
+            disagreements.extend(independence_disagreements(a, b, steps, reasons))
+            del steps  # only one pair's steps are held at a time
     return OracleReport(
         depth=depth,
         hosts_explored=len(hosts),

@@ -131,20 +131,28 @@ class Rule:
     def rhs(self) -> InstanceGraph:
         return self._restrict((PRESERVE, CREATE))
 
-    def tagged(self, tag: str, *, nodes: bool) -> list[str]:
-        pool = self.nodes if nodes else self.edges
-        return sorted(i for i in pool if self.tags[i] == tag)
+    @cached_property
+    def _by_tag(self) -> dict[tuple[str, bool], tuple[str, ...]]:
+        """Sorted element ids per (tag, nodes?), fixed when the rule is built."""
+        out = {}
+        for tag in TAGS:
+            for nodes, pool in ((True, self.nodes), (False, self.edges)):
+                out[tag, nodes] = tuple(sorted(i for i in pool if self.tags[i] == tag))
+        return out
 
-    def created_nodes(self) -> list[str]:
+    def tagged(self, tag: str, *, nodes: bool) -> tuple[str, ...]:
+        return self._by_tag.get((tag, nodes), ())
+
+    def created_nodes(self) -> tuple[str, ...]:
         return self.tagged(CREATE, nodes=True)
 
-    def created_edges(self) -> list[str]:
+    def created_edges(self) -> tuple[str, ...]:
         return self.tagged(CREATE, nodes=False)
 
-    def deleted_nodes(self) -> list[str]:
+    def deleted_nodes(self) -> tuple[str, ...]:
         return self.tagged(DELETE, nodes=True)
 
-    def deleted_edges(self) -> list[str]:
+    def deleted_edges(self) -> tuple[str, ...]:
         return self.tagged(DELETE, nodes=False)
 
     def operation(self) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -584,6 +585,27 @@ def test_mock_serve_rejects_fault_for_unknown_rule(running_example, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port", ["70000", "-5"])
+def test_mock_serve_rejects_a_port_out_of_range(running_example, capsys, port):
+    assert main(["mock-serve", "--project", str(running_example), "--port", port]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --port {port}: "), err
+    assert "Traceback" not in err
+
+
+def test_mock_serve_reports_a_busy_port(running_example, capsys):
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = str(busy.getsockname()[1])
+        assert main([
+            "mock-serve", "--project", str(running_example), "--port", port,
+        ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --port {port}: cannot bind 127.0.0.1:{port}: "), err
+    assert "Traceback" not in err
+
+
 # ---- oracle -------------------------------------------------------------
 
 
@@ -594,6 +616,15 @@ def test_oracle_agrees_on_the_toy_projects(capsys):
         ]) == 0
         out = capsys.readouterr().out
         assert "static analysis and brute-force enumeration agree" in out
+
+
+def test_oracle_rejects_a_negative_depth(capsys):
+    assert main([
+        "oracle", "--project", str(PROJECTS / "incident-toy"), "--max-depth", "-1",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --max-depth -1: "), captured.err
+    assert captured.out == ""
 
 
 def test_toy_projects_fall_back_to_the_typegraph_document():
