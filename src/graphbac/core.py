@@ -269,19 +269,37 @@ class InstanceGraph:
 
     @classmethod
     def from_doc(cls, doc: dict, typegraph: TypeGraph) -> "InstanceGraph":
-        if not isinstance(doc, dict):
-            raise GraphError("malformed graph document: expected an object")
-        try:
-            nodes = {n["id"]: n["type"] for n in doc.get("nodes", [])}
-            edges = {
-                e["id"]: Edge(e["type"], e["src"], e["tgt"])
-                for e in doc.get("edges", [])
-            }
-        except (KeyError, TypeError) as exc:
-            raise GraphError(f"malformed graph document: {exc}") from exc
-        if len(nodes) != len(doc.get("nodes", [])) or len(edges) != len(doc.get("edges", [])):
-            raise GraphError("duplicate element id in graph document")
+        nodes, edges = elements_from_doc(doc, "graph document")
         return cls(typegraph, nodes, edges)
+
+
+def elements_from_doc(
+    doc: object, what: str
+) -> tuple[dict[str, str], dict[str, Edge]]:
+    """The nodes and edges of a graph or rule document (`what`), by id.
+
+    Each entry is an object whose id, type and endpoints are strings, and no
+    id repeats; other keys of the entries are the caller's to read.
+    """
+    if not isinstance(doc, dict):
+        raise GraphError(f"malformed {what}: expected an object")
+    node_docs, edge_docs = doc.get("nodes", []), doc.get("edges", [])
+    try:
+        nodes = {n["id"]: n["type"] for n in node_docs}
+        edges = {e["id"]: Edge(e["type"], e["src"], e["tgt"]) for e in edge_docs}
+    except (KeyError, TypeError) as exc:
+        raise GraphError(f"malformed {what}: {exc}") from exc
+    if len(nodes) != len(node_docs) or len(edges) != len(edge_docs):
+        raise GraphError(f"duplicate element id in {what}")
+    for nid, ntype in nodes.items():
+        if not (isinstance(nid, str) and isinstance(ntype, str)):
+            raise GraphError(f"malformed {what}: node {nid!r}: id and type must be strings")
+    for eid, edge in edges.items():
+        if not (isinstance(eid, str) and all(isinstance(s, str) for s in edge)):
+            raise GraphError(
+                f"malformed {what}: edge {eid!r}: id, type and endpoints must be strings"
+            )
+    return nodes, edges
 
 
 def _check_elements(

@@ -45,10 +45,11 @@ class CreationProfile:
 
     The creation graph is the smallest subgraph of the result side containing
     every created element; the boundary is its preserved part, exactly the
-    preserved endpoints of created edges.
+    preserved endpoints of created edges.  It holds no reference to its
+    rule, which keeps it (see `_rule_profile`): a cycle would leave every
+    rule and its kept spans to the cyclic garbage collector.
     """
 
-    rule: Rule
     creation: InstanceGraph
     boundary: InstanceGraph
 
@@ -61,7 +62,7 @@ def _profile(rule: Rule, side: InstanceGraph, tag: str) -> CreationProfile:
         nodes.add(rule.edges[e].tgt)
     graph = side.subgraph(nodes, edges)
     boundary = graph.subgraph({n for n in nodes if rule.tags[n] != tag}, set())
-    return CreationProfile(rule, graph, boundary)
+    return CreationProfile(graph, boundary)
 
 
 def creation_profile(rule: Rule) -> CreationProfile:
@@ -191,16 +192,28 @@ def _spans(profile: CreationProfile) -> Iterable[InstanceGraph]:
     return out
 
 
+def _rule_profile(rule: Rule, tag: str) -> CreationProfile:
+    """The rule's creation (CREATE) or deletion (DELETE) profile, built on
+    first use and kept in the rule's instance dict, as its `lhs` and `rhs`
+    are.  Every pair the rule is part of, and every concrete step pair the
+    oracle extracts a reason from, reads the same profile."""
+    key = f"_profile_{tag}"
+    profile = rule.__dict__.get(key)
+    if profile is None:
+        build = creation_profile if tag == CREATE else deletion_profile
+        profile = rule.__dict__[key] = build(rule)
+    return profile
+
+
 def _rule_spans(rule: Rule, tag: str) -> list[InstanceGraph]:
-    """`_spans` of the rule's creation (CREATE) or deletion (DELETE) profile,
-    enumerated on first use and kept in the rule's instance dict, as its
-    `lhs` and `rhs` are (shared; do not modify).  A rule meets every other
-    rule as source and as sink, so this saves one enumeration per pair."""
+    """`_spans` of the rule's kept profile for the tag, enumerated on first
+    use and kept beside it (shared; do not modify).  A rule meets every
+    other rule as source and as sink, so this saves one enumeration per
+    pair."""
     key = f"_spans_{tag}"
     spans = rule.__dict__.get(key)
     if spans is None:
-        profile = creation_profile(rule) if tag == CREATE else deletion_profile(rule)
-        spans = rule.__dict__[key] = _spans(profile)
+        spans = rule.__dict__[key] = _spans(_rule_profile(rule, tag))
     return spans
 
 
@@ -405,8 +418,7 @@ def extract_reason(
     """The span witnessing a produce-use pair, as element pairs with equal image."""
     if classify_transformation_pair(t1, t2) != PRODUCE_USE:
         return None
-    profile = creation_profile(t1.rule)
-    creation = profile.creation
+    creation = _rule_profile(t1.rule, CREATE).creation
     host_to_sink_node = {image: n for n, image in t2.match.node_map.items()}
     host_to_sink_edge = {image: e for e, image in t2.match.edge_map.items()}
     node_map = {}
@@ -451,7 +463,7 @@ def reason_from_doc(doc: dict, rules_by_name: dict[str, Rule]) -> DependencyReas
         embedding_edges = dict(doc["embedding"]["edges"])
     except KeyError as exc:
         raise GraphError(f"malformed reason document: {exc}") from exc
-    span = creation_profile(source).creation.subgraph(span_nodes, span_edges)
+    span = _rule_profile(source, CREATE).creation.subgraph(span_nodes, span_edges)
     embedding = Morphism(span, sink.lhs, embedding_nodes, embedding_edges)
     reason = _reason(doc["id"], source, sink, span, embedding, doc.get("tainted"))
     if reason is None:

@@ -238,9 +238,12 @@ class TestStep:
             isinstance(h, dict) for h in bindings.values()
         ):
             raise GraphError(f"step {doc.get('rule')}: bindings must map names to objects")
+        rule, role = doc["rule"], doc["role"]
+        if not (isinstance(rule, str) and isinstance(role, str)):
+            raise GraphError(f"step {rule!r}: rule and role must be strings")
         return cls(
-            rule=doc["rule"],
-            role=doc["role"],
+            rule=rule,
+            role=role,
             bindings={var: dict(h) for var, h in bindings.items()},
             setup=bool(doc.get("setup", False)),
         )
@@ -295,12 +298,6 @@ class TestPlan:
     negative_infeasible: tuple[str, ...] = ()  # reason ids nobody can be denied for
     notes: tuple[str, ...] = ()
 
-    def test(self, test_id: str) -> TaintTest:
-        for t in self.tests:
-            if t.id == test_id:
-                return t
-        raise GraphError(f"unknown test id {test_id}")
-
     def by_kind(self, kind: str) -> list[TaintTest]:
         return [t for t in self.tests if t.kind == kind]
 
@@ -353,7 +350,6 @@ class _SymbolicRun:
         self.host = initial
         self.provenance: dict[str, tuple[int, str]] = {}
         self.steps: list[TestStep] = []
-        self.comatches: list[Morphism | None] = []
 
     def _bindings(self, rule: Rule, match: Morphism) -> dict[str, dict]:
         bindings: dict[str, dict] = {}
@@ -368,33 +364,37 @@ class _SymbolicRun:
                 bindings[var] = {"value": host_id}
         return bindings
 
-    def add(
-        self,
-        rule: Rule,
-        role: str,
-        match: Morphism,
-        setup: bool = False,
-        execute: bool = True,
-    ) -> int:
-        """Append a step; a denied step is recorded but leaves the host as is."""
+    def deny(self, rule: Rule, role: str, match: Morphism) -> None:
+        """Append a denied step, which leaves the host as is."""
+        self.steps.append(
+            TestStep(rule=rule.name, role=role, bindings=self._bindings(rule, match))
+        )
+
+    def record(
+        self, t: DirectTransformation, role: str, setup: bool = False
+    ) -> DirectTransformation:
+        """Append a step already applied to the planned host: bindings from
+        its match, the next host from its result, provenance from its
+        comatch."""
         index = len(self.steps)
         self.steps.append(
             TestStep(
-                rule=rule.name,
+                rule=t.rule.name,
                 role=role,
-                bindings=self._bindings(rule, match),
+                bindings=self._bindings(t.rule, t.match),
                 setup=setup,
             )
         )
-        if execute:
-            t = apply(rule, self.host, match)
-            self.host = t.result
-            for node in rule.created_nodes():
-                self.provenance[t.comatch.node_map[node]] = (index, node)
-            self.comatches.append(t.comatch)
-        else:
-            self.comatches.append(None)
-        return index
+        self.host = t.result
+        for node in t.rule.created_nodes():
+            self.provenance[t.comatch.node_map[node]] = (index, node)
+        return t
+
+    def add(
+        self, rule: Rule, role: str, match: Morphism, setup: bool = False
+    ) -> DirectTransformation:
+        """Apply the rule at the match on the planned host and append the step."""
+        return self.record(apply(rule, self.host, match), role, setup)
 
 
 # --------------------------------------------------------------------------
@@ -492,11 +492,11 @@ class _Planner:
         if steps is None:
             wanted = ", ".join(f"{n}:{t}" for n, t in sorted(pattern.nodes.items()))
             raise PlanningError(f"no setup embeds the required context ({wanted})")
+        # the explored steps start at the planned host, so they are the
+        # planned steps, and the last one's result is the host the pattern
+        # embeds in
         for t in steps:
-            # replay the searched step on the symbolic host (same graph by
-            # construction, so the recorded match carries over)
-            run.add(t.rule, self._setup_role(t.rule.name, role), t.match, setup=True)
-        # the replayed host is the explored one, which the pattern embeds in
+            run.record(t, self._setup_role(t.rule.name, role), setup=True)
         return first_match(pattern, run.host)
 
     # -- flow tests
@@ -530,8 +530,7 @@ class _Planner:
             {n: embed.node_map[n] for n in source.lhs.nodes},
             {e: embed.edge_map[e] for e in source.lhs.edges},
         )
-        source_index = run.add(source, source_role, source_match)
-        source_comatch = run.comatches[source_index]
+        source_comatch = run.add(source, source_role, source_match).comatch
         sink_nodes = {}
         for x in sink.lhs.nodes:
             gid = reason.sink_match.node_map[x]
@@ -547,7 +546,10 @@ class _Planner:
             else:
                 sink_edges[x] = embed.edge_map[gid]
         sink_match = Morphism(sink.lhs, run.host, sink_nodes, sink_edges)
-        run.add(sink, sink_role, sink_match, execute=expected)
+        if expected:
+            run.add(sink, sink_role, sink_match)
+        else:
+            run.deny(sink, sink_role, sink_match)
         pairs = _role_pairs(run.steps)
         return TaintTest(
             id=test_id,

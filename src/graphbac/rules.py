@@ -27,6 +27,7 @@ from .core import (
     Morphism,
     TypeGraph,
     dangling_edge,
+    elements_from_doc,
     enumerate_matches,
     iter_matches,
 )
@@ -414,24 +415,34 @@ def rule_to_doc(rule: Rule) -> dict:
 
 
 def rule_from_doc(doc: dict, typegraph: TypeGraph) -> Rule:
+    nodes, edges = elements_from_doc(doc, "rule document")
     try:
         name = doc["name"]
-        nodes = {n["id"]: n["type"] for n in doc.get("nodes", [])}
-        edges = {
-            e["id"]: Edge(e["type"], e["src"], e["tgt"]) for e in doc.get("edges", [])
-        }
         tags = {n["id"]: n["tag"] for n in doc.get("nodes", [])}
         tags.update({e["id"]: e["tag"] for e in doc.get("edges", [])})
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed rule document: {exc}") from exc
+    if not isinstance(name, str):
+        raise GraphError(f"malformed rule document: rule name {name!r} is not a string")
+    actor = doc.get("actor")
+    if actor is not None and not isinstance(actor, str):
+        raise GraphError(f"malformed rule document: rule {name}: actor must be a node id")
     call = None
     if "call" in doc:
         if not isinstance(doc["call"], dict):
             raise GraphError(f"malformed rule document: rule {name}: call must be an object")
+        bindings = doc["call"].get("bindings", {})
+        if not isinstance(bindings, dict) or not all(
+            isinstance(v, str) for v in bindings.values()
+        ):
+            raise GraphError(
+                f"malformed rule document: rule {name}: "
+                "call bindings must map names to node ids"
+            )
         call = CallSpec(
             doc["call"].get("operation", name),
             doc["call"].get("document_template", ""),
-            doc["call"].get("bindings", {}),
+            bindings,
         )
     return Rule(
         name=name,
@@ -441,7 +452,7 @@ def rule_from_doc(doc: dict, typegraph: TypeGraph) -> Rule:
         tags=tags,
         kind=doc.get("kind", "mutation"),
         call=call,
-        actor=doc.get("actor"),
+        actor=actor,
         setup_only=bool(doc.get("setup_only", False)),
         skeleton=bool(doc.get("skeleton", False)),
     )

@@ -203,12 +203,6 @@ class TestReport:
                 "detected-vulnerability list must hold exactly the negative-fail tests"
             )
 
-    def result(self, test_id: str) -> TestResult:
-        for r in self.results:
-            if r.test_id == test_id:
-                return r
-        raise GraphError(f"no result for test {test_id}")
-
     def counts(self) -> dict[str, int]:
         out = {SUCCESS: 0, FAIL: 0, INCONCLUSIVE: 0}
         for r in self.results:

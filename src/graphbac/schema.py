@@ -435,21 +435,6 @@ def parse_sdl(text: str) -> SchemaModel:
     return _Parser(text).parse()
 
 
-def model_to_sdl(model: SchemaModel) -> str:
-    """Render the supported subset back to SDL (a parse fixpoint)."""
-    blocks = []
-    for scalar in model.scalars:
-        blocks.append(f"scalar {scalar}")
-    for name, values in model.enums.items():
-        body = "\n".join(f"  {v}" for v in values)
-        blocks.append(f"enum {name} {{\n{body}\n}}")
-    for holder in list(model.inputs) + list(model.objects):
-        keyword = "input" if holder.is_input else "type"
-        body = "\n".join(f"  {f.render()}" for f in holder.fields)
-        blocks.append(f"{keyword} {holder.name} {{\n{body}\n}}")
-    return "\n\n".join(blocks) + "\n"
-
-
 # --------------------------------------------------------------------------
 # type graph mapping
 

@@ -110,6 +110,8 @@ class ReviewEntry:
     policy_stable_under_shift: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.reason_id, str):
+            raise GraphError(f"review entry reason_id must be a string, got {self.reason_id!r}")
         if self.status not in REVIEW_STATUSES:
             raise GraphError(
                 f"review status must be one of {REVIEW_STATUSES}, got {self.status!r}"

@@ -1,9 +1,36 @@
-"""Shared model fixtures: the collaboration API and two small toy systems."""
+"""Shared model fixtures, read from the example projects the repo ships.
+
+`projects/running-example` is the collaboration API; `incident-toy` and
+`incident-chain-toy` are two small toy systems.  Every call loads its
+project again, so no test sees another's objects.  The collaboration rules
+are typed over `collab_typegraph()`, the hand-written reference the schema
+frontend is tested against, and not over the graph derived from the
+project's schema, which also carries attributes.
+"""
 
 from __future__ import annotations
 
-from graphbac.core import Edge, EdgeType, InstanceGraph, TypeGraph
-from graphbac.rules import CREATE, DELETE, PRESERVE, CallSpec, Rule
+import json
+from pathlib import Path
+
+from graphbac.cli import Project
+from graphbac.core import EdgeType, InstanceGraph, TypeGraph
+from graphbac.planner import PolicyAnnotation, RoleSpec, TestPlan, generate_minimal_tests
+from graphbac.rules import Rule, rules_from_doc
+from graphbac.taint import (
+    TaintedFlow,
+    TaintedTypeGraph,
+    apply_review,
+    classify_sources_sinks,
+    ledger_from_doc,
+    tainted_flow,
+)
+
+PROJECTS = Path(__file__).resolve().parent.parent / "projects"
+
+
+def _collab_doc(name: str) -> object:
+    return json.loads((PROJECTS / "running-example" / name).read_text())
 
 
 def collab_typegraph() -> TypeGraph:
@@ -19,158 +46,7 @@ def collab_typegraph() -> TypeGraph:
 
 
 def collab_rules() -> dict[str, Rule]:
-    tg = collab_typegraph()
-    rules = [
-        Rule(
-            name="createUser",
-            typegraph=tg,
-            nodes={"u": "User"},
-            edges={},
-            tags={"u": CREATE},
-            kind="mutation",
-            call=CallSpec(
-                operation="createUser",
-                document_template="mutation createUser { createUser { u: id } }",
-            ),
-            actor="u",
-            setup_only=True,
-        ),
-        Rule(
-            name="getUser",
-            typegraph=tg,
-            nodes={"u": "User"},
-            edges={},
-            tags={"u": PRESERVE},
-            kind="query",
-            call=CallSpec(
-                operation="getUser",
-                document_template="query getUser($user: ID!) { getUser(user: $user) { id } }",
-                bindings={"user": "u"},
-            ),
-        ),
-        Rule(
-            name="createRepo",
-            typegraph=tg,
-            nodes={"u": "User", "r": "Repository"},
-            edges={
-                "repos": Edge("User.repos", "u", "r"),
-                "owner": Edge("Repository.owner", "r", "u"),
-            },
-            tags={"u": PRESERVE, "r": CREATE, "repos": CREATE, "owner": CREATE},
-            kind="mutation",
-            call=CallSpec(
-                operation="createRepo",
-                document_template="mutation createRepo { createRepo { r: id } }",
-            ),
-            actor="u",
-        ),
-        Rule(
-            name="updateRepo",
-            typegraph=tg,
-            nodes={"u": "User", "r": "Repository"},
-            edges={
-                "repos": Edge("User.repos", "u", "r"),
-                "owner": Edge("Repository.owner", "r", "u"),
-            },
-            tags={"u": PRESERVE, "r": PRESERVE, "repos": PRESERVE, "owner": PRESERVE},
-            kind="mutation",
-            call=CallSpec(
-                operation="updateRepo",
-                document_template=(
-                    "mutation updateRepo($repo: ID!) { updateRepo(repo: $repo) { ok } }"
-                ),
-                bindings={"repo": "r"},
-            ),
-        ),
-        Rule(
-            name="createProject",
-            typegraph=tg,
-            nodes={"u": "User", "p": "Project"},
-            edges={"projects": Edge("User.projects", "u", "p")},
-            tags={"u": PRESERVE, "p": CREATE, "projects": CREATE},
-            kind="mutation",
-            call=CallSpec(
-                operation="createProject",
-                document_template="mutation createProject { createProject { p: id } }",
-            ),
-            actor="u",
-        ),
-        Rule(
-            name="getProject",
-            typegraph=tg,
-            nodes={"u": "User", "p": "Project"},
-            edges={"projects": Edge("User.projects", "u", "p")},
-            tags={"u": PRESERVE, "p": PRESERVE, "projects": PRESERVE},
-            kind="query",
-            call=CallSpec(
-                operation="getProject",
-                document_template=(
-                    "query getProject($project: ID!) { getProject(project: $project) { id } }"
-                ),
-                bindings={"project": "p"},
-            ),
-        ),
-        Rule(
-            name="deleteProject",
-            typegraph=tg,
-            nodes={"u": "User", "p": "Project"},
-            edges={"projects": Edge("User.projects", "u", "p")},
-            tags={"u": PRESERVE, "p": DELETE, "projects": DELETE},
-            kind="mutation",
-            call=CallSpec(
-                operation="deleteProject",
-                document_template=(
-                    "mutation deleteProject($project: ID!) { deleteProject(project: $project) { ok } }"
-                ),
-                bindings={"project": "p"},
-            ),
-        ),
-        Rule(
-            name="createIssue",
-            typegraph=tg,
-            nodes={"r": "Repository", "i": "Issue"},
-            edges={"repo": Edge("Issue.repo", "i", "r")},
-            tags={"r": PRESERVE, "i": CREATE, "repo": CREATE},
-            kind="mutation",
-            call=CallSpec(
-                operation="createIssue",
-                document_template=(
-                    "mutation createIssue($repo: ID!) { createIssue(repo: $repo) { i: id } }"
-                ),
-                bindings={"repo": "r"},
-            ),
-        ),
-        Rule(
-            name="updateIssue",
-            typegraph=tg,
-            nodes={"r": "Repository", "i": "Issue"},
-            edges={"repo": Edge("Issue.repo", "i", "r")},
-            tags={"r": PRESERVE, "i": PRESERVE, "repo": PRESERVE},
-            kind="mutation",
-            call=CallSpec(
-                operation="updateIssue",
-                document_template=(
-                    "mutation updateIssue($issue: ID!) { updateIssue(issue: $issue) { ok } }"
-                ),
-                bindings={"issue": "i"},
-            ),
-        ),
-        Rule(
-            name="deleteIssue",
-            typegraph=tg,
-            nodes={"r": "Repository", "i": "Issue"},
-            edges={"repo": Edge("Issue.repo", "i", "r")},
-            tags={"r": PRESERVE, "i": DELETE, "repo": DELETE},
-            kind="mutation",
-            call=CallSpec(
-                operation="deleteIssue",
-                document_template=(
-                    "mutation deleteIssue($issue: ID!) { deleteIssue(issue: $issue) { ok } }"
-                ),
-                bindings={"issue": "i"},
-            ),
-        ),
-    ]
+    rules = rules_from_doc(_collab_doc("rules.json"), collab_typegraph())
     return {r.name: r for r in rules}
 
 
@@ -179,349 +55,48 @@ def analyzed_collab_rules() -> dict[str, Rule]:
 
 
 def incident_typegraph() -> TypeGraph:
-    return TypeGraph(
-        node_types=("T", "A"),
-        edge_types=(EdgeType("inc", "T", "A"),),
-    )
+    return Project.load(PROJECTS / "incident-toy").typegraph()
 
 
 def incident_rules() -> dict[str, Rule]:
-    tg = incident_typegraph()
-    rules = [
-        Rule(
-            name="createIncidentT",
-            typegraph=tg,
-            nodes={"t": "T", "a": "A"},
-            edges={"e": Edge("inc", "t", "a")},
-            tags={"a": PRESERVE, "t": CREATE, "e": CREATE},
-        ),
-        Rule(
-            name="deleteIncidentA",
-            typegraph=tg,
-            nodes={"t": "T", "a": "A"},
-            edges={"e": Edge("inc", "t", "a")},
-            tags={"t": PRESERVE, "a": DELETE, "e": DELETE},
-        ),
-        Rule(
-            name="deleteT",
-            typegraph=tg,
-            nodes={"t": "T"},
-            edges={},
-            tags={"t": DELETE},
-        ),
-    ]
-    return {r.name: r for r in rules}
+    return Project.load(PROJECTS / "incident-toy").rules_by_name()
 
 
 def incident_initial() -> InstanceGraph:
-    return InstanceGraph(incident_typegraph(), {"a0": "A"}, {})
+    return Project.load(PROJECTS / "incident-toy").initial()
 
 
 def chain_typegraph() -> TypeGraph:
-    return TypeGraph(
-        node_types=("T", "A", "B"),
-        edge_types=(
-            EdgeType("inc_a", "T", "A"),
-            EdgeType("inc_b", "T", "B"),
-        ),
-    )
+    return Project.load(PROJECTS / "incident-chain-toy").typegraph()
 
 
 def chain_rules() -> dict[str, Rule]:
-    tg = chain_typegraph()
-    rules = [
-        Rule(
-            name="createIncidentT",
-            typegraph=tg,
-            nodes={"t": "T", "a": "A"},
-            edges={"e1": Edge("inc_a", "t", "a")},
-            tags={"a": PRESERVE, "t": CREATE, "e1": CREATE},
-        ),
-        Rule(
-            name="createIncidentB",
-            typegraph=tg,
-            nodes={"t": "T", "b": "B"},
-            edges={"e2": Edge("inc_b", "t", "b")},
-            tags={"t": PRESERVE, "b": CREATE, "e2": CREATE},
-        ),
-        Rule(
-            name="createIncidentBPlus",
-            typegraph=tg,
-            nodes={"t": "T", "b": "B", "b2": "B"},
-            edges={
-                "e2": Edge("inc_b", "t", "b"),
-                "e3": Edge("inc_b", "t", "b2"),
-            },
-            tags={
-                "t": PRESERVE,
-                "b": PRESERVE,
-                "e2": PRESERVE,
-                "b2": CREATE,
-                "e3": CREATE,
-            },
-        ),
-    ]
-    return {r.name: r for r in rules}
+    return Project.load(PROJECTS / "incident-chain-toy").rules_by_name()
 
 
 def chain_initial() -> InstanceGraph:
-    return InstanceGraph(chain_typegraph(), {"a0": "A"}, {})
+    return Project.load(PROJECTS / "incident-chain-toy").initial()
 
 
-def collab_roles():
-    from graphbac.planner import RoleSpec
-
-    return RoleSpec(
-        roles=("Owner", "Collaborator", "NoPe-Collaborator"),
-        order=(("NoPe-Collaborator", "Collaborator"), ("Collaborator", "Owner")),
-        principals={
-            "Owner": "GRAPHBAC_TOKEN_OWNER",
-            "Collaborator": "GRAPHBAC_TOKEN_COLLABORATOR",
-            "NoPe-Collaborator": "GRAPHBAC_TOKEN_NOPE",
-        },
-    )
+def collab_roles() -> RoleSpec:
+    return RoleSpec.from_doc(_collab_doc("roles.json"))
 
 
-def collab_policy():
-    from graphbac.planner import PolicyAnnotation
-
-    everyone = ("Owner", "Collaborator", "NoPe-Collaborator")
-    editors = ("Owner", "Collaborator")
-    return PolicyAnnotation(
-        allowed={
-            "createUser": everyone,
-            "getUser": everyone,
-            "createRepo": editors,
-            "updateRepo": ("Owner",),
-            "createProject": editors,
-            "getProject": editors,
-            "deleteProject": ("Owner",),
-            "createIssue": editors,
-            "updateIssue": editors,
-            "deleteIssue": ("Owner",),
-        }
-    )
+def collab_policy() -> PolicyAnnotation:
+    return PolicyAnnotation.from_doc(_collab_doc("policy.json"))
 
 
-def reviewed_collab_flow():
-    from graphbac.taint import (
-        SECURED,
-        UNSECURED,
-        ReviewEntry,
-        TaintedTypeGraph,
-        apply_review,
-        classify_sources_sinks,
-        tainted_flow,
-    )
-
-    ttg = TaintedTypeGraph(collab_typegraph(), ("Repository", "Project", "Issue"))
-    api = classify_sources_sinks(analyzed_collab_rules().values(), ttg)
-    flow = tainted_flow(api)
-    entries = [
-        ReviewEntry(
-            reason_id=rid,
-            status=UNSECURED if rid == "createProject->deleteProject#0" else SECURED,
-            rationale="review fixture",
-            policy_stable_under_shift=True,
-        )
-        for rid in flow.reason_ids()
-    ]
-    return apply_review(flow, entries)
+def reviewed_collab_flow() -> TaintedFlow:
+    tainted = _collab_doc("taint.json")["tainted_types"]
+    ttg = TaintedTypeGraph(collab_typegraph(), tuple(tainted))
+    flow = tainted_flow(classify_sources_sinks(analyzed_collab_rules().values(), ttg))
+    return apply_review(flow, ledger_from_doc(_collab_doc("ledger.json")))
 
 
-def collab_plan():
-    from graphbac.planner import generate_minimal_tests
-
+def collab_plan() -> TestPlan:
     return generate_minimal_tests(
         reviewed_collab_flow(),
         collab_roles(),
         collab_policy(),
         setup_rules=[collab_rules()["createUser"]],
     )
-
-
-def gh_typegraph() -> TypeGraph:
-    return TypeGraph(
-        node_types=(
-            "User",
-            "Repository",
-            "Ref",
-            "Commit",
-            "Comparison",
-            "CreateRepositoryInput",
-            "CreateRefInput",
-            "CreateCommitOnBranchInput",
-        ),
-        edge_types=(
-            EdgeType("User.repositories", "User", "Repository"),
-            EdgeType("Repository.owner", "Repository", "User"),
-            EdgeType("Repository.refs", "Repository", "Ref"),
-            EdgeType("Ref.repository", "Ref", "Repository"),
-            EdgeType("Ref.target", "Ref", "Commit"),
-            EdgeType("Comparison.baseCommit", "Comparison", "Commit"),
-            EdgeType("Comparison.headCommit", "Comparison", "Commit"),
-        ),
-    )
-
-
-def gh_rules() -> dict[str, Rule]:
-    tg = gh_typegraph()
-    rules = [
-        Rule(
-            name="createUser",
-            typegraph=tg,
-            nodes={"u": "User"},
-            edges={},
-            tags={"u": CREATE},
-            kind="mutation",
-            call=CallSpec(
-                operation="createUser",
-                document_template="mutation createUser { createUser { u: id } }",
-            ),
-            actor="u",
-            setup_only=True,
-        ),
-        Rule(
-            name="createRepository",
-            typegraph=tg,
-            nodes={"u": "User", "r": "Repository", "in": "CreateRepositoryInput"},
-            edges={
-                "repositories": Edge("User.repositories", "u", "r"),
-                "owner": Edge("Repository.owner", "r", "u"),
-            },
-            tags={
-                "u": PRESERVE,
-                "r": CREATE,
-                "in": CREATE,
-                "repositories": CREATE,
-                "owner": CREATE,
-            },
-            kind="mutation",
-            call=CallSpec(
-                operation="createRepository",
-                document_template=(
-                    "mutation createRepository($input: CreateRepositoryInput!) "
-                    "{ createRepository(input: $input) { r: id } }"
-                ),
-            ),
-            actor="u",
-        ),
-        Rule(
-            name="createRef",
-            typegraph=tg,
-            nodes={"r": "Repository", "ref": "Ref", "in": "CreateRefInput"},
-            edges={
-                "refs": Edge("Repository.refs", "r", "ref"),
-                "repository": Edge("Ref.repository", "ref", "r"),
-            },
-            tags={
-                "r": PRESERVE,
-                "ref": CREATE,
-                "in": CREATE,
-                "refs": CREATE,
-                "repository": CREATE,
-            },
-            kind="mutation",
-            call=CallSpec(
-                operation="createRef",
-                document_template=(
-                    "mutation createRef($repository: ID!) "
-                    "{ createRef(input: {repositoryId: $repository}) { ref: id } }"
-                ),
-                bindings={"repository": "r"},
-            ),
-        ),
-        Rule(
-            name="createCommitOnBranch",
-            typegraph=tg,
-            nodes={"ref": "Ref", "c": "Commit", "in": "CreateCommitOnBranchInput"},
-            edges={"target": Edge("Ref.target", "ref", "c")},
-            tags={"ref": PRESERVE, "c": CREATE, "in": CREATE, "target": CREATE},
-            kind="mutation",
-            call=CallSpec(
-                operation="createCommitOnBranch",
-                document_template=(
-                    "mutation createCommitOnBranch($ref: ID!) "
-                    "{ createCommitOnBranch(input: {branch: $ref}) { c: id } }"
-                ),
-                bindings={"ref": "ref"},
-            ),
-        ),
-        Rule(
-            name="compare",
-            typegraph=tg,
-            nodes={
-                "base": "Ref",
-                "bc": "Commit",
-                "head": "Ref",
-                "hc": "Commit",
-                "cmp": "Comparison",
-            },
-            edges={
-                "bt": Edge("Ref.target", "base", "bc"),
-                "ht": Edge("Ref.target", "head", "hc"),
-                "baseCommit": Edge("Comparison.baseCommit", "cmp", "bc"),
-                "headCommit": Edge("Comparison.headCommit", "cmp", "hc"),
-            },
-            tags={
-                "base": PRESERVE,
-                "bc": PRESERVE,
-                "head": PRESERVE,
-                "hc": PRESERVE,
-                "bt": PRESERVE,
-                "ht": PRESERVE,
-                "cmp": CREATE,
-                "baseCommit": CREATE,
-                "headCommit": CREATE,
-            },
-            kind="mutation",
-            call=CallSpec(
-                operation="compare",
-                document_template=(
-                    "mutation compare($ref: ID!, $head: ID!) "
-                    "{ compare(ref: $ref, head: $head) { cmp: id } }"
-                ),
-                bindings={"ref": "base", "head": "head"},
-            ),
-        ),
-    ]
-    return {r.name: r for r in rules}
-
-
-def gh_roles():
-    from graphbac.planner import RoleSpec
-
-    return RoleSpec(
-        roles=("Owner", "OAuthUser", "FineUser"),
-        order=(("OAuthUser", "Owner"), ("FineUser", "Owner")),
-        principals={
-            "Owner": "GRAPHBAC_TOKEN_GH_OWNER",
-            "OAuthUser": "GRAPHBAC_TOKEN_GH_OAUTH",
-            "FineUser": "GRAPHBAC_TOKEN_GH_FINE",
-        },
-    )
-
-
-def gh_documented_policy():
-    """The documented behavior: the comparison needs the repo scope (Owner)."""
-    from graphbac.planner import PolicyAnnotation
-
-    everyone = ("Owner", "OAuthUser", "FineUser")
-    return PolicyAnnotation(
-        allowed={
-            "createUser": everyone,
-            "createRepository": everyone,
-            "createRef": everyone,
-            "createCommitOnBranch": everyone,
-            "compare": ("Owner",),
-        }
-    )
-
-
-def gh_fine_grained_policy():
-    """What fine-grained tokens actually grant: the comparison without the scope."""
-    from graphbac.planner import PolicyAnnotation
-
-    allowed = dict(gh_documented_policy().allowed)
-    allowed["compare"] = ("Owner", "FineUser")
-    return PolicyAnnotation(allowed=allowed)

@@ -226,6 +226,40 @@ def _break_rules(doc):
     return doc
 
 
+def _break_call_bindings(doc):
+    doc["rules"][1]["call"]["bindings"] = 5
+    return doc
+
+
+def _break_rule_name(doc):
+    doc["rules"][1]["name"] = 5
+    return doc
+
+
+def _break_actor(doc):
+    doc["rules"][2]["actor"] = []
+    return doc
+
+
+def _break_edge_endpoint(doc):
+    doc["rules"][2]["edges"][0]["tgt"] = []
+    return doc
+
+
+def _break_reason_id(doc):
+    doc[0]["reason_id"] = []
+    return doc
+
+
+def _break_step_role(doc):
+    doc["tests"][0]["steps"][0]["role"] = 5
+    return doc
+
+
+def _break_node_id(doc):
+    return {"nodes": [{"id": 5, "type": "User"}], "edges": []}
+
+
 def _break_policy(doc):
     doc["rules"]["createIssue"]["allowed"] = [["owner"]]
     return doc
@@ -250,6 +284,13 @@ def _as_null(doc):
         ("policy.json", "plan-tests", _break_policy),
         ("initial.json", "plan-tests", _as_list),
         ("roles.json", "check-coverage", _as_list),
+        ("rules.json", "analyze", _break_call_bindings),
+        ("rules.json", "analyze", _break_rule_name),
+        ("rules.json", "analyze", _break_edge_endpoint),
+        ("rules.json", "analyze", _break_actor),
+        ("ledger.json", "plan-tests", _break_reason_id),
+        ("plan.json", "check-coverage", _break_step_role),
+        ("initial.json", "plan-tests", _break_node_id),
     ],
 )
 def test_malformed_document_exits_2_naming_the_file(

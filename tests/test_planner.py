@@ -24,6 +24,7 @@ from graphbac.planner import (
     PlanningError,
     PolicyAnnotation,
     RoleSpec,
+    TaintTest,
     TestPlan,
     check_flow_coverage,
     check_role_coverage,
@@ -42,6 +43,11 @@ from graphbac.taint import (
 
 TAINTED = ("Repository", "Project", "Issue")
 OWNER, COLLAB, NOPE = "Owner", "Collaborator", "NoPe-Collaborator"
+
+
+def _planned(plan: TestPlan, test_id: str) -> TaintTest:
+    """The planned test with the given id."""
+    return next(t for t in plan.tests if t.id == test_id)
 
 
 def empty_host() -> InstanceGraph:
@@ -158,7 +164,7 @@ def test_plan_shape(plan):
 
 
 def test_flow_positive_direct_pair(plan):
-    test = plan.test("flow-pos:createRepo->updateRepo#0")
+    test = _planned(plan, "flow-pos:createRepo->updateRepo#0")
     assert [(s.rule, s.role, s.setup) for s in test.steps] == [
         ("createUser", OWNER, True),
         ("createRepo", OWNER, False),
@@ -171,7 +177,7 @@ def test_flow_positive_direct_pair(plan):
 
 
 def test_flow_positive_with_setup_chain(plan):
-    test = plan.test("flow-pos:createIssue->updateIssue#0")
+    test = _planned(plan, "flow-pos:createIssue->updateIssue#0")
     assert [(s.rule, s.role, s.setup) for s in test.steps] == [
         ("createUser", OWNER, True),
         ("createUser", COLLAB, True),
@@ -185,7 +191,7 @@ def test_flow_positive_with_setup_chain(plan):
 
 
 def test_flow_negative_denies_highest_denied_role(plan):
-    test = plan.test("flow-neg:createIssue->updateIssue#0")
+    test = _planned(plan, "flow-neg:createIssue->updateIssue#0")
     assert not test.expected_access
     assert test.steps[-1].rule == "updateIssue"
     assert test.steps[-1].role == NOPE
@@ -195,7 +201,7 @@ def test_flow_negative_denies_highest_denied_role(plan):
         if not t.expected_access and t.sink_rule == "updateIssue"
     ]
     assert negatives_on_update_issue == [test]
-    deleted = plan.test("flow-neg:createIssue->deleteIssue#0")
+    deleted = _planned(plan, "flow-neg:createIssue->deleteIssue#0")
     assert deleted.steps[-1].role == COLLAB  # highest role the policy denies
 
 
@@ -205,18 +211,18 @@ def _payload(test):
 
 
 def test_role_positive_diagonals(plan):
-    owner = plan.test("role-pos:Owner")
+    owner = _planned(plan, "role-pos:Owner")
     assert _payload(owner) == [
         ("createIssue", OWNER),
         ("deleteIssue", OWNER),
     ]
-    collab = plan.test("role-pos:Collaborator")
+    collab = _planned(plan, "role-pos:Collaborator")
     assert _payload(collab) == [
         ("createIssue", COLLAB),
         ("updateIssue", COLLAB),
     ]
     assert collab.covered_reasons == ("createIssue->updateIssue#0",)
-    nope = plan.test("role-pos:NoPe-Collaborator")
+    nope = _planned(plan, "role-pos:NoPe-Collaborator")
     assert _payload(nope) == [
         ("getUser", NOPE),
         ("getUser", NOPE),
@@ -234,7 +240,7 @@ def test_role_negatives_pick_first_reason(plan):
         "role-neg:Collaborator>NoPe-Collaborator": (COLLAB, NOPE),
     }
     for test_id, (hi, lo) in expectations.items():
-        test = plan.test(test_id)
+        test = _planned(plan, test_id)
         assert not test.expected_access
         assert _payload(test) == [
             ("createIssue", hi),
@@ -264,7 +270,7 @@ def test_positive_steps_allowed_negatives_deny_only_sink(plan):
 
 
 def test_setup_steps_do_not_count_for_role_coverage(plan):
-    test = plan.test("flow-pos:createIssue->updateIssue#0")
+    test = _planned(plan, "flow-pos:createIssue->updateIssue#0")
     assert any(s.setup and s.role == OWNER for s in test.steps)
     assert test.covered_role_pairs == ((OWNER, COLLAB),)
 

@@ -24,13 +24,11 @@ PERFBENCH = ROOT / "perfbench"
 
 # name -> why it stays without a caller in the program
 ALLOWED = {
-    "model_to_sdl": "the schema parser's round-trip oracle",
     "reason_from_doc": "re-certifies a stored reason; the planned analysis "
     "sidecar is to load reasons through it",
     "find_flow_witness": "acceptance criterion 3 checks every static reason "
     "against a concrete witness through it",
     "MockTarget.snapshot": "the mock's state identity, for differential checks",
-    "TestPlan.test": "looks a planned test up by its id",
 }
 
 

@@ -11,7 +11,6 @@ from graphbac.schema import (
     SchemaError,
     SchemaModel,
     derive_rule_skeletons,
-    model_to_sdl,
     parse_sdl,
     to_type_graph,
 )
@@ -19,6 +18,21 @@ from graphbac.schema import (
 from fixtures import collab_rules, collab_typegraph
 
 SCHEMA_PATH = Path(__file__).parent.parent / "projects" / "running-example" / "schema.graphql"
+
+
+def model_to_sdl(model: SchemaModel) -> str:
+    """Render the supported subset back to SDL (a parse fixpoint)."""
+    blocks = []
+    for scalar in model.scalars:
+        blocks.append(f"scalar {scalar}")
+    for name, values in model.enums.items():
+        body = "\n".join(f"  {v}" for v in values)
+        blocks.append(f"enum {name} {{\n{body}\n}}")
+    for holder in list(model.inputs) + list(model.objects):
+        keyword = "input" if holder.is_input else "type"
+        body = "\n".join(f"  {f.render()}" for f in holder.fields)
+        blocks.append(f"{keyword} {holder.name} {{\n{body}\n}}")
+    return "\n\n".join(blocks) + "\n"
 
 
 @pytest.fixture(scope="module")
