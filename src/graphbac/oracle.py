@@ -12,8 +12,16 @@ the planner uses for setup steps.
 Each ordered rule pair is checked against one concrete walk: the first
 rule's steps from every reachable host (computed once per first rule), each
 followed by every step of the second rule, each step pair classified once.
-Both checks read that walk and the pair's reported reasons, also computed
-once; the walk is dropped when the pair is done.
+Both checks read that walk, the pair's reported reasons and whether each
+reason is concretely realizable, all computed once; the walk is dropped
+when the pair is done.
+
+An independent pair commutes when its switched result is isomorphic to the
+original one.  By the local Church-Rosser theorem the two results are
+related by a known bijection (the identity on the untouched context, each
+created element to its counterpart), so the oracle checks that certificate
+with the validating `Morphism` constructor and searches with `isomorphic`
+only when it fails.
 """
 
 from __future__ import annotations
@@ -69,8 +77,12 @@ def produce_use_disagreements(
     sink: Rule,
     steps: Sequence[StepPair],
     reported: Sequence[DependencyReason],
+    realized: Sequence[bool],
 ) -> list[str]:
-    """Completeness and soundness of the reported reasons for one rule pair."""
+    """Completeness and soundness of the reported reasons for one rule pair.
+
+    `realized[i]` says whether a concrete pair realizes `reported[i]`.
+    """
     out = []
     for t1, t2, cls in steps:
         if cls != PRODUCE_USE:
@@ -82,8 +94,8 @@ def produce_use_disagreements(
                 f"{sorted(extracted.span.nodes) + sorted(extracted.span.edges)} "
                 "matches no reported reason"
             )
-    for reason in reported:
-        if not _realize_reason(source, sink, reason):
+    for reason, ok in zip(reported, realized):
+        if not ok:
             out.append(f"{reason.id}: reported reason has no concrete realization")
     return out
 
@@ -109,23 +121,82 @@ def _realize_reason(source: Rule, sink: Rule, reason: DependencyReason) -> bool:
     )
 
 
-def _switched(t1: DirectTransformation, t2: DirectTransformation):
-    """Apply the second step first; both matches carry over unchanged."""
+def _switched_steps(
+    t1: DirectTransformation, t2: DirectTransformation
+) -> tuple[DirectTransformation, DirectTransformation]:
+    """(t2', t1'): the second step applied first, then the first; both
+    matches carry over unchanged."""
     host = t1.host
     m2 = Morphism(t2.rule.lhs, host, t2.match.node_map, t2.match.edge_map)
     t2p = apply(t2.rule, host, m2)
     m1 = Morphism(t1.rule.lhs, t2p.result, t1.match.node_map, t1.match.edge_map)
-    t1p = apply(t1.rule, t2p.result, m1)
-    return t1p
+    return t2p, apply(t1.rule, t2p.result, m1)
+
+
+def _switched(t1: DirectTransformation, t2: DirectTransformation):
+    """Apply the second step first; both matches carry over unchanged."""
+    return _switched_steps(t1, t2)[1]
+
+
+def _certificate(
+    t1: DirectTransformation,
+    t2: DirectTransformation,
+    t2p: DirectTransformation,
+    t1p: DirectTransformation,
+) -> tuple[dict[str, str], dict[str, str]]:
+    """The node and edge maps t1'.result -> t2.result that local
+    Church-Rosser predicts: the identity on the context neither step
+    touched, and each element a switched step created to the element the
+    same step created in the original order."""
+    nodes = {n: n for n in t1p.result.nodes}
+    edges = {e: e for e in t1p.result.edges}
+    for switched, original in ((t1p, t1), (t2p, t2)):
+        rule = switched.rule
+        for x in rule.created_nodes():
+            nodes[switched.comatch.node_map[x]] = original.comatch.node_map[x]
+        for x in rule.created_edges():
+            edges[switched.comatch.edge_map[x]] = original.comatch.edge_map[x]
+    return nodes, edges
+
+
+def _commutes(
+    t1: DirectTransformation,
+    t2: DirectTransformation,
+    t2p: DirectTransformation,
+    t1p: DirectTransformation,
+) -> bool:
+    """True iff t1'.result and t2.result are isomorphic.
+
+    The certificate is checked by the validating `Morphism` constructor: an
+    injective typed morphism between graphs of equal size is an
+    isomorphism, so a certificate that passes is a proof, and one that
+    fails only sends the question to `isomorphic`.
+    """
+    a, b = t1p.result, t2.result
+    if (
+        a.typegraph == b.typegraph
+        and len(a.nodes) == len(b.nodes)
+        and len(a.edges) == len(b.edges)
+    ):
+        try:
+            Morphism(a, b, *_certificate(t1, t2, t2p, t1p))
+            return True
+        except GraphError:
+            pass
+    return isomorphic(a, b)
 
 
 def independence_disagreements(
     first: Rule,
     second: Rule,
     steps: Sequence[StepPair],
-    reported: Sequence[DependencyReason],
+    realized: Sequence[bool],
 ) -> list[str]:
-    """The universal-independence verdict against every concrete pair."""
+    """The universal-independence verdict against every concrete pair.
+
+    `realized` says, for each reason reported for the pair, whether a
+    concrete pair realizes it (see `run_oracle`).
+    """
     verdict = universally_sequentially_independent(first, second)
     out = []
     for t1, t2, cls in steps:
@@ -137,18 +208,19 @@ def independence_disagreements(
                 )
             continue
         try:
-            t1p = _switched(t1, t2)
+            t2p, t1p = _switched_steps(t1, t2)
         except GraphError as exc:
             out.append(
                 f"{first.name};{second.name}: independent pair is not switchable ({exc})"
             )
             continue
-        if not isomorphic(t1p.result, t2.result):
+        if not _commutes(t1, t2, t2p, t1p):
             out.append(
                 f"{first.name};{second.name}: switched order yields a different result"
             )
     if not verdict:
-        if not _dependent_pair_exists(first, second, reported):
+        # a dependent pair exists when a reason or a delete overlap is realized
+        if not (any(realized) or _delete_overlap_realized(first, second)):
             out.append(
                 f"{first.name};{second.name}: declared dependent but no concrete "
                 "dependent pair exists on any witness host"
@@ -156,12 +228,8 @@ def independence_disagreements(
     return out
 
 
-def _dependent_pair_exists(
-    first: Rule, second: Rule, reported: Sequence[DependencyReason]
-) -> bool:
-    """Realize at least one dependent pair from the static witnesses themselves."""
-    if any(_realize_reason(first, second, reason) for reason in reported):
-        return True
+def _delete_overlap_realized(first: Rule, second: Rule) -> bool:
+    """Realize a dependent pair from a static delete-overlap witness itself."""
     for witness in delete_overlap_reasons(first, second):
         glued = witness["glued"]
         comatch = Morphism.inclusion(first.rhs, glued)
@@ -247,8 +315,11 @@ def run_oracle(
             pairs += 1
             steps = list(_step_pairs(firsts, b))
             reasons = dependency_reasons(a, b)
-            disagreements.extend(produce_use_disagreements(a, b, steps, reasons))
-            disagreements.extend(independence_disagreements(a, b, steps, reasons))
+            realized = [_realize_reason(a, b, reason) for reason in reasons]
+            disagreements.extend(
+                produce_use_disagreements(a, b, steps, reasons, realized)
+            )
+            disagreements.extend(independence_disagreements(a, b, steps, realized))
             del steps  # only one pair's steps are held at a time
     return OracleReport(
         depth=depth,

@@ -439,11 +439,14 @@ def rule_from_doc(doc: dict, typegraph: TypeGraph) -> Rule:
                 f"malformed rule document: rule {name}: "
                 "call bindings must map names to node ids"
             )
-        call = CallSpec(
-            doc["call"].get("operation", name),
-            doc["call"].get("document_template", ""),
-            bindings,
-        )
+        operation = doc["call"].get("operation", name)
+        template = doc["call"].get("document_template", "")
+        if not (isinstance(operation, str) and isinstance(template, str)):
+            raise GraphError(
+                f"malformed rule document: rule {name}: "
+                "call operation and document_template must be strings"
+            )
+        call = CallSpec(operation, template, bindings)
     return Rule(
         name=name,
         typegraph=typegraph,

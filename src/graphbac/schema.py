@@ -112,12 +112,6 @@ class TypeRef:
     name: str
     wrappers: tuple[str, ...] = ()  # outermost-last sequence of "list" / "non_null"
 
-    def render(self) -> str:
-        out = self.name
-        for w in self.wrappers:
-            out = f"[{out}]" if w == "list" else f"{out}!"
-        return out
-
 
 @dataclass(frozen=True)
 class ArgDef:
@@ -125,24 +119,12 @@ class ArgDef:
     type: TypeRef
     default: str | None = None
 
-    def render(self) -> str:
-        out = f"{self.name}: {self.type.render()}"
-        if self.default is not None:
-            out += f" = {self.default}"
-        return out
-
 
 @dataclass(frozen=True)
 class FieldDef:
     name: str
     type: TypeRef
     args: tuple[ArgDef, ...] = ()
-
-    def render(self) -> str:
-        head = self.name
-        if self.args:
-            head += "(" + ", ".join(a.render() for a in self.args) + ")"
-        return f"{head}: {self.type.render()}"
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,13 @@ def collab_policy() -> PolicyAnnotation:
     return PolicyAnnotation.from_doc(_collab_doc("policy.json"))
 
 
-def reviewed_collab_flow() -> TaintedFlow:
+def collab_tainted_typegraph() -> TaintedTypeGraph:
     tainted = _collab_doc("taint.json")["tainted_types"]
-    ttg = TaintedTypeGraph(collab_typegraph(), tuple(tainted))
+    return TaintedTypeGraph(collab_typegraph(), tuple(tainted))
+
+
+def reviewed_collab_flow() -> TaintedFlow:
+    ttg = collab_tainted_typegraph()
     flow = tainted_flow(classify_sources_sinks(analyzed_collab_rules().values(), ttg))
     return apply_review(flow, ledger_from_doc(_collab_doc("ledger.json")))
 

@@ -306,6 +306,19 @@ def test_malformed_document_exits_2_naming_the_file(
     assert err.count(str(running_example)) == 1, err
 
 
+@pytest.mark.parametrize("key", ["operation", "document_template"])
+@pytest.mark.parametrize("value", [5, None, []])
+def test_a_rule_call_that_is_not_a_string_exits_2(running_example, capsys, key, value):
+    path = running_example / "rules.json"
+    doc = json.loads(path.read_text())
+    doc["rules"][1]["call"][key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--project", str(running_example)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "getUser" in err and key in err, err
+
+
 def test_internal_error_exits_4_with_a_traceback(running_example, capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom")

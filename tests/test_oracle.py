@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -155,8 +156,12 @@ def test_collab_pairwise_agreement_at_shallow_depth():
                 for t2 in transformations(second, t1.result)
             ]
             reasons = dependency_reasons(first, second)
-            assert produce_use_disagreements(first, second, steps, reasons) == []
-            assert independence_disagreements(first, second, steps, reasons) == []
+            realized = [oracle._realize_reason(first, second, r) for r in reasons]
+            assert (
+                produce_use_disagreements(first, second, steps, reasons, realized)
+                == []
+            )
+            assert independence_disagreements(first, second, steps, realized) == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -187,6 +192,76 @@ def test_switch_order_equivalence_concrete():
 
     t1p = _switched(t1, t2)
     assert isomorphic(t1p.result, t2.result)
+
+
+# ---- certified commutation ------------------------------------------------
+#
+# `_commutes` first checks the bijection local Church-Rosser predicts and
+# searches with `isomorphic` only when that check fails.  A wrong
+# certificate must cost only the search, never the verdict.
+
+TOYS = [(incident_rules, incident_initial), (chain_rules, chain_initial)]
+
+
+def _count_searches(mp) -> list:
+    """Count the oracle's `isomorphic` calls (only `_commutes` makes them)."""
+    calls = []
+    real = oracle.isomorphic
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    mp.setattr(oracle, "isomorphic", counted)
+    return calls
+
+
+def _wrong_certificate(t1, t2, t2p, t1p):
+    """A bijection onto ids the target does not have."""
+    return (
+        {n: f"{n}?" for n in t1p.result.nodes},
+        {e: f"{e}?" for e in t1p.result.edges},
+    )
+
+
+@pytest.mark.parametrize("toy", TOYS)
+def test_every_toy_commutation_is_certified(monkeypatch, toy):
+    make_rules, make_initial = toy
+    rules = list(make_rules().values())
+    searches = _count_searches(monkeypatch)
+    report = run_oracle(rules, rules, make_initial(), 3)
+    assert report.agreed, report.disagreements
+    assert searches == []
+
+
+@pytest.mark.parametrize("toy", TOYS)
+def test_a_wrong_certificate_falls_back_to_the_search(monkeypatch, toy):
+    make_rules, make_initial = toy
+    rules = list(make_rules().values())
+    expected = run_oracle(rules, rules, make_initial(), 3).disagreements
+    monkeypatch.setattr(oracle, "_certificate", _wrong_certificate)
+    searches = _count_searches(monkeypatch)
+    report = run_oracle(rules, rules, make_initial(), 3)
+    assert report.disagreements == expected == []
+    assert searches, "a wrong certificate must send the pair to `isomorphic`"
+
+
+@pytest.mark.parametrize("toy", TOYS)
+def test_a_switched_step_that_differs_is_reported(monkeypatch, toy):
+    make_rules, make_initial = toy
+    rules = list(make_rules().values())
+    real = oracle._switched_steps
+
+    def planted(t1, t2):
+        t2p, t1p = real(t1, t2)
+        extra = {"planted": t1p.result.typegraph.node_types[0]}
+        return t2p, dataclasses.replace(t1p, result=t1p.result.add(extra, {}))
+
+    monkeypatch.setattr(oracle, "_switched_steps", planted)
+    monkeypatch.setattr(oracle, "_certificate", _wrong_certificate)
+    shared, reference = _both_oracles(rules, make_initial(), 3)
+    assert shared == reference
+    assert any("switched order yields a different result" in m for m in shared)
 
 
 # ---- planted faults: one shared walk against a walk per check ------------

@@ -7,10 +7,13 @@ import json
 import pytest
 from fixtures import (
     analyzed_collab_rules,
+    collab_plan,
     collab_policy,
     collab_roles,
     collab_rules,
+    collab_tainted_typegraph,
     collab_typegraph,
+    reviewed_collab_flow,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,15 +36,12 @@ from graphbac.planner import (
 )
 from graphbac.taint import (
     SECURED,
-    UNSECURED,
     ReviewEntry,
-    TaintedTypeGraph,
     apply_review,
     classify_sources_sinks,
     tainted_flow,
 )
 
-TAINTED = ("Repository", "Project", "Issue")
 OWNER, COLLAB, NOPE = "Owner", "Collaborator", "NoPe-Collaborator"
 
 
@@ -56,29 +56,12 @@ def empty_host() -> InstanceGraph:
 
 @pytest.fixture(scope="module")
 def reviewed_flow():
-    ttg = TaintedTypeGraph(collab_typegraph(), TAINTED)
-    api = classify_sources_sinks(analyzed_collab_rules().values(), ttg)
-    flow = tainted_flow(api)
-    entries = [
-        ReviewEntry(
-            reason_id=rid,
-            status=UNSECURED if rid == "createProject->deleteProject#0" else SECURED,
-            rationale="review fixture",
-            policy_stable_under_shift=True,
-        )
-        for rid in flow.reason_ids()
-    ]
-    return apply_review(flow, entries)
+    return reviewed_collab_flow()
 
 
 @pytest.fixture(scope="module")
-def plan(reviewed_flow):
-    return generate_minimal_tests(
-        reviewed_flow,
-        collab_roles(),
-        collab_policy(),
-        setup_rules=[collab_rules()["createUser"]],
-    )
+def plan():
+    return collab_plan()
 
 
 def test_role_spec_order_and_extremes():
@@ -301,7 +284,7 @@ def test_dropped_diagonal_breaks_role_coverage(plan):
 
 
 def test_unreviewed_flow_blocks_generation():
-    ttg = TaintedTypeGraph(collab_typegraph(), TAINTED)
+    ttg = collab_tainted_typegraph()
     api = classify_sources_sinks(analyzed_collab_rules().values(), ttg)
     flow = tainted_flow(api)
     with pytest.raises(PlanningError, match="unreviewed"):
@@ -354,7 +337,7 @@ RANKED = (NOPE, COLLAB, OWNER)
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=3**9 - 1))
 def test_random_policies_keep_plans_coverage_complete(seed):
-    ttg = TaintedTypeGraph(collab_typegraph(), TAINTED)
+    ttg = collab_tainted_typegraph()
     api = classify_sources_sinks(analyzed_collab_rules().values(), ttg)
     flow = tainted_flow(api)
     flow = apply_review(
