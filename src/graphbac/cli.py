@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .core import GraphError, InstanceGraph, TypeGraph
+from .core import GraphError, InstanceGraph, TypeGraph, _boolean
 from .dependency import reason_to_doc
 from .mockserver import serve, target_from_doc
 from .oracle import run_oracle
@@ -154,13 +154,10 @@ class Project:
 
     def include_inputs(self) -> bool:
         """The `include_inputs` setting, which must be a JSON boolean."""
-        value = self.setting("include_inputs", False)
-        if not isinstance(value, bool):
-            raise GraphError(
-                f"{self.root / 'project.json'}: include_inputs must be true or false, "
-                f"got {value!r}"
-            )
-        return value
+        return _boolean(
+            self.setting("include_inputs", False),
+            f"{self.root / 'project.json'}: include_inputs",
+        )
 
     def _parsed(
         self,

@@ -273,6 +273,14 @@ class InstanceGraph:
         return cls(typegraph, nodes, edges)
 
 
+def _boolean(value: object, what: str) -> bool:
+    """A document flag, which must be a JSON boolean: `bool("false")` is
+    true, so a string would flip the flag without notice."""
+    if not isinstance(value, bool):
+        raise GraphError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def elements_from_doc(
     doc: object, what: str
 ) -> tuple[dict[str, str], dict[str, Edge]]:

@@ -5,17 +5,19 @@ creation graph embedded into a sink rule's pattern, together with the glued
 minimal host it induces.  A reason is reported only when that host is
 realizable, meaning the source step can actually have produced it (inverse
 application succeeds) and the sink step is applicable on it (dangling check).
-One realizability check (`_realize`) serves both overlap kinds: produce-use
-overlaps of the source's creation graph, and delete overlaps of the sink's
-deletion graph, which decide whether two rules are universally sequentially
-independent.
+One overlap enumerator (`_overlaps`) and one realizability check
+(`_realize`) serve both overlap kinds, with the tag as their parameter:
+produce-use overlaps of the source's creation graph (created elements plus
+their endpoints), and delete overlaps of the sink's deletion graph (deleted
+elements plus their endpoints), which decide whether two rules are
+universally sequentially independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterator
 
 from .core import (
     GraphError,
@@ -37,41 +39,6 @@ from .rules import (
 INDEPENDENT = "independent"
 PRODUCE_USE = "produce_use"
 USE_DELETE = "use_delete"
-
-
-@dataclass(frozen=True)
-class CreationProfile:
-    """Creation graph of a rule plus its boundary nodes.
-
-    The creation graph is the smallest subgraph of the result side containing
-    every created element; the boundary is its preserved part, exactly the
-    preserved endpoints of created edges.  It holds no reference to its
-    rule, which keeps it (see `_rule_profile`): a cycle would leave every
-    rule and its kept spans to the cyclic garbage collector.
-    """
-
-    creation: InstanceGraph
-    boundary: InstanceGraph
-
-
-def _profile(rule: Rule, side: InstanceGraph, tag: str) -> CreationProfile:
-    nodes = set(rule.tagged(tag, nodes=True))
-    edges = set(rule.tagged(tag, nodes=False))
-    for e in edges:
-        nodes.add(rule.edges[e].src)
-        nodes.add(rule.edges[e].tgt)
-    graph = side.subgraph(nodes, edges)
-    boundary = graph.subgraph({n for n in nodes if rule.tags[n] != tag}, set())
-    return CreationProfile(graph, boundary)
-
-
-def creation_profile(rule: Rule) -> CreationProfile:
-    return _profile(rule, rule.rhs, CREATE)
-
-
-def deletion_profile(rule: Rule) -> CreationProfile:
-    """The mirror construction over the pattern side: deleted elements plus endpoints."""
-    return _profile(rule, rule.lhs, DELETE)
 
 
 @dataclass(frozen=True)
@@ -163,15 +130,11 @@ def _glue(
     return glued, left_in, right_in
 
 
-def _spans(profile: CreationProfile) -> Iterable[InstanceGraph]:
-    """All subgraphs of the profile graph using at least one non-boundary element.
+def _spans(graph: InstanceGraph, core_ids: set[str]) -> list[InstanceGraph]:
+    """All subgraphs of the part graph using at least one element of `core_ids`.
 
     Deterministic order: by element count, then by sorted id tuple.
     """
-    graph = profile.creation
-    core_ids = (set(graph.nodes) | set(graph.edges)) - (
-        set(profile.boundary.nodes) | set(profile.boundary.edges)
-    )
     all_edges = sorted(graph.edges)
     out = []
     for k in range(len(all_edges) + 1):
@@ -192,28 +155,38 @@ def _spans(profile: CreationProfile) -> Iterable[InstanceGraph]:
     return out
 
 
-def _rule_profile(rule: Rule, tag: str) -> CreationProfile:
-    """The rule's creation (CREATE) or deletion (DELETE) profile, built on
-    first use and kept in the rule's instance dict, as its `lhs` and `rhs`
-    are.  Every pair the rule is part of, and every concrete step pair the
-    oracle extracts a reason from, reads the same profile."""
-    key = f"_profile_{tag}"
-    profile = rule.__dict__.get(key)
-    if profile is None:
-        build = creation_profile if tag == CREATE else deletion_profile
-        profile = rule.__dict__[key] = build(rule)
-    return profile
+def _part_graph(rule: Rule, tag: str) -> InstanceGraph:
+    """The rule's creation graph (CREATE: created elements plus their
+    endpoints, in the result side) or deletion graph (DELETE: deleted
+    elements plus their endpoints, in the pattern side).
+
+    Built on first use and kept in the rule's instance dict, as its `lhs`
+    and `rhs` are.  The graph holds no reference to its rule, so keeping
+    it makes no cycle for the cyclic garbage collector to break.
+    """
+    key = f"_part_{tag}"
+    graph = rule.__dict__.get(key)
+    if graph is None:
+        nodes = set(rule.tagged(tag, nodes=True))
+        edges = rule.tagged(tag, nodes=False)
+        for e in edges:
+            nodes.add(rule.edges[e].src)
+            nodes.add(rule.edges[e].tgt)
+        side = rule.rhs if tag == CREATE else rule.lhs
+        graph = rule.__dict__[key] = side.subgraph(nodes, edges)
+    return graph
 
 
 def _rule_spans(rule: Rule, tag: str) -> list[InstanceGraph]:
-    """`_spans` of the rule's kept profile for the tag, enumerated on first
-    use and kept beside it (shared; do not modify).  A rule meets every
-    other rule as source and as sink, so this saves one enumeration per
-    pair."""
+    """`_spans` of the rule's kept part graph for the tag, enumerated on
+    first use and kept beside it (shared; do not modify).  The core ids are
+    the elements carrying the tag.  A rule meets every other rule as source
+    and as sink, so this saves one enumeration per pair."""
     key = f"_spans_{tag}"
     spans = rule.__dict__.get(key)
     if spans is None:
-        spans = rule.__dict__[key] = _spans(_rule_profile(rule, tag))
+        core_ids = set(rule.tagged(tag, nodes=True) + rule.tagged(tag, nodes=False))
+        spans = rule.__dict__[key] = _spans(_part_graph(rule, tag), core_ids)
     return spans
 
 
@@ -276,18 +249,23 @@ def _context_identifications(
 
 
 def _realize(
-    first: Rule, second: Rule, base: dict[str, str]
+    first: Rule, second: Rule, embedding: Morphism, tag: str
 ) -> tuple[InstanceGraph, Morphism, Morphism] | None:
     """Glue first's result side and second's pattern, certifying both steps.
 
-    `base` identifies some of second's pattern elements with first's result
-    side (the overlap).  Returns (glued host, first comatch, second match) or
-    None when either the first step cannot have produced the host or the
-    second step cannot fire on it.  Second's unshared context may
-    additionally coincide with context first preserves, so every such
-    identification counts as a realization; the returned witness is the
-    smallest one that works.
+    The overlap is a span embedded by `embedding`: a span of first's
+    creation graph into second's pattern (CREATE), or of second's deletion
+    graph into first's result side (DELETE).  Returns (glued host, first
+    comatch, second match) or None when either the first step cannot have
+    produced the host or the second step cannot fire on it.  Second's
+    unshared context may additionally coincide with context first
+    preserves, so every such identification counts as a realization; the
+    returned witness is the smallest one that works.
     """
+    # `base` identifies some of second's pattern elements with first's result side
+    base = {**embedding.node_map, **embedding.edge_map}
+    if tag == CREATE:
+        base = {image: x for x, image in base.items()}
     for identification in _context_identifications(first, second.lhs, base):
         glued, first_in, second_in = _glue(first.rhs, second.lhs, identification)
         try:
@@ -309,38 +287,32 @@ def _reason(
     tainted: bool | None = None,
 ) -> DependencyReason | None:
     """The reason for a span embedded into the sink pattern, if it is realizable."""
-    sink_to_source = {
-        image: x for x, image in {**embedding.node_map, **embedding.edge_map}.items()
-    }
-    outcome = _realize(source, sink, sink_to_source)
+    outcome = _realize(source, sink, embedding, CREATE)
     if outcome is None:
         return None
-    glued, source_in, sink_in = outcome
     return DependencyReason(
-        id=reason_id,
-        source_rule=source.name,
-        sink_rule=sink.name,
-        span=span,
-        into_sink=embedding,
-        glued=glued,
-        source_comatch=source_in,
-        sink_match=sink_in,
-        tainted=tainted,
+        reason_id, source.name, sink.name, span, embedding, *outcome, tainted
     )
 
 
-def dependency_reasons(source: Rule, sink: Rule) -> list[DependencyReason]:
-    """Every realizable produce-use reason from source to sink, in stable order."""
-    if source.typegraph != sink.typegraph:
+def _overlaps(
+    first: Rule, second: Rule, tag: str
+) -> Iterator[tuple[InstanceGraph, Morphism, tuple[InstanceGraph, Morphism, Morphism]]]:
+    """Every realizable overlap of a (first, second) step pair, in stable order.
+
+    CREATE: spans of first's creation graph embedded into second's pattern
+    (produce-use).  DELETE: spans of second's deletion graph embedded into
+    first's result side (delete overlaps).  Yields the span, its embedding
+    and `_realize`'s (glued host, first comatch, second match).
+    """
+    if first.typegraph != second.typegraph:
         raise GraphError("rules are typed over different type graphs")
-    reasons: list[DependencyReason] = []
+    owner, into = (first, second.lhs) if tag == CREATE else (second, first.rhs)
     seen: set[tuple] = set()
-    for span in _rule_spans(source, CREATE):
-        for embedding in enumerate_matches(span, sink.lhs):
-            reason = _reason(
-                f"{source.name}->{sink.name}#{len(reasons)}", source, sink, span, embedding
-            )
-            if reason is None:
+    for span in _rule_spans(owner, tag):
+        for embedding in enumerate_matches(span, into):
+            outcome = _realize(first, second, embedding, tag)
+            if outcome is None:
                 continue
             key = (
                 frozenset(span.nodes),
@@ -353,8 +325,18 @@ def dependency_reasons(source: Rule, sink: Rule) -> list[DependencyReason]:
             if key in seen:
                 raise AssertionError("duplicate span enumerated")
             seen.add(key)
-            reasons.append(reason)
-    return reasons
+            yield span, embedding, outcome
+
+
+def dependency_reasons(source: Rule, sink: Rule) -> list[DependencyReason]:
+    """Every realizable produce-use reason from source to sink, in stable order."""
+    return [
+        DependencyReason(
+            f"{source.name}->{sink.name}#{i}", source.name, sink.name, span, embedding,
+            *outcome,
+        )
+        for i, (span, embedding, outcome) in enumerate(_overlaps(source, sink, CREATE))
+    ]
 
 
 def delete_overlap_reasons(first: Rule, second: Rule) -> list[dict]:
@@ -363,26 +345,16 @@ def delete_overlap_reasons(first: Rule, second: Rule) -> list[dict]:
     These are the obstructions to reversing a (first, second) step pair that
     produce-use reasons do not cover.  Returned as witness records.
     """
-    if first.typegraph != second.typegraph:
-        raise GraphError("rules are typed over different type graphs")
-    witnesses = []
-    for span in _rule_spans(second, DELETE):
-        for embedding in enumerate_matches(span, first.rhs):
-            # the span lives in the second rule's pattern here, so its
-            # embedding already maps second's ids onto first's result side
-            outcome = _realize(first, second, {**embedding.node_map, **embedding.edge_map})
-            if outcome is None:
-                continue
-            witnesses.append(
-                {
-                    "first_rule": first.name,
-                    "second_rule": second.name,
-                    "span_nodes": sorted(span.nodes),
-                    "span_edges": sorted(span.edges),
-                    "glued": outcome[0],
-                }
-            )
-    return witnesses
+    return [
+        {
+            "first_rule": first.name,
+            "second_rule": second.name,
+            "span_nodes": sorted(span.nodes),
+            "span_edges": sorted(span.edges),
+            "glued": glued,
+        }
+        for span, _, (glued, _, _) in _overlaps(first, second, DELETE)
+    ]
 
 
 def universally_sequentially_independent(first: Rule, second: Rule) -> bool:
@@ -418,7 +390,7 @@ def extract_reason(
     """The span witnessing a produce-use pair, as element pairs with equal image."""
     if classify_transformation_pair(t1, t2) != PRODUCE_USE:
         return None
-    creation = _rule_profile(t1.rule, CREATE).creation
+    creation = _part_graph(t1.rule, CREATE)
     host_to_sink_node = {image: n for n, image in t2.match.node_map.items()}
     host_to_sink_edge = {image: e for e, image in t2.match.edge_map.items()}
     node_map = {}
@@ -463,7 +435,7 @@ def reason_from_doc(doc: dict, rules_by_name: dict[str, Rule]) -> DependencyReas
         embedding_edges = dict(doc["embedding"]["edges"])
     except KeyError as exc:
         raise GraphError(f"malformed reason document: {exc}") from exc
-    span = _rule_profile(source, CREATE).creation.subgraph(span_nodes, span_edges)
+    span = _part_graph(source, CREATE).subgraph(span_nodes, span_edges)
     embedding = Morphism(span, sink.lhs, embedding_nodes, embedding_edges)
     reason = _reason(doc["id"], source, sink, span, embedding, doc.get("tainted"))
     if reason is None:

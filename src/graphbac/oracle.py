@@ -133,11 +133,6 @@ def _switched_steps(
     return t2p, apply(t1.rule, t2p.result, m1)
 
 
-def _switched(t1: DirectTransformation, t2: DirectTransformation):
-    """Apply the second step first; both matches carry over unchanged."""
-    return _switched_steps(t1, t2)[1]
-
-
 def _certificate(
     t1: DirectTransformation,
     t2: DirectTransformation,

@@ -16,7 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import GraphError, InstanceGraph, Morphism, first_match, iter_matches
+from .core import (
+    GraphError,
+    InstanceGraph,
+    Morphism,
+    _boolean,
+    first_match,
+    iter_matches,
+)
 from .dependency import DependencyReason
 from .rules import (
     CREATE,
@@ -177,39 +184,37 @@ class PolicyAnnotation:
             if rule not in names:
                 raise GraphError(f"creator_only references unknown rule {rule}")
 
-    def to_doc(self) -> dict:
-        doc: dict = {
-            "rules": {
-                rule: {"allowed": list(roles)}
-                for rule, roles in sorted(self.allowed.items())
-            }
-        }
-        for rule in self.creator_only:
-            doc["rules"].setdefault(rule, {})["creator_only"] = True
-        for rule in self.non_monotone:
-            doc["rules"].setdefault(rule, {})["non_monotone"] = True
-        return doc
-
     @classmethod
     def from_doc(cls, doc: dict) -> "PolicyAnnotation":
         try:
             rules = doc["rules"]
             allowed = {name: tuple(entry.get("allowed", ())) for name, entry in rules.items()}
-            creator_only = tuple(
-                sorted(n for n, e in rules.items() if e.get("creator_only"))
-            )
-            non_monotone = tuple(
-                sorted(n for n, e in rules.items() if e.get("non_monotone"))
-            )
+            flagged = {
+                flag: tuple(
+                    sorted(
+                        n
+                        for n, e in rules.items()
+                        if _boolean(e.get(flag, False), f"policy for {n}: {flag}")
+                    )
+                )
+                for flag in ("creator_only", "non_monotone")
+            }
         except (KeyError, TypeError, AttributeError) as exc:
             raise GraphError(f"malformed policy annotation: {exc}") from exc
         if not all(isinstance(r, str) for roles in allowed.values() for r in roles):
             raise GraphError("malformed policy annotation: allowed must list role names")
-        return cls(allowed=allowed, creator_only=creator_only, non_monotone=non_monotone)
+        return cls(allowed=allowed, **flagged)
 
 
 # --------------------------------------------------------------------------
 # plan data model
+
+
+def _string_list(value: object, what: str) -> tuple[str, ...]:
+    """A plan document field that must be a list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise GraphError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,7 @@ class TestStep:
             rule=rule,
             role=role,
             bindings={var: dict(h) for var, h in bindings.items()},
-            setup=bool(doc.get("setup", False)),
+            setup=_boolean(doc.get("setup", False), f"step {rule}: setup"),
         )
 
 
@@ -257,10 +262,6 @@ class TaintTest:
     expected_access: bool
     covered_reasons: tuple[str, ...] = ()
     covered_role_pairs: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def sink_rule(self) -> str:
-        return self.steps[-1].rule
 
     def to_doc(self) -> dict:
         return {
@@ -275,15 +276,31 @@ class TaintTest:
     @classmethod
     def from_doc(cls, doc: dict) -> "TaintTest":
         try:
+            test_id, kind = doc["id"], doc["kind"]
+            if not (isinstance(test_id, str) and isinstance(kind, str)):
+                raise GraphError(f"test {test_id!r}: id and kind must be strings")
+            pairs = doc.get("covered_role_pairs", [])
+            if not isinstance(pairs, list) or not all(
+                isinstance(p, list)
+                and len(p) == 2
+                and isinstance(p[0], str)
+                and isinstance(p[1], str)
+                for p in pairs
+            ):
+                raise GraphError(
+                    f"test {test_id}: covered_role_pairs must list pairs of role names"
+                )
             return cls(
-                id=doc["id"],
-                kind=doc["kind"],
+                id=test_id,
+                kind=kind,
                 steps=tuple(TestStep.from_doc(s) for s in doc["steps"]),
-                expected_access=bool(doc["expected_access"]),
-                covered_reasons=tuple(doc.get("covered_reasons", ())),
-                covered_role_pairs=tuple(
-                    (a, b) for a, b in doc.get("covered_role_pairs", ())
+                expected_access=_boolean(
+                    doc["expected_access"], f"test {test_id}: expected_access"
                 ),
+                covered_reasons=_string_list(
+                    doc.get("covered_reasons", []), f"test {test_id}: covered_reasons"
+                ),
+                covered_role_pairs=tuple((a, b) for a, b in pairs),
             )
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed test document: {exc}") from exc
@@ -315,8 +332,10 @@ class TestPlan:
             return cls(
                 roles=RoleSpec.from_doc(doc["roles"]),
                 tests=tuple(TaintTest.from_doc(t) for t in doc["tests"]),
-                negative_infeasible=tuple(doc.get("negative_infeasible", ())),
-                notes=tuple(doc.get("notes", ())),
+                negative_infeasible=_string_list(
+                    doc.get("negative_infeasible", []), "negative_infeasible"
+                ),
+                notes=_string_list(doc.get("notes", []), "notes"),
             )
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed plan document: {exc}") from exc

@@ -3,9 +3,11 @@
 A rule is one element set in which every node and edge carries a change tag
 (preserve, delete or create).  The classic three-graph reading is derived:
 L = preserve+delete, K = preserve, R = preserve+create, so K = L intersect R
-holds by construction.  Application deletes first and then creates fresh
-copies; inverse application undoes a step from its comatch and is the engine
-primitive used to certify that glued overlap graphs are actually reachable.
+holds by construction.  One rewrite (`_rewrite`) serves both directions:
+application removes the deleted elements' images at a match and adds fresh
+copies of the created ones; inverse application reads the rule right to
+left, undoing a step from its comatch, and is the engine primitive used to
+certify that glued overlap graphs are actually reachable.
 `transformations` lists every way a rule fires on a host, and `explore` is
 the one breadth-first search over them: the planner looks in it for setup
 steps and the oracle enumerates the reachable states with it.  Two hosts
@@ -26,6 +28,7 @@ from .core import (
     InstanceGraph,
     Morphism,
     TypeGraph,
+    _boolean,
     dangling_edge,
     elements_from_doc,
     enumerate_matches,
@@ -162,61 +165,27 @@ class Rule:
 
 @dataclass(frozen=True)
 class DirectTransformation:
-    """One rule application: host => result through the intermediate graph."""
+    """One rule application: host => result, with the match into the host
+    and the comatch into the result."""
 
     rule: Rule
     host: InstanceGraph
     match: Morphism
-    intermediate: InstanceGraph
     result: InstanceGraph
     comatch: Morphism
-
-    def __post_init__(self) -> None:
-        if not self.intermediate.is_subgraph_of(self.host):
-            raise GraphError("intermediate graph must embed in the host")
-        if not self.intermediate.is_subgraph_of(self.result):
-            raise GraphError("intermediate graph must embed in the result")
-
-    @classmethod
-    def _trusted(
-        cls,
-        rule: Rule,
-        host: InstanceGraph,
-        match: Morphism,
-        intermediate: InstanceGraph,
-        result: InstanceGraph,
-        comatch: Morphism,
-    ) -> "DirectTransformation":
-        """A step `apply` derived, whose graphs embed by construction: no
-        check."""
-        step = object.__new__(cls)
-        step.__dict__.update(
-            rule=rule,
-            host=host,
-            match=match,
-            intermediate=intermediate,
-            result=result,
-            comatch=comatch,
-        )
-        return step
 
     def created_node_ids(self) -> set[str]:
         return {self.comatch.node_map[n] for n in self.rule.created_nodes()}
 
-    def created_edge_ids(self) -> set[str]:
-        return {self.comatch.edge_map[e] for e in self.rule.created_edges()}
-
     def created_ids(self) -> set[str]:
-        return self.created_node_ids() | self.created_edge_ids()
-
-    def deleted_node_ids(self) -> set[str]:
-        return {self.match.node_map[n] for n in self.rule.deleted_nodes()}
-
-    def deleted_edge_ids(self) -> set[str]:
-        return {self.match.edge_map[e] for e in self.rule.deleted_edges()}
+        edges = self.comatch.edge_map
+        return self.created_node_ids() | {edges[e] for e in self.rule.created_edges()}
 
     def deleted_ids(self) -> set[str]:
-        return self.deleted_node_ids() | self.deleted_edge_ids()
+        nodes, edges = self.match.node_map, self.match.edge_map
+        return {nodes[n] for n in self.rule.deleted_nodes()} | {
+            edges[e] for e in self.rule.deleted_edges()
+        }
 
 
 def _fresh_ids(bases: Iterable[str], host: InstanceGraph) -> dict[str, str]:
@@ -234,52 +203,53 @@ def _fresh_ids(bases: Iterable[str], host: InstanceGraph) -> dict[str, str]:
     return out
 
 
+def _rewrite(
+    rule: Rule, at: Morphism, old: str, new: str
+) -> tuple[InstanceGraph, dict[str, str], dict[str, str]]:
+    """Rewrite the host at `at`, a placement of the rule's `old` side: remove
+    the images of the `old`-tagged elements, then add fresh copies of the
+    `new`-tagged ones.
+
+    `apply` reads the rule left to right (DELETE to CREATE at a match) and
+    `apply_inverse` right to left (CREATE to DELETE at a comatch).  The
+    caller has checked that no host edge dangles.  Returns the result and
+    the node and edge images of the rule's `new` side in it.
+    """
+    host, node_map, edge_map, tags = at.target, at.node_map, at.edge_map, rule.tags
+    new_nodes, new_edges = rule.tagged(new, nodes=True), rule.tagged(new, nodes=False)
+    stripped = host.remove(
+        [node_map[n] for n in rule.tagged(old, nodes=True)],
+        [edge_map[e] for e in rule.tagged(old, nodes=False)],
+    )
+    fresh = _fresh_ids(new_nodes + new_edges, host)
+    side = rule.rhs if new == CREATE else rule.lhs
+    nodes = {n: fresh[n] if tags[n] == new else node_map[n] for n in side.nodes}
+    edges = {e: fresh[e] if tags[e] == new else edge_map[e] for e in side.edges}
+    added_edges = {}
+    for e in new_edges:
+        edge = rule.edges[e]
+        added_edges[fresh[e]] = Edge(edge.type, nodes[edge.src], nodes[edge.tgt])
+    result = stripped.add({fresh[n]: rule.nodes[n] for n in new_nodes}, added_edges)
+    return result, nodes, edges
+
+
 def apply(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformation:
     """Apply the rule at an injective match of its left-hand side.
 
-    The match is valid, so the comatch is too and the intermediate graph
-    embeds in host and result: both skip their checks.
+    The match is valid, so the comatch is too and skips its checks.
     """
     if match.source != rule.lhs or match.target != host:
         raise GraphError(f"match does not connect {rule.name}'s pattern to the host")
-    deleted_nodes = rule.deleted_nodes()
     edge = dangling_edge(
-        host, [match.node_map[n] for n in deleted_nodes], match.edge_image()
+        host, [match.node_map[n] for n in rule.deleted_nodes()], match.edge_image()
     )
     if edge is not None:
         raise NotApplicableError(
             f"rule {rule.name} not applicable: host edge {edge} would dangle"
         )
-
-    intermediate = host.remove(
-        (match.node_map[n] for n in deleted_nodes),
-        (match.edge_map[e] for e in rule.deleted_edges()),
-    )
-
-    fresh = _fresh_ids(rule.created_nodes() + rule.created_edges(), host)
-
-    def image(node: str) -> str:
-        return fresh[node] if rule.tags[node] == CREATE else match.node_map[node]
-
-    new_nodes = {fresh[n]: rule.nodes[n] for n in rule.created_nodes()}
-    new_edges = {
-        fresh[e]: Edge(rule.edges[e].type, image(rule.edges[e].src), image(rule.edges[e].tgt))
-        for e in rule.created_edges()
-    }
-    result = intermediate.add(new_nodes, new_edges)
-
-    comatch = Morphism._trusted(
-        rule.rhs,
-        result,
-        {n: image(n) for n in rule.rhs.nodes},
-        {
-            e: (fresh[e] if rule.tags[e] == CREATE else match.edge_map[e])
-            for e in rule.rhs.edges
-        },
-    )
-    return DirectTransformation._trusted(
-        rule, host, match, intermediate, result, comatch
-    )
+    result, nodes, edges = _rewrite(rule, match, DELETE, CREATE)
+    comatch = Morphism._trusted(rule.rhs, result, nodes, edges)
+    return DirectTransformation(rule, host, match, result, comatch)
 
 
 def apply_inverse(rule: Rule, host: InstanceGraph, comatch: Morphism) -> InstanceGraph:
@@ -291,28 +261,14 @@ def apply_inverse(rule: Rule, host: InstanceGraph, comatch: Morphism) -> Instanc
     """
     if comatch.source != rule.rhs or comatch.target != host:
         raise GraphError(f"comatch does not connect {rule.name}'s result side to the host")
-    created_images = [comatch.node_map[n] for n in rule.created_nodes()]
-    edge = dangling_edge(host, created_images, comatch.edge_image())
+    edge = dangling_edge(
+        host, [comatch.node_map[n] for n in rule.created_nodes()], comatch.edge_image()
+    )
     if edge is not None:
         raise NotReversibleError(
             f"rule {rule.name} not reversible: host edge {edge} touches a created node"
         )
-
-    stripped = host.remove(
-        created_images, (comatch.edge_map[e] for e in rule.created_edges())
-    )
-
-    fresh = _fresh_ids(rule.deleted_nodes() + rule.deleted_edges(), host)
-
-    def image(node: str) -> str:
-        return fresh[node] if rule.tags[node] == DELETE else comatch.node_map[node]
-
-    old_nodes = {fresh[n]: rule.nodes[n] for n in rule.deleted_nodes()}
-    old_edges = {
-        fresh[e]: Edge(rule.edges[e].type, image(rule.edges[e].src), image(rule.edges[e].tgt))
-        for e in rule.deleted_edges()
-    }
-    return stripped.add(old_nodes, old_edges)
+    return _rewrite(rule, comatch, CREATE, DELETE)[0]
 
 
 def transformations(rule: Rule, host: InstanceGraph) -> list[DirectTransformation]:
@@ -424,6 +380,7 @@ def rule_from_doc(doc: dict, typegraph: TypeGraph) -> Rule:
         raise GraphError(f"malformed rule document: {exc}") from exc
     if not isinstance(name, str):
         raise GraphError(f"malformed rule document: rule name {name!r} is not a string")
+    what = f"malformed rule document: rule {name}"
     actor = doc.get("actor")
     if actor is not None and not isinstance(actor, str):
         raise GraphError(f"malformed rule document: rule {name}: actor must be a node id")
@@ -456,8 +413,8 @@ def rule_from_doc(doc: dict, typegraph: TypeGraph) -> Rule:
         kind=doc.get("kind", "mutation"),
         call=call,
         actor=actor,
-        setup_only=bool(doc.get("setup_only", False)),
-        skeleton=bool(doc.get("skeleton", False)),
+        setup_only=_boolean(doc.get("setup_only", False), f"{what}: setup_only"),
+        skeleton=_boolean(doc.get("skeleton", False), f"{what}: skeleton"),
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .core import GraphError, TypeGraph
+from .core import GraphError, TypeGraph, _boolean
 from .dependency import (
     DependencyReason,
     dependency_reasons,
@@ -222,8 +222,10 @@ def ledger_from_doc(doc: object) -> list[ReviewEntry]:
                     reason_id=item["reason_id"],
                     status=item["status"],
                     rationale=item.get("rationale", ""),
-                    policy_stable_under_shift=bool(
-                        item.get("policy_stable_under_shift", False)
+                    policy_stable_under_shift=_boolean(
+                        item.get("policy_stable_under_shift", False),
+                        f"review ledger entry {item.get('reason_id')!r}: "
+                        "policy_stable_under_shift",
                     ),
                 )
             )

@@ -86,6 +86,20 @@ def collab_policy() -> PolicyAnnotation:
     return PolicyAnnotation.from_doc(_collab_doc("policy.json"))
 
 
+def policy_to_doc(policy: PolicyAnnotation) -> dict:
+    """The policy document `PolicyAnnotation.from_doc` reads."""
+    doc: dict = {
+        "rules": {
+            rule: {"allowed": list(roles)} for rule, roles in sorted(policy.allowed.items())
+        }
+    }
+    for rule in policy.creator_only:
+        doc["rules"].setdefault(rule, {})["creator_only"] = True
+    for rule in policy.non_monotone:
+        doc["rules"].setdefault(rule, {})["non_monotone"] = True
+    return doc
+
+
 def collab_tainted_typegraph() -> TaintedTypeGraph:
     tainted = _collab_doc("taint.json")["tainted_types"]
     return TaintedTypeGraph(collab_typegraph(), tuple(tainted))

@@ -269,6 +269,20 @@ def _as_list(doc):
     return []
 
 
+def _set(value, *path):
+    """A damage that puts `value` at the key `path` of the document."""
+
+    def damage(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+
+    damage.__name__ = f"_set_{'.'.join(map(str, path))}={json.dumps(value)}"
+    return damage
+
+
 def _as_null(doc):
     return None
 
@@ -291,6 +305,29 @@ def _as_null(doc):
         ("ledger.json", "plan-tests", _break_reason_id),
         ("plan.json", "check-coverage", _break_step_role),
         ("initial.json", "plan-tests", _break_node_id),
+        # a flag must be a JSON boolean: `bool("false")` is true
+        ("rules.json", "analyze", _set("false", "rules", 0, "setup_only")),
+        ("rules.json", "analyze", _set("false", "rules", 0, "skeleton")),
+        ("plan.json", "check-coverage", _set("false", "tests", 0, "expected_access")),
+        ("plan.json", "check-coverage", _set("false", "tests", 0, "steps", 0, "setup")),
+        ("ledger.json", "plan-tests", _set("false", 0, "policy_stable_under_shift")),
+        ("policy.json", "plan-tests", _set("false", "rules", "createIssue", "creator_only")),
+        ("policy.json", "plan-tests", _set(0, "rules", "createIssue", "non_monotone")),
+        (
+            "mock.json",
+            "mock-serve",
+            _set("false", "policies", "bearer", "rules", "createIssue", "creator_only"),
+        ),
+        # plan test entries that once crashed `check-coverage`
+        ("plan.json", "check-coverage", _set([["Owner"]], "tests", 0, "covered_role_pairs")),
+        ("plan.json", "check-coverage", _set([["a", "b", "c"]], "tests", 0, "covered_role_pairs")),
+        ("plan.json", "check-coverage", _set([[["a"], "b"]], "tests", 0, "covered_role_pairs")),
+        ("plan.json", "check-coverage", _set(5, "tests", 0, "id")),
+        ("plan.json", "check-coverage", _set([], "tests", 0, "kind")),
+        ("plan.json", "check-coverage", _set([5], "tests", 0, "covered_reasons")),
+        ("plan.json", "check-coverage", _set("r#0", "tests", 0, "covered_reasons")),
+        ("plan.json", "check-coverage", _set([["a"]], "negative_infeasible")),
+        ("plan.json", "check-coverage", _set("note", "notes")),
     ],
 )
 def test_malformed_document_exits_2_naming_the_file(

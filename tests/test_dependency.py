@@ -5,27 +5,49 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphbac.core import Edge, EdgeType, GraphError, InstanceGraph, TypeGraph, enumerate_matches
+from graphbac.core import (
+    Edge,
+    EdgeType,
+    GraphError,
+    InstanceGraph,
+    Morphism,
+    TypeGraph,
+    check_dangling,
+    dangling_edge,
+    enumerate_matches,
+)
 from graphbac.dependency import (
     INDEPENDENT,
     PRODUCE_USE,
     USE_DELETE,
+    DependencyReason,
+    _context_identifications,
+    _glue,
+    _part_graph,
     classify_transformation_pair,
-    creation_profile,
     delete_overlap_reasons,
-    deletion_profile,
     dependency_reasons,
     extract_reason,
     reason_from_doc,
     reason_to_doc,
     universally_sequentially_independent,
 )
-from graphbac.rules import Rule, apply
+from graphbac.rules import (
+    CREATE,
+    DELETE,
+    NotApplicableError,
+    NotReversibleError,
+    Rule,
+    _fresh_ids,
+    apply,
+    apply_inverse,
+)
 
 from fixtures import (
     analyzed_collab_rules,
@@ -66,19 +88,25 @@ def analysis(rules):
     return _all_reasons(rules)
 
 
+def _untagged(rule, graph, tag):
+    """The elements of a part graph that do not carry the tag."""
+    return {x for x in (*graph.nodes, *graph.edges) if rule.tags[x] != tag}
+
+
 def test_creation_profile_shape(rules):
-    profile = creation_profile(rules["createRepo"])
-    assert set(profile.creation.nodes) == {"u", "r"}
-    assert set(profile.creation.edges) == {"repos", "owner"}
-    assert set(profile.boundary.nodes) == {"u"}
-    assert not profile.boundary.edges
+    rule = rules["createRepo"]
+    creation = _part_graph(rule, CREATE)
+    assert set(creation.nodes) == {"u", "r"}
+    assert set(creation.edges) == {"repos", "owner"}
+    assert _untagged(rule, creation, CREATE) == {"u"}
 
 
 def test_deletion_profile_shape(rules):
-    profile = deletion_profile(rules["deleteProject"])
-    assert set(profile.creation.nodes) == {"u", "p"}
-    assert set(profile.creation.edges) == {"projects"}
-    assert set(profile.boundary.nodes) == {"u"}
+    rule = rules["deleteProject"]
+    deletion = _part_graph(rule, DELETE)
+    assert set(deletion.nodes) == {"u", "p"}
+    assert set(deletion.edges) == {"projects"}
+    assert _untagged(rule, deletion, DELETE) == {"u"}
 
 
 def test_dependency_graph_exact_edge_set(analysis):
@@ -358,3 +386,251 @@ def test_random_pairs_independence_matches_concrete_reversal(seed):
             except GraphError:
                 continue
             assert classify_transformation_pair(t1, t2) == INDEPENDENT
+
+
+# ---- differential check of the merged rule directions ----------------------
+#
+# `apply` and `apply_inverse` share one rewrite, and produce-use reasons and
+# delete overlaps share one enumerator.  The reference below is the code
+# those replaced, kept verbatim but for two changes: `_ref_apply` returns
+# (result, comatch) in place of a step that also held the intermediate
+# graph, and the spans come from a (graph, boundary) pair in place of the
+# profile record.  `_realize` is rebuilt on the reference inverse, so the
+# reference shares only `_glue` and `_context_identifications`, which the
+# merge left alone.
+
+
+def _ref_apply(rule, host, match):
+    if match.source != rule.lhs or match.target != host:
+        raise GraphError(f"match does not connect {rule.name}'s pattern to the host")
+    deleted_nodes = rule.deleted_nodes()
+    edge = dangling_edge(
+        host, [match.node_map[n] for n in deleted_nodes], match.edge_image()
+    )
+    if edge is not None:
+        raise NotApplicableError(
+            f"rule {rule.name} not applicable: host edge {edge} would dangle"
+        )
+
+    intermediate = host.remove(
+        (match.node_map[n] for n in deleted_nodes),
+        (match.edge_map[e] for e in rule.deleted_edges()),
+    )
+
+    fresh = _fresh_ids(rule.created_nodes() + rule.created_edges(), host)
+
+    def image(node):
+        return fresh[node] if rule.tags[node] == CREATE else match.node_map[node]
+
+    new_nodes = {fresh[n]: rule.nodes[n] for n in rule.created_nodes()}
+    new_edges = {
+        fresh[e]: Edge(rule.edges[e].type, image(rule.edges[e].src), image(rule.edges[e].tgt))
+        for e in rule.created_edges()
+    }
+    result = intermediate.add(new_nodes, new_edges)
+
+    comatch = Morphism(
+        rule.rhs,
+        result,
+        {n: image(n) for n in rule.rhs.nodes},
+        {
+            e: (fresh[e] if rule.tags[e] == CREATE else match.edge_map[e])
+            for e in rule.rhs.edges
+        },
+    )
+    return result, comatch
+
+
+def _ref_apply_inverse(rule, host, comatch):
+    if comatch.source != rule.rhs or comatch.target != host:
+        raise GraphError(f"comatch does not connect {rule.name}'s result side to the host")
+    created_images = [comatch.node_map[n] for n in rule.created_nodes()]
+    edge = dangling_edge(host, created_images, comatch.edge_image())
+    if edge is not None:
+        raise NotReversibleError(
+            f"rule {rule.name} not reversible: host edge {edge} touches a created node"
+        )
+
+    stripped = host.remove(
+        created_images, (comatch.edge_map[e] for e in rule.created_edges())
+    )
+
+    fresh = _fresh_ids(rule.deleted_nodes() + rule.deleted_edges(), host)
+
+    def image(node):
+        return fresh[node] if rule.tags[node] == DELETE else comatch.node_map[node]
+
+    old_nodes = {fresh[n]: rule.nodes[n] for n in rule.deleted_nodes()}
+    old_edges = {
+        fresh[e]: Edge(rule.edges[e].type, image(rule.edges[e].src), image(rule.edges[e].tgt))
+        for e in rule.deleted_edges()
+    }
+    return stripped.add(old_nodes, old_edges)
+
+
+def _ref_profile(rule, side, tag):
+    nodes = set(rule.tagged(tag, nodes=True))
+    edges = set(rule.tagged(tag, nodes=False))
+    for e in edges:
+        nodes.add(rule.edges[e].src)
+        nodes.add(rule.edges[e].tgt)
+    graph = side.subgraph(nodes, edges)
+    boundary = graph.subgraph({n for n in nodes if rule.tags[n] != tag}, set())
+    return graph, boundary
+
+
+def _ref_spans(graph, boundary):
+    core_ids = (set(graph.nodes) | set(graph.edges)) - (
+        set(boundary.nodes) | set(boundary.edges)
+    )
+    all_edges = sorted(graph.edges)
+    out = []
+    for k in range(len(all_edges) + 1):
+        for chosen_edges in combinations(all_edges, k):
+            forced = set()
+            for e in chosen_edges:
+                forced.add(graph.edges[e].src)
+                forced.add(graph.edges[e].tgt)
+            optional = sorted(set(graph.nodes) - forced)
+            for j in range(len(optional) + 1):
+                for extra in combinations(optional, j):
+                    nodes = forced | set(extra)
+                    elements = nodes | set(chosen_edges)
+                    if not elements or not (elements & core_ids):
+                        continue
+                    out.append(graph.subgraph(nodes, chosen_edges))
+    out.sort(key=lambda g: (len(g.nodes) + len(g.edges), tuple(sorted(g.nodes)), tuple(sorted(g.edges))))
+    return out
+
+
+def _ref_realize(first, second, base):
+    for identification in _context_identifications(first, second.lhs, base):
+        glued, first_in, second_in = _glue(first.rhs, second.lhs, identification)
+        try:
+            _ref_apply_inverse(first, glued, first_in)
+        except NotReversibleError:
+            continue
+        if not check_dangling(second_in, second.deleted_nodes()):
+            continue
+        return glued, first_in, second_in
+    return None
+
+
+def _ref_reason(reason_id, source, sink, span, embedding, tainted=None):
+    sink_to_source = {
+        image: x for x, image in {**embedding.node_map, **embedding.edge_map}.items()
+    }
+    outcome = _ref_realize(source, sink, sink_to_source)
+    if outcome is None:
+        return None
+    glued, source_in, sink_in = outcome
+    return DependencyReason(
+        id=reason_id,
+        source_rule=source.name,
+        sink_rule=sink.name,
+        span=span,
+        into_sink=embedding,
+        glued=glued,
+        source_comatch=source_in,
+        sink_match=sink_in,
+        tainted=tainted,
+    )
+
+
+def _ref_dependency_reasons(source, sink):
+    if source.typegraph != sink.typegraph:
+        raise GraphError("rules are typed over different type graphs")
+    reasons = []
+    seen = set()
+    for span in _ref_spans(*_ref_profile(source, source.rhs, CREATE)):
+        for embedding in enumerate_matches(span, sink.lhs):
+            reason = _ref_reason(
+                f"{source.name}->{sink.name}#{len(reasons)}", source, sink, span, embedding
+            )
+            if reason is None:
+                continue
+            key = (
+                frozenset(span.nodes),
+                frozenset(span.edges),
+                tuple(sorted(embedding.node_map.items())),
+                tuple(sorted(embedding.edge_map.items())),
+            )
+            if key in seen:
+                raise AssertionError("duplicate span enumerated")
+            seen.add(key)
+            reasons.append(reason)
+    return reasons
+
+
+def _ref_delete_overlap_reasons(first, second):
+    if first.typegraph != second.typegraph:
+        raise GraphError("rules are typed over different type graphs")
+    witnesses = []
+    for span in _ref_spans(*_ref_profile(second, second.lhs, DELETE)):
+        for embedding in enumerate_matches(span, first.rhs):
+            outcome = _ref_realize(first, second, {**embedding.node_map, **embedding.edge_map})
+            if outcome is None:
+                continue
+            witnesses.append(
+                {
+                    "first_rule": first.name,
+                    "second_rule": second.name,
+                    "span_nodes": sorted(span.nodes),
+                    "span_edges": sorted(span.edges),
+                    "glued": outcome[0],
+                }
+            )
+    return witnesses
+
+
+def _outcome(call):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _maps(m):
+    return m.node_map, m.edge_map
+
+
+def _same_rewrites(rule, host):
+    """Every step and inverse step of the rule on the host agree with the
+    reference; returns the step results, to rewrite further."""
+    results = []
+    for match in enumerate_matches(rule.lhs, host):
+        ref = _outcome(lambda: _ref_apply(rule, host, match))
+        got = _outcome(lambda: apply(rule, host, match))
+        if isinstance(got, tuple):
+            assert got == ref
+            continue
+        assert (got.result, _maps(got.comatch)) == (ref[0], _maps(ref[1]))
+        results.append(got.result)
+    for target in (host, *results):
+        for comatch in enumerate_matches(rule.rhs, target):
+            assert _outcome(lambda: apply_inverse(rule, target, comatch)) == _outcome(
+                lambda: _ref_apply_inverse(rule, target, comatch)
+            )
+    return results
+
+
+def test_merged_directions_agree_with_the_separate_ones():
+    for seed in range(300):
+        rng = random.Random(seed)
+        tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
+        r1 = random_rule(rng, tg, name="r1", max_nodes=3, max_edges=3)
+        r2 = random_rule(rng, tg, name="r2", max_nodes=3, max_edges=3)
+        for first, second in ((r1, r2), (r2, r1)):
+            got = dependency_reasons(first, second)
+            ref = _ref_dependency_reasons(first, second)
+            assert [reason_to_doc(r) for r in got] == [reason_to_doc(r) for r in ref], seed
+            assert [(_maps(r.source_comatch), _maps(r.sink_match)) for r in got] == [
+                (_maps(r.source_comatch), _maps(r.sink_match)) for r in ref
+            ], seed
+            assert delete_overlap_reasons(first, second) == _ref_delete_overlap_reasons(
+                first, second
+            ), seed
+        host = host_with_embedded_lhs(rng, r1, extra_nodes=2, extra_edges=2)
+        for result in _same_rewrites(r1, host):
+            _same_rewrites(r2, result)

@@ -9,7 +9,13 @@ import urllib.request
 from pathlib import Path
 
 import pytest
-from fixtures import collab_policy, collab_roles, collab_rules, collab_typegraph
+from fixtures import (
+    collab_policy,
+    collab_roles,
+    collab_rules,
+    collab_typegraph,
+    policy_to_doc,
+)
 
 from graphbac.core import GraphError, InstanceGraph, enumerate_matches
 from graphbac.mockserver import (
@@ -217,8 +223,8 @@ def test_config_document_round_trip():
             "tok-fine": {"role": "Collaborator", "scheme": "fine-grained"},
         },
         "policies": {
-            "bearer": collab_policy().to_doc(),
-            "fine-grained": collab_policy().to_doc(),
+            "bearer": policy_to_doc(collab_policy()),
+            "fine-grained": policy_to_doc(collab_policy()),
         },
         "faults": [{"kind": "drop_check", "rule": "updateIssue"}],
     }

@@ -13,6 +13,7 @@ from fixtures import (
     collab_rules,
     collab_tainted_typegraph,
     collab_typegraph,
+    policy_to_doc,
     reviewed_collab_flow,
 )
 from hypothesis import given, settings
@@ -108,7 +109,7 @@ def test_policy_roundtrip():
         creator_only=("b",),
         non_monotone=("a",),
     )
-    assert PolicyAnnotation.from_doc(json.loads(json.dumps(policy.to_doc()))) == policy
+    assert PolicyAnnotation.from_doc(json.loads(json.dumps(policy_to_doc(policy)))) == policy
 
 
 def test_synthesize_setup_prefixes():
@@ -181,7 +182,7 @@ def test_flow_negative_denies_highest_denied_role(plan):
     negatives_on_update_issue = [
         t
         for t in plan.tests
-        if not t.expected_access and t.sink_rule == "updateIssue"
+        if not t.expected_access and t.steps[-1].rule == "updateIssue"
     ]
     assert negatives_on_update_issue == [test]
     deleted = _planned(plan, "flow-neg:createIssue->deleteIssue#0")

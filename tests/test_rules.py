@@ -20,7 +20,6 @@ from graphbac.core import (
 )
 from graphbac.rules import (
     CallSpec,
-    DirectTransformation,
     NotApplicableError,
     NotReversibleError,
     Rule,
@@ -127,7 +126,7 @@ def test_apply_read_rule_is_identity():
     (match,) = enumerate_matches(rule.lhs, host)
     step = apply(rule, host, match)
     assert step.result == host
-    assert step.intermediate == host
+    assert not step.created_ids() and not step.deleted_ids()
     assert step.comatch.node_map == match.node_map
     assert step.comatch.edge_map == match.edge_map
 
@@ -259,14 +258,15 @@ def test_frame_property(seed):
             step = apply(rule, host, match)
         except NotApplicableError:
             continue
-        assert set(step.intermediate.nodes) == set(host.nodes) - step.deleted_node_ids()
-        assert set(step.intermediate.edges) == set(host.edges) - step.deleted_edge_ids()
-        for n, t in step.intermediate.nodes.items():
-            assert host.nodes[n] == t and step.result.nodes[n] == t
-        for e, d in step.intermediate.edges.items():
-            assert host.edges[e] == d and step.result.edges[e] == d
-        assert set(step.result.nodes) == set(step.intermediate.nodes) | step.created_node_ids()
-        assert set(step.result.edges) == set(step.intermediate.edges) | step.created_edge_ids()
+        kept_nodes = set(host.nodes) - step.deleted_ids()
+        kept_edges = set(host.edges) - step.deleted_ids()
+        for n in kept_nodes:
+            assert step.result.nodes[n] == host.nodes[n]
+        for e in kept_edges:
+            assert step.result.edges[e] == host.edges[e]
+        created_edges = step.created_ids() - step.created_node_ids()
+        assert set(step.result.nodes) == kept_nodes | step.created_node_ids()
+        assert set(step.result.edges) == kept_edges | created_edges
 
 
 def revalidated_graph(graph: InstanceGraph) -> InstanceGraph:
@@ -303,14 +303,7 @@ def test_steps_pass_full_validation(seed):
                     step = apply(rule, host, match)
                 except NotApplicableError:
                     continue
-                DirectTransformation(
-                    rule,
-                    host,
-                    match,
-                    revalidated_graph(step.intermediate),
-                    revalidated_graph(step.result),
-                    revalidated_morphism(step.comatch),
-                )
+                revalidated_morphism(step.comatch)
                 steps.append(step)
             for comatch in iter_matches(rule.rhs, host):
                 try:
