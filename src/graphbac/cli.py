@@ -18,16 +18,18 @@ itself failed (an internal error, reported with its traceback).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 import traceback
 from contextlib import contextmanager
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .core import GraphError, InstanceGraph, TypeGraph, _boolean
-from .dependency import reason_to_doc
+from .dependency import reason_from_doc, reason_to_doc
 from .mockserver import serve, target_from_doc
 from .oracle import run_oracle
 from .planner import (
@@ -53,6 +55,7 @@ from .runner import (
 )
 from .schema import SchemaModel, derive_rule_skeletons, parse_sdl, to_type_graph
 from .taint import (
+    PairVerdicts,
     TaintedFlow,
     TaintedGraphAPI,
     TaintedTypeGraph,
@@ -62,6 +65,7 @@ from .taint import (
     init_review_entries,
     ledger_from_doc,
     ledger_to_doc,
+    pair_verdicts,
     tainted_flow,
 )
 
@@ -85,6 +89,10 @@ _DEFAULT_PATHS = {
     "report": "report.json",
 }
 _SETTINGS = ("endpoint", "schemes", "matcher", "timeout", "cleanup", "include_inputs")
+# The modules whose code decides the analysis and the documents that hold
+# it; `analyze` records a digest of their source in the analysis sidecar.
+_ANALYSIS_MODULES = ("core.py", "rules.py", "dependency.py", "taint.py", "cli.py")
+_RERUN = "run `graphbac analyze`"
 
 
 def _read(path: Path) -> str:
@@ -97,11 +105,25 @@ def _read(path: Path) -> str:
 
 
 def _load_json(path: Path) -> object:
-    text = _read(path)
+    return _parse_json(path, _read(path))
+
+
+def _parse_json(path: Path, text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@cache
+def _analysis_code_sha256() -> str:
+    """sha256 over the source of the modules that run the analysis."""
+    here = Path(__file__).parent
+    return _sha256("".join((here / name).read_text() for name in _ANALYSIS_MODULES))
 
 
 @contextmanager
@@ -116,9 +138,79 @@ def _file_context(path: Path) -> Iterator[None]:
         raise
 
 
-def _write_doc(path: Path, doc: object) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _write_doc(path: Path, doc: object) -> str:
+    """Write the document and return the text written."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    path.write_text(text)
     print(f"wrote {path}")
+    return text
+
+
+class Analysis:
+    """A project's static analysis: its API, the verdicts of every ordered
+    pair of analyzed rules, and the unreviewed tainted flow, which is built
+    (or loaded) on first use."""
+
+    def __init__(
+        self,
+        api: TaintedGraphAPI,
+        verdicts: PairVerdicts,
+        build_flow: Callable[[], TaintedFlow],
+    ):
+        self.api = api
+        self.verdicts = verdicts
+        self._build_flow = build_flow
+
+    @cached_property
+    def flow(self) -> TaintedFlow:
+        return self._build_flow()
+
+
+def _analysis_doc(flow: TaintedFlow) -> dict:
+    """The `analysis.json` document of an unreviewed flow."""
+    api = flow.api
+    return {
+        "tainted_types": list(api.tainted_typegraph.tainted),
+        "sources": {t: list(names) for t, names in sorted(api.sources.items())},
+        "sinks": {t: list(names) for t, names in sorted(api.sinks.items())},
+        "pairs": [
+            {
+                "source": source,
+                "sink": sink,
+                "reasons": [reason_to_doc(r) for r in flow.reasons_for(source, sink)],
+            }
+            for source, sink in flow.pairs()
+        ],
+    }
+
+
+def _flow_from_doc(
+    doc: object, api: TaintedGraphAPI, verdicts: PairVerdicts
+) -> TaintedFlow:
+    """The flow an `analysis.json` document holds, each reason re-certified
+    by `reason_from_doc`.  In order, it must hold as many reasons for each
+    pair of the API as the verdicts count, with their positional ids."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
+        raise GraphError("analysis document must have a pairs array")
+    rules = {r.name: r for r in api.rules}
+    reasons = []
+    for entry in doc["pairs"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("reasons"), list):
+            raise GraphError("each analysis pair must be an object with a reasons array")
+        reasons += [reason_from_doc(item, rules) for item in entry["reasons"]]
+    expected = [
+        (f"{source}->{sink}#{i}", source, sink)
+        for source, sink in api.pairs()
+        for i in range(verdicts.reason_count(rules[source], rules[sink]))
+    ]
+    if [(r.id, r.source_rule, r.sink_rule) for r in reasons] != expected:
+        raise GraphError(
+            "its reasons are not those of the analysis sidecar's verdicts; " + _RERUN
+        )
+    for r in reasons:
+        if not isinstance(r.tainted, bool):
+            raise GraphError(f"reason {r.id}: tainted must be true or false")
+    return TaintedFlow(api=api, reasons=tuple(reasons))
 
 
 class Project:
@@ -226,9 +318,78 @@ class Project:
     def api(self) -> TaintedGraphAPI:
         return classify_sources_sinks(self.analyzed_rules(), self.tainted_typegraph())
 
+    # ---- the analysis ----------------------------------------------------
+
+    def analysis_lock_path(self) -> Path:
+        """The analysis sidecar, beside `analysis.json`."""
+        return self.path("analysis").with_suffix(".lock.json")
+
+    def analysis_inputs_sha256(self) -> str:
+        """sha256 over what the analysis depends on: the type graph, the
+        rules, the tainted types and the source of the analysis code."""
+        inputs = {
+            "typegraph": self.typegraph().to_doc(),
+            "rules": rules_to_doc(self.rules()),
+            "tainted_types": list(self.tainted_typegraph().tainted),
+            "code_sha256": _analysis_code_sha256(),
+        }
+        return _sha256(json.dumps(inputs, sort_keys=True))
+
+    def analysis(self) -> Analysis:
+        """The analysis the stages after `analyze` read, once per command.
+
+        Without a sidecar it is computed now, as `analyze` computes it.
+        With one, the verdicts come from the sidecar and the flow from
+        `analysis.json`; a sidecar whose digests no longer match the
+        inputs or `analysis.json` is an error that asks for `analyze`.
+        The input documents are parsed first, so that a damaged one names
+        its own file.
+        """
+        api = self.api()
+        lock_path = self.analysis_lock_path()
+        if not lock_path.exists():
+            return Analysis(api, PairVerdicts(), lambda: tainted_flow(api))
+        lock = _load_json(lock_path)
+        analysis_path = self.path("analysis")
+        with _file_context(lock_path):
+            digests = ("inputs_sha256", "analysis_sha256")
+            if not isinstance(lock, dict) or not all(
+                isinstance(lock.get(key), str) for key in digests
+            ):
+                raise GraphError(
+                    "analysis sidecar must hold the inputs_sha256 and "
+                    f"analysis_sha256 digests; {_RERUN}"
+                )
+            if lock["inputs_sha256"] != self.analysis_inputs_sha256():
+                raise GraphError(
+                    "out of date: the type graph, rules, tainted types or "
+                    f"analysis code changed since it was written; {_RERUN}"
+                )
+            if not analysis_path.exists():
+                raise GraphError(f"{analysis_path.name} is missing; {_RERUN}")
+            text = _read(analysis_path)
+            if lock["analysis_sha256"] != _sha256(text):
+                raise GraphError(
+                    f"out of date: {analysis_path.name} changed since it was "
+                    f"written; {_RERUN}"
+                )
+            try:
+                verdicts = PairVerdicts.from_doc(
+                    lock.get("pairs"), [r.name for r in api.rules]
+                )
+            except GraphError as exc:
+                raise GraphError(f"{exc}; {_RERUN}") from exc
+
+        def load_flow() -> TaintedFlow:
+            with _file_context(analysis_path):
+                return _flow_from_doc(_parse_json(analysis_path, text), api, verdicts)
+
+        return Analysis(api, verdicts, load_flow)
+
     def flow(self, reviewed: bool = True) -> TaintedFlow:
-        """The tainted flow, with the review ledger applied when it exists."""
-        flow = tainted_flow(self.api())
+        """The analysis's tainted flow, with the review ledger applied when
+        it exists."""
+        flow = self.analysis().flow
         ledger_path = self.path("ledger")
         if reviewed and ledger_path.exists():
             entries = self._parsed(ledger_path, ledger_from_doc)
@@ -312,21 +473,9 @@ def cmd_derive_rules(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
-    flow = project.flow(reviewed=False)
+    flow = tainted_flow(project.api())
+    verdicts = pair_verdicts(flow)
     api = flow.api
-    doc = {
-        "tainted_types": list(api.tainted_typegraph.tainted),
-        "sources": {t: list(names) for t, names in sorted(api.sources.items())},
-        "sinks": {t: list(names) for t, names in sorted(api.sinks.items())},
-        "pairs": [
-            {
-                "source": source,
-                "sink": sink,
-                "reasons": [reason_to_doc(r) for r in flow.reasons_for(source, sink)],
-            }
-            for source, sink in flow.pairs()
-        ],
-    }
     tainted = sum(1 for r in flow.reasons if r.tainted)
     print(
         f"analyzed {len(api.rules)} rules over "
@@ -338,7 +487,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         count = len(flow.reasons_for(source, sink))
         label = "reason" if count == 1 else "reasons"
         print(f"  {source} -> {sink}  ({count} {label})")
-    _write_doc(project.path("analysis"), doc)
+    text = _write_doc(project.path("analysis"), _analysis_doc(flow))
+    _write_doc(
+        project.analysis_lock_path(),
+        {
+            "inputs_sha256": project.analysis_inputs_sha256(),
+            "analysis_sha256": _sha256(text),
+            "pairs": verdicts.to_doc(),
+        },
+    )
     return 0
 
 
@@ -386,8 +543,10 @@ def cmd_review_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_check_theorem(args: argparse.Namespace) -> int:
-    project = Project.load(args.project)
-    check = check_theorem_conditions(project.api(), args.source, args.sink)
+    analysis = Project.load(args.project).analysis()
+    check = check_theorem_conditions(
+        analysis.api, args.source, args.sink, analysis.verdicts
+    )
     reasons = "reason" if check.reason_count == 1 else "reasons"
     print(f"{check.source} -> {check.sink}: {check.reason_count} dependency {reasons}")
     if check.condition1_holds:

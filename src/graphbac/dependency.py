@@ -426,18 +426,29 @@ def reason_to_doc(reason: DependencyReason) -> dict:
 
 
 def reason_from_doc(doc: dict, rules_by_name: dict[str, Rule]) -> DependencyReason:
+    """The reason a `reason_to_doc` document describes, certified again: its
+    span must embed into the sink pattern and be realizable for these rules."""
     try:
+        reason_id = doc["id"]
         source = rules_by_name[doc["source_rule"]]
         sink = rules_by_name[doc["sink_rule"]]
         span_nodes = [n["id"] for n in doc["span"]["nodes"]]
         span_edges = [e["id"] for e in doc["span"]["edges"]]
         embedding_nodes = dict(doc["embedding"]["nodes"])
         embedding_edges = dict(doc["embedding"]["edges"])
-    except KeyError as exc:
+        tainted = doc.get("tainted")
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed reason document: {exc}") from exc
+    ids = [reason_id, *span_nodes, *span_edges]
+    for mapping in (embedding_nodes, embedding_edges):
+        ids += [*mapping, *mapping.values()]
+    if not all(isinstance(x, str) for x in ids):
+        raise GraphError(f"reason {reason_id!r}: every id must be a string")
+    if tainted is not None and not isinstance(tainted, bool):
+        raise GraphError(f"reason {reason_id}: tainted must be true, false or null")
     span = _part_graph(source, CREATE).subgraph(span_nodes, span_edges)
     embedding = Morphism(span, sink.lhs, embedding_nodes, embedding_edges)
-    reason = _reason(doc["id"], source, sink, span, embedding, doc.get("tainted"))
+    reason = _reason(reason_id, source, sink, span, embedding, tainted)
     if reason is None:
-        raise GraphError(f"reason {doc.get('id')} is not realizable for these rules")
+        raise GraphError(f"reason {reason_id} is not realizable for these rules")
     return reason

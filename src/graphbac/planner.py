@@ -66,9 +66,14 @@ class RoleSpec:
         for lo, hi in self.order:
             if lo not in self.roles or hi not in self.roles:
                 raise GraphError(f"order pair ({lo}, {hi}) references unknown role")
-        for role in self.principals:
+        for role, var in self.principals.items():
             if role not in self.roles:
                 raise GraphError(f"principal for unknown role {role}")
+            if not isinstance(var, str):
+                raise GraphError(
+                    f"principal for role {role} must name an environment "
+                    f"variable (a string), not {var!r}"
+                )
         closure = {(r, r) for r in self.roles} | set(self.order)
         changed = True
         while changed:

@@ -266,8 +266,107 @@ class TheoremCheck:
         return self.reason_count == 0 and not self.conclusive
 
 
+@dataclass(frozen=True)
+class PairVerdicts:
+    """Per ordered pair (first, second) of analyzed rules: whether the two
+    are universally sequentially independent, and how many produce-use
+    reasons lead from first to second (0 for an independent pair).
+
+    `entries` maps (first name, second name) to (independent, reason
+    count).  Without entries the overlap engine answers each question when
+    it is asked.
+    """
+
+    entries: dict[tuple[str, str], tuple[bool, int]] | None = None
+
+    def independent(self, first: Rule, second: Rule) -> bool:
+        if self.entries is None:
+            return universally_sequentially_independent(first, second)
+        return self.entries[first.name, second.name][0]
+
+    def reason_count(self, source: Rule, sink: Rule) -> int:
+        if self.entries is None:
+            return len(dependency_reasons(source, sink))
+        return self.entries[source.name, sink.name][1]
+
+    def to_doc(self) -> list[dict]:
+        return [
+            {
+                "first": first,
+                "second": second,
+                "independent": independent,
+                "reasons": count,
+            }
+            for (first, second), (independent, count) in sorted(self.entries.items())
+        ]
+
+    @classmethod
+    def from_doc(cls, doc: object, rule_names: Sequence[str]) -> "PairVerdicts":
+        """Stored verdicts, which must cover exactly the ordered pairs of
+        `rule_names`, self-pairs included."""
+        if not isinstance(doc, list):
+            raise GraphError("pairs must be a list of pair verdicts")
+        entries: dict[tuple[str, str], tuple[bool, int]] = {}
+        for item in doc:
+            if not isinstance(item, dict) or not all(
+                isinstance(item.get(key), str) for key in ("first", "second")
+            ):
+                raise GraphError(
+                    f"pair verdict {item!r} must name its first and second rule"
+                )
+            pair = (item["first"], item["second"])
+            name = " -> ".join(pair)
+            independent, count = item.get("independent"), item.get("reasons")
+            if not isinstance(independent, bool):
+                raise GraphError(f"pair {name}: independent must be true or false")
+            if (
+                isinstance(count, bool)
+                or not isinstance(count, int)
+                or count < 0
+                or (independent and count)
+            ):
+                raise GraphError(
+                    f"pair {name}: reasons must be a count of reasons, "
+                    "0 for an independent pair"
+                )
+            if pair in entries:
+                raise GraphError(f"pair {name} has two verdicts")
+            entries[pair] = (independent, count)
+        expected = {(a, b) for a in rule_names for b in rule_names}
+        missing, extra = sorted(expected - set(entries)), sorted(set(entries) - expected)
+        if missing:
+            raise GraphError(f"no verdict for pair {' -> '.join(missing[0])}")
+        if extra:
+            raise GraphError(
+                f"verdict for pair {' -> '.join(extra[0])} of rules not analyzed"
+            )
+        return cls(entries)
+
+
+def pair_verdicts(flow: TaintedFlow) -> PairVerdicts:
+    """The verdicts of every ordered pair of the flow's rules, self-pairs
+    included.  The flow already holds the reasons of its API's pairs; the
+    engine counts those of any other dependent pair."""
+    pairs = set(flow.api.pairs())
+    entries = {}
+    for first in flow.api.rules:
+        for second in flow.api.rules:
+            independent = universally_sequentially_independent(first, second)
+            if independent:
+                count = 0
+            elif (first.name, second.name) in pairs:
+                count = len(flow.reasons_for(first.name, second.name))
+            else:
+                count = len(dependency_reasons(first, second))
+            entries[first.name, second.name] = (independent, count)
+    return PairVerdicts(entries)
+
+
 def check_theorem_conditions(
-    api: TaintedGraphAPI, source_name: str, sink_name: str
+    api: TaintedGraphAPI,
+    source_name: str,
+    sink_name: str,
+    verdicts: PairVerdicts = PairVerdicts(),
 ) -> TheoremCheck:
     """Evaluate the two sufficient conditions for minimal tests to be conclusive.
 
@@ -276,22 +375,21 @@ def check_theorem_conditions(
     produced before the sink sees it.  Condition 2: every rule other than the
     source is universally sequentially independent of the sink, so nothing
     else can have produced what the sink uses.  Either suffices — under the
-    stability caveat.
+    stability caveat.  `verdicts` answers the independence questions and the
+    pair's reason count, from a stored matrix or from the overlap engine.
     """
     source = api.rule(source_name)
     sink = api.rule(sink_name)
-    c1_failures = []
-    for r in api.rules:
-        if r.name == sink_name:
-            continue
-        if not universally_sequentially_independent(source, r):
-            c1_failures.append(r.name)
-    c2_failures = []
-    for r in api.rules:
-        if r.name == source_name:
-            continue
-        if not universally_sequentially_independent(r, sink):
-            c2_failures.append(r.name)
+    c1_failures = [
+        r.name
+        for r in api.rules
+        if r.name != sink_name and not verdicts.independent(source, r)
+    ]
+    c2_failures = [
+        r.name
+        for r in api.rules
+        if r.name != source_name and not verdicts.independent(r, sink)
+    ]
     return TheoremCheck(
         source=source_name,
         sink=sink_name,
@@ -299,5 +397,5 @@ def check_theorem_conditions(
         condition1_failures=tuple(c1_failures),
         condition2_holds=not c2_failures,
         condition2_failures=tuple(c2_failures),
-        reason_count=len(dependency_reasons(source, sink)),
+        reason_count=verdicts.reason_count(source, sink),
     )

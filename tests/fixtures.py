@@ -11,6 +11,7 @@ project's schema, which also carries attributes.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from graphbac.cli import Project
@@ -26,7 +27,21 @@ from graphbac.taint import (
     tainted_flow,
 )
 
-PROJECTS = Path(__file__).resolve().parent.parent / "projects"
+ROOT = Path(__file__).resolve().parent.parent
+PROJECTS = ROOT / "projects"
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402  (the benchmark's seeded project generator)
+
+# sizes of gen.synthetic_project: the benchmark's pipeline project, and a tiny one
+SYNTHETIC_FULL = {"chain": 5, "hub": 3, "star": 9}
+SYNTHETIC_TINY = {"chain": 2, "hub": 1, "star": 2}
+
+
+def synthetic_project(target: Path, size: dict, seed: int = 3) -> Path:
+    """Write the benchmark's generated chain, hub and star project to `target`."""
+    gen.write_project(gen.synthetic_project(seed, **size), target)
+    return target
 
 
 def _collab_doc(name: str) -> object:

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import socket
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from graphbac import cli
+from graphbac import cli, dependency
 from graphbac.cli import Project, main
 from graphbac.mockserver import start_in_background, target_from_doc
+
+from fixtures import SYNTHETIC_TINY, synthetic_project
 
 PROJECTS = Path(__file__).resolve().parent.parent / "projects"
 
@@ -367,14 +371,21 @@ def test_internal_error_exits_4_with_a_traceback(running_example, capsys, monkey
     assert err.rstrip().endswith("RuntimeError: boom")
 
 
-@pytest.mark.parametrize("command", ["analyze", "plan-tests", "check-coverage"])
-def test_each_document_is_read_once_per_command(running_example, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command", ["analyze", "review apply", "plan-tests", "check-coverage", "check-theorem"]
+)
+@pytest.mark.parametrize("sidecar", [True, False])
+def test_each_document_is_read_once_per_command(
+    running_example, capsys, monkeypatch, command, sidecar
+):
+    if sidecar:
+        _analyzed(running_example, capsys)
     reads: dict[str, int] = {}
-    load_json, parse_sdl, to_type_graph = cli._load_json, cli.parse_sdl, cli.to_type_graph
+    read, parse_sdl, to_type_graph = cli._read, cli.parse_sdl, cli.to_type_graph
 
-    def counted_load(path):
+    def counted_read(path):
         reads[path.name] = reads.get(path.name, 0) + 1
-        return load_json(path)
+        return read(path)
 
     def counted_parse(text):
         reads["<sdl>"] = reads.get("<sdl>", 0) + 1
@@ -384,12 +395,17 @@ def test_each_document_is_read_once_per_command(running_example, monkeypatch, co
         reads["<typegraph>"] = reads.get("<typegraph>", 0) + 1
         return to_type_graph(model, **options)
 
-    monkeypatch.setattr(cli, "_load_json", counted_load)
+    monkeypatch.setattr(cli, "_read", counted_read)
     monkeypatch.setattr(cli, "parse_sdl", counted_parse)
     monkeypatch.setattr(cli, "to_type_graph", counted_derivation)
-    assert main([command, "--project", str(running_example)]) == 0
-    assert {"<sdl>", "<typegraph>", "rules.json"} <= set(reads)
+    argv = LATER.get(command, [command])
+    assert main([*argv, "--project", str(running_example)]) == 0
+    assert {"<sdl>", "<typegraph>", "schema.graphql", "rules.json"} <= set(reads)
     assert all(count == 1 for count in reads.values()), reads
+    # only the stages after `analyze` read the analysis, and only from a sidecar
+    analysis_files = {"analysis.json", "analysis.lock.json"}
+    loads_analysis = sidecar and command != "analyze"
+    assert analysis_files & set(reads) == (analysis_files if loads_analysis else set())
 
 
 # ---- review -------------------------------------------------------------
@@ -457,6 +473,265 @@ def test_check_theorem_exit_reflects_conclusiveness(running_example, capsys):
         "check-theorem", "--project", str(running_example),
         "--source", "ghost", "--sink", "updateRepo",
     ]) == 2
+
+
+# ---- the analysis sidecar ----------------------------------------------
+
+# the commands that read the analysis, and the arguments they need
+LATER = {
+    "review apply": ["review", "apply"],
+    "plan-tests": ["plan-tests"],
+    "check-coverage": ["check-coverage"],
+    "check-theorem": ["check-theorem", "--source", "createRepo", "--sink", "updateRepo"],
+}
+
+
+def _analyzed(project: Path, capsys) -> Path:
+    """Run `analyze` on the project and return its sidecar."""
+    assert main(["analyze", "--project", str(project)]) == 0
+    capsys.readouterr()
+    return project / "analysis.lock.json"
+
+
+def _later(project: Path, command: str) -> int:
+    return main([*LATER[command], "--project", str(project)])
+
+
+def test_analyze_writes_a_sidecar_and_keeps_analysis_json(running_example, capsys):
+    lock = _analyzed(running_example, capsys)
+    doc = json.loads(lock.read_text())
+    analysis = (running_example / "analysis.json").read_text()
+    assert doc["analysis_sha256"] == hashlib.sha256(analysis.encode()).hexdigest()
+    names = [r.name for r in Project.load(running_example).analyzed_rules()]
+    assert len(doc["pairs"]) == len(names) ** 2
+    verdicts = {
+        (p["first"], p["second"]): (p["independent"], p["reasons"]) for p in doc["pairs"]
+    }
+    assert verdicts["createRepo", "updateRepo"] == (False, 1)
+    assert verdicts["createProject", "updateRepo"] == (True, 0)
+    assert verdicts["getProject", "deleteProject"] == (False, 0)  # a delete overlap
+    # a second analysis over the same inputs writes the same bytes
+    first = lock.read_bytes()
+    _analyzed(running_example, capsys)
+    assert lock.read_bytes() == first
+
+
+def _engine_calls(monkeypatch) -> Counter:
+    """Count calls of the overlap engine's entry points from any module."""
+    calls: Counter = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("graphbac")]
+    for name in ("dependency_reasons", "universally_sequentially_independent"):
+        original = getattr(dependency, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            if module.__dict__.get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_fresh_sidecar_runs_no_overlap_search(running_example, capsys, monkeypatch):
+    lock = _analyzed(running_example, capsys)
+    calls = _engine_calls(monkeypatch)
+    for command in LATER:
+        assert _later(running_example, command) == 0, command
+    assert calls == {}
+    lock.unlink()  # without the sidecar, the same commands run the engine
+    for command in LATER:
+        assert _later(running_example, command) == 0, command
+    assert calls["dependency_reasons"] and calls["universally_sequentially_independent"]
+
+
+def _outputs(project: Path, argv: list[str], capsys) -> tuple[int, str, dict]:
+    """Exit code, stdout with the project path taken out, and every file
+    of the project but the sidecar."""
+    code = main([*argv, "--project", str(project)])
+    out = capsys.readouterr().out.replace(str(project), "<project>")
+    files = {
+        p.name: p.read_bytes()
+        for p in sorted(project.iterdir())
+        if p.name != "analysis.lock.json"
+    }
+    return code, out, files
+
+
+@pytest.mark.parametrize("name", ["running-example", "github-issue", "synthetic"])
+def test_the_sidecar_changes_no_output(tmp_path, capsys, name):
+    loaded, computed = tmp_path / "loaded", tmp_path / "computed"
+    if name == "synthetic":
+        synthetic_project(loaded, SYNTHETIC_TINY)
+    else:
+        shutil.copytree(PROJECTS / name, loaded)
+    _analyzed(loaded, capsys)
+    shutil.copytree(loaded, computed)
+    (computed / "analysis.lock.json").unlink()
+    rules = [r.name for r in Project.load(loaded).analyzed_rules()]
+    commands = [["review", "apply"], ["plan-tests"], ["check-coverage"]] + [
+        ["check-theorem", "--source", source, "--sink", sink]
+        for source in rules
+        for sink in rules
+    ]
+    for argv in commands:
+        got = _outputs(loaded, argv, capsys)
+        assert got == _outputs(computed, argv, capsys), argv
+        assert got[0] in (0, 1), argv
+
+
+def _change_rules(project: Path) -> None:
+    doc = json.loads((project / "rules.json").read_text())
+    doc["rules"][1]["call"]["operation"] = "fetchUser"
+    (project / "rules.json").write_text(json.dumps(doc))
+
+
+def _change_taint(project: Path) -> None:
+    (project / "taint.json").write_text('{"tainted_types": ["Issue", "Repository"]}')
+
+
+def _include_inputs(project: Path) -> None:
+    config = json.loads((project / "project.json").read_text())
+    config["include_inputs"] = True
+    (project / "project.json").write_text(json.dumps(config))
+
+
+def _change_analysis(project: Path) -> None:
+    with (project / "analysis.json").open("a") as out:
+        out.write("\n")
+
+
+@pytest.mark.parametrize("command", sorted(LATER))
+@pytest.mark.parametrize(
+    "change", [_change_rules, _change_taint, _include_inputs, _change_analysis]
+)
+def test_a_stale_sidecar_asks_for_analyze(running_example, capsys, command, change):
+    # an input type the type graph gains only with include_inputs
+    with (running_example / "schema.graphql").open("a") as out:
+        out.write("\ninput Label {\n  name: String!\n}\n")
+    lock = _analyzed(running_example, capsys)
+    change(running_example)
+    assert _later(running_example, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lock}: out of date: "), err
+    assert err.rstrip().endswith("run `graphbac analyze`"), err
+
+
+def test_a_missing_analysis_json_asks_for_analyze(running_example, capsys):
+    _analyzed(running_example, capsys)
+    (running_example / "analysis.json").unlink()
+    assert _later(running_example, "plan-tests") == 2
+    err = capsys.readouterr().err
+    assert "analysis.json is missing; run `graphbac analyze`" in err
+
+
+def _truncated(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _pairs(damage):
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        damage(doc["pairs"])
+        return json.dumps(doc)
+
+    edit.__name__ = damage.__name__
+    return edit
+
+
+def _drop_entry(pairs):
+    del pairs[5]
+
+
+def _verdict(value):
+    def damage(pairs):
+        pairs[0]["independent"] = value
+
+    damage.__name__ = f"independent={json.dumps(value)}"
+    return damage
+
+
+def _count(value):
+    def damage(pairs):
+        pairs[0]["reasons"] = value
+
+    damage.__name__ = f"reasons={json.dumps(value)}"
+    return damage
+
+
+@pytest.mark.parametrize("command", sorted(LATER))
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _truncated,
+        _pairs(_drop_entry),
+        _pairs(_verdict("true")),
+        _pairs(_verdict(1)),
+        _pairs(_verdict(None)),
+        _pairs(_count(-1)),
+        _pairs(_count(True)),
+        _pairs(_count(2)),  # reasons for a pair the sidecar calls independent
+        lambda text: "[]",
+    ],
+    ids=lambda damage: damage.__name__,
+)
+def test_a_damaged_sidecar_exits_2_naming_it(running_example, capsys, command, damage):
+    lock = _analyzed(running_example, capsys)
+    lock.write_text(damage(lock.read_text()))
+    assert _later(running_example, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lock}"), err
+    assert err.count(str(running_example)) == 1, err
+
+
+@pytest.mark.parametrize("command", ["review apply", "plan-tests", "check-coverage"])
+@pytest.mark.parametrize("where", ["list", "entry"])
+@pytest.mark.parametrize("value", ["x", 5, [], {}, None])
+def test_damaged_reasons_exit_2_naming_analysis_json(
+    running_example, capsys, command, where, value
+):
+    lock = _analyzed(running_example, capsys)
+    path = running_example / "analysis.json"
+    doc = json.loads(path.read_text())
+    if where == "list":
+        doc["pairs"][0]["reasons"] = value
+    else:
+        doc["pairs"][0]["reasons"][0] = value
+    text = json.dumps(doc)
+    path.write_text(text)
+    # a sidecar that matches the damaged document, so that the reasons are read
+    sidecar = json.loads(lock.read_text())
+    sidecar["analysis_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    lock.write_text(json.dumps(sidecar))
+    assert _later(running_example, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+    assert err.count(str(running_example)) == 1, err
+
+
+def test_a_damaged_input_names_its_own_file_before_the_sidecar(running_example, capsys):
+    _analyzed(running_example, capsys)
+    path = running_example / "rules.json"
+    path.write_text(path.read_text()[:-10])
+    assert _later(running_example, "check-theorem") == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:")
+
+
+@pytest.mark.parametrize("command", ["plan-tests", "check-coverage", "run-tests"])
+@pytest.mark.parametrize("value", [["x"], 5, None])
+def test_a_principal_that_is_not_a_string_exits_2_naming_roles_json(
+    running_example, capsys, monkeypatch, command, value
+):
+    for var, token in RUNNING_TOKENS.items():
+        monkeypatch.setenv(var, token)
+    path = running_example / "roles.json"
+    doc = json.loads(path.read_text())
+    doc["principals"]["Owner"] = value
+    path.write_text(json.dumps(doc))
+    assert main([command, "--project", str(running_example)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+    assert "principal for role Owner" in err
 
 
 # ---- plan-tests and check-coverage --------------------------------------

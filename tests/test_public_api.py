@@ -24,8 +24,6 @@ PERFBENCH = ROOT / "perfbench"
 
 # name -> why it stays without a caller in the program
 ALLOWED = {
-    "reason_from_doc": "re-certifies a stored reason; the planned analysis "
-    "sidecar is to load reasons through it",
     "find_flow_witness": "acceptance criterion 3 checks every static reason "
     "against a concrete witness through it",
     "MockTarget.snapshot": "the mock's state identity, for differential checks",

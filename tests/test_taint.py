@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from graphbac.core import GraphError, InstanceGraph, enumerate_matches
 from graphbac.dependency import extract_reason
 from graphbac.rules import CREATE, PRESERVE, Rule, apply
+from graphbac.cli import Project
 from graphbac.taint import (
+    PairVerdicts,
     ReviewEntry,
     TaintedTypeGraph,
     apply_review,
@@ -20,14 +23,17 @@ from graphbac.taint import (
     init_review_entries,
     ledger_from_doc,
     ledger_to_doc,
+    pair_verdicts,
     tainted_flow,
 )
 
 from fixtures import (
+    SYNTHETIC_FULL,
     analyzed_collab_rules,
     collab_typegraph,
     incident_rules,
     incident_typegraph,
+    synthetic_project,
 )
 from randgen import random_rule, random_typegraph
 
@@ -204,6 +210,43 @@ def test_theorem_flags_toy_blind_spot():
     assert check.verdict == "neither"
     assert check.reason_count == 0
     assert check.blind_spot
+
+
+def test_stored_verdicts_answer_as_the_engine_does(api, flow):
+    stored = PairVerdicts.from_doc(
+        pair_verdicts(flow).to_doc(), [r.name for r in api.rules]
+    )
+    live = PairVerdicts()
+    for first in api.rules:
+        for second in api.rules:
+            assert stored.independent(first, second) == live.independent(first, second)
+            assert stored.reason_count(first, second) == live.reason_count(first, second)
+            assert check_theorem_conditions(
+                api, first.name, second.name, stored
+            ) == check_theorem_conditions(api, first.name, second.name)
+
+
+def test_the_matrix_answers_every_pair_of_the_synthetic_project(tmp_path):
+    api = Project.load(synthetic_project(tmp_path / "synthetic", SYNTHETIC_FULL)).api()
+    start = time.process_time()
+    verdicts = pair_verdicts(tainted_flow(api))
+    checks = [
+        check_theorem_conditions(api, source.name, sink.name, verdicts)
+        for source in api.rules
+        for sink in api.rules
+        if source is not sink
+    ]
+    elapsed = time.process_time() - start
+    assert len(checks) == 600
+    assert elapsed < 2.0, elapsed
+    # spot checks against the engine, around the widest source
+    by_pair = {(check.source, check.sink): check for check in checks}
+    star = next(
+        r.name for r in api.rules if r.name.startswith("create") and r.name.endswith("Star")
+    )
+    for other in [r.name for r in api.rules if r.name != star][:3]:
+        for pair in ((star, other), (other, star)):
+            assert by_pair[pair] == check_theorem_conditions(api, *pair)
 
 
 def test_flow_soundness_on_concrete_two_step_sequence(api, flow):
