@@ -38,6 +38,7 @@ from .planner import (
     ROLE_NEGATIVE,
     ROLE_POSITIVE,
     PolicyAnnotation,
+    PolicyError,
     RoleSpec,
     TestPlan,
     check_flow_coverage,
@@ -578,14 +579,17 @@ def cmd_check_theorem(args: argparse.Namespace) -> int:
 
 def cmd_plan_tests(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
-    plan = generate_minimal_tests(
-        project.flow(reviewed=True),
-        project.roles(),
-        project.policy(),
-        setup_rules=project.setup_rules(),
-        initial=project.initial(),
-        include_unreviewed=args.include_unreviewed,
-    )
+    try:
+        plan = generate_minimal_tests(
+            project.flow(reviewed=True),
+            project.roles(),
+            project.policy(),
+            setup_rules=project.setup_rules(),
+            initial=project.initial(),
+            include_unreviewed=args.include_unreviewed,
+        )
+    except PolicyError as exc:
+        raise GraphError(f"{project.path('policy')}: {exc}") from exc
     counts = {kind: len(plan.by_kind(kind)) for kind in (
         FLOW_POSITIVE, FLOW_NEGATIVE, ROLE_POSITIVE, ROLE_NEGATIVE,
     )}
@@ -744,6 +748,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser.  Each subcommand names its handler rather
+    than holding it, and `main` looks the name up in this module when it
+    runs, so a handler re-bound after the build is the one called."""
     parser = argparse.ArgumentParser(
         prog="graphbac",
         description=(
@@ -753,14 +760,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func: Callable, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument(
             "--project",
             default=".",
             help="project directory (default: current directory)",
         )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         return p
 
     add("ingest", cmd_ingest, "parse the schema and write the derived type graph")
@@ -786,12 +793,12 @@ def _build_parser() -> argparse.ArgumentParser:
     init_p.add_argument(
         "--force", action="store_true", help="overwrite an existing ledger"
     )
-    init_p.set_defaults(func=cmd_review_init)
+    init_p.set_defaults(func=cmd_review_init.__name__)
     apply_p = review_sub.add_parser(
         "apply", help="validate the ledger against the analysis and show its state"
     )
     apply_p.add_argument("--project", default=".", help="project directory")
-    apply_p.set_defaults(func=cmd_review_apply)
+    apply_p.set_defaults(func=cmd_review_apply.__name__)
 
     theorem = add(
         "check-theorem",
@@ -856,10 +863,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, when the module loads and every handler still has
+# its own name
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()[args.func](args)
         # flushed here, a closed stdout raises in this block and not at exit
         sys.stdout.flush()
         return code

@@ -8,13 +8,15 @@ is then augmented to role coverage: one diagonal positive test per role and
 one negative test per strictly ordered role pair.  Binding hints are symbolic
 references to earlier steps' outputs, resolved by the runner once the server
 has assigned ids.  Setup steps are the shortest trace `rules.explore` finds
-to a host the source's context embeds in.
+to a host the source's context embeds in.  The setup searches of one run
+share one `explore` per start host, grown only as far as they need; it is
+deterministic, so sharing it changes no planned step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     GraphError,
@@ -46,6 +48,10 @@ SETUP_DEPTH = 6
 
 class PlanningError(GraphError):
     """Test synthesis could not complete."""
+
+
+class PolicyError(PlanningError):
+    """The policy lets no role take a step that a planned test needs."""
 
 
 # --------------------------------------------------------------------------
@@ -350,14 +356,56 @@ class TestPlan:
 # setup synthesis
 
 
+_Explored = tuple[InstanceGraph, tuple[DirectTransformation, ...]]
+
+
+class _Exploration:
+    """One `explore` from a start host, grown only as far as a search needs,
+    and everything it has yielded so far."""
+
+    def __init__(self, hosts: Iterator[_Explored]) -> None:
+        self._hosts = hosts
+        self._yielded: list[_Explored] = []
+
+    def __iter__(self) -> Iterator[_Explored]:
+        """What `explore` yields, in its order: first what it yielded
+        before, then what it goes on to yield."""
+        index = 0
+        while True:
+            if index == len(self._yielded):
+                step = next(self._hosts, None)
+                if step is None:
+                    return
+                self._yielded.append(step)
+            yield self._yielded[index]
+            index += 1
+
+
+def _host_key(host: InstanceGraph) -> tuple:
+    """The host's exact elements: equal keys mean equal node and edge ids."""
+    return tuple(sorted(host.nodes.items())), tuple(sorted(host.edges.items()))
+
+
 def _search_embedding(
     pattern: InstanceGraph,
     initial: InstanceGraph,
     rules: Iterable[Rule],
     depth: int,
+    explorations: dict[tuple, _Exploration] | None = None,
 ) -> list[DirectTransformation] | None:
-    """The steps to the first explored host the pattern embeds in, else None."""
-    for host, trace in explore(rules, initial, depth):
+    """The steps to the first explored host the pattern embeds in, else None.
+
+    `explorations` holds, by start host, the explorations of earlier
+    searches with the same rules and depth.  A search from one of those
+    hosts goes on with its exploration rather than starting another.
+    `explore` is deterministic, so the steps are the same either way.
+    """
+    if explorations is None:
+        explorations = {}
+    key = _host_key(initial)
+    if key not in explorations:
+        explorations[key] = _Exploration(explore(rules, initial, depth))
+    for host, trace in explorations[key]:
         if next(iter_matches(pattern, host), None) is not None:
             return list(trace)
     return None
@@ -473,19 +521,21 @@ class _Planner:
         )
         self.notes: list[str] = []
         self.infeasible: list[str] = []
+        # the explorations the run's setup searches share, by start host
+        self.explorations: dict[tuple, _Exploration] = {}
 
     # -- helpers
 
     def _max_allowed(self, rule_name: str) -> str:
         role = self.roles.maximal(self.policy.allowed_roles(rule_name))
         if role is None:
-            raise PlanningError(f"no role is allowed to call {rule_name}")
+            raise PolicyError(f"no role is allowed to call {rule_name}")
         return role
 
     def _min_allowed(self, rule_name: str) -> str:
         role = self.roles.minimal(self.policy.allowed_roles(rule_name))
         if role is None:
-            raise PlanningError(f"no role is allowed to call {rule_name}")
+            raise PolicyError(f"no role is allowed to call {rule_name}")
         return role
 
     def _setup_role(self, rule_name: str, preferred: str) -> str:
@@ -500,7 +550,7 @@ class _Planner:
         ordered = [r for r in self.roles.descending() if r in set(test_roles)]
         for role in ordered:
             if not self.policy.allows(self.seed_rule.name, role):
-                raise PlanningError(
+                raise PolicyError(
                     f"seed rule {self.seed_rule.name} is denied for {role}; "
                     "cannot establish that principal"
                 )
@@ -512,7 +562,9 @@ class _Planner:
     ) -> Morphism:
         """Add the setup steps after which the pattern embeds in the planned
         host, and return its first match there."""
-        steps = _search_embedding(pattern, run.host, self.all_rules, SETUP_DEPTH)
+        steps = _search_embedding(
+            pattern, run.host, self.all_rules, SETUP_DEPTH, self.explorations
+        )
         if steps is None:
             wanted = ", ".join(f"{n}:{t}" for n, t in sorted(pattern.nodes.items()))
             raise PlanningError(f"no setup embeds the required context ({wanted})")

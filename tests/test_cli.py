@@ -371,6 +371,41 @@ def test_internal_error_exits_4_with_a_traceback(running_example, capsys, monkey
     assert err.rstrip().endswith("RuntimeError: boom")
 
 
+def test_the_parser_is_built_once_and_calls_the_current_handler(
+    running_example, capsys, monkeypatch
+):
+    def unbuildable():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", unbuildable)
+    assert main(["analyze", "--project", str(running_example)]) == 0
+    calls = []
+
+    def patched(args):
+        calls.append(args.project)
+        return 0
+
+    # re-bound after the parser was built, as a test or a tracer does
+    monkeypatch.setattr(cli, "cmd_analyze", patched)
+    assert main(["analyze", "--project", str(running_example)]) == 0
+    assert calls == [str(running_example)]
+
+
+def test_a_traced_command_records_its_span(running_example, capsys):
+    from tracer import Tracer  # perfbench/, on the path through fixtures
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main(["analyze", "--project", str(running_example)]) == 0
+        assert main(["plan-tests", "--project", str(running_example)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["cli.analyze_s"] > 0 and metrics["cli.plan_tests_s"] > 0
+    assert metrics["planner.setup.canonical_calls"] > 0
+
+
 @pytest.mark.parametrize(
     "command", ["analyze", "review apply", "plan-tests", "check-coverage", "check-theorem"]
 )
@@ -746,6 +781,43 @@ def test_plan_tests_reproduces_the_shipped_plan(running_example, capsys):
         "3 role-positive, 3 role-negative"
     ) in out
     assert (running_example / "plan.json").read_bytes() == shipped
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("updateRepo", "no role is allowed to call updateRepo"),
+        (
+            "createUser",
+            "seed rule createUser is denied for Owner; cannot establish that principal",
+        ),
+    ],
+)
+def test_a_policy_that_blocks_the_plan_exits_2_naming_policy_json(
+    running_example, capsys, rule, message
+):
+    path = running_example / "policy.json"
+    doc = json.loads(path.read_text())
+    doc["rules"][rule]["allowed"] = []
+    path.write_text(json.dumps(doc))
+    assert main(["plan-tests", "--project", str(running_example)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_an_unreachable_context_names_no_file(running_example, capsys):
+    # without createRepo no setup reaches the repository createIssue needs
+    rules_path, policy_path = running_example / "rules.json", running_example / "policy.json"
+    rules = json.loads(rules_path.read_text())
+    rules["rules"] = [r for r in rules["rules"] if r["name"] != "createRepo"]
+    rules_path.write_text(json.dumps(rules))
+    policy = json.loads(policy_path.read_text())
+    del policy["rules"]["createRepo"]
+    policy_path.write_text(json.dumps(policy))
+    (running_example / "ledger.json").unlink()
+    code = main(["plan-tests", "--project", str(running_example), "--include-unreviewed"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: no setup embeds the required context ("), err
 
 
 def test_plan_tests_requires_a_reviewed_flow(running_example, capsys):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
+import shutil
 
 import pytest
 from fixtures import (
+    PROJECTS,
+    SYNTHETIC_TINY,
     analyzed_collab_rules,
     collab_plan,
     collab_policy,
@@ -15,16 +19,21 @@ from fixtures import (
     collab_typegraph,
     policy_to_doc,
     reviewed_collab_flow,
+    synthetic_project,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from randgen import random_graph, random_rule, random_typegraph
 
+from graphbac import planner
+from graphbac.cli import Project
 from graphbac.core import GraphError, InstanceGraph
 from graphbac.planner import (
     FLOW_NEGATIVE,
     FLOW_POSITIVE,
     ROLE_NEGATIVE,
     ROLE_POSITIVE,
+    SETUP_DEPTH,
     PlanningError,
     PolicyAnnotation,
     RoleSpec,
@@ -32,6 +41,7 @@ from graphbac.planner import (
     TestPlan,
     check_flow_coverage,
     check_role_coverage,
+    _host_key,
     _search_embedding,
     generate_minimal_tests,
 )
@@ -370,3 +380,137 @@ def test_random_policies_keep_plans_coverage_complete(seed):
     role_report = check_role_coverage(plan, collab_roles())
     if not role_report.satisfied:
         assert plan.notes  # impossibility is reported, never silent
+
+
+# ---- one exploration per start host --------------------------------------
+
+PLANNED = ("running-example", "github-issue", "synthetic")
+
+
+@pytest.fixture(scope="module")
+def planning_inputs(tmp_path_factory):
+    """By project, the arguments `plan-tests` passes to `generate_minimal_tests`."""
+    root = tmp_path_factory.mktemp("planned")
+    for name in PLANNED[:2]:
+        shutil.copytree(PROJECTS / name, root / name)
+    synthetic_project(root / "synthetic", SYNTHETIC_TINY)
+    inputs = {}
+    for name in PLANNED:
+        project = Project.load(root / name)
+        inputs[name] = dict(
+            flow=project.flow(reviewed=True),
+            roles=project.roles(),
+            policy=project.policy(),
+            setup_rules=project.setup_rules(),
+            initial=project.initial(),
+        )
+    return inputs
+
+
+def _recorded_run(monkeypatch, inputs: dict) -> tuple[list[tuple], list[tuple]]:
+    """One planner run: each setup search's arguments and steps, and the
+    start host of each `explore` it began."""
+    searches, explored = [], []
+    search, explore = planner._search_embedding, planner.explore
+
+    def recording(pattern, initial, rules, depth, explorations=None):
+        steps = search(pattern, initial, rules, depth, explorations)
+        searches.append((pattern, initial, rules, explorations, steps))
+        return steps
+
+    def counted(rules, initial, depth):
+        explored.append(_host_key(initial))
+        return explore(rules, initial, depth)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(planner, "_search_embedding", recording)
+        patched.setattr(planner, "explore", counted)
+        generate_minimal_tests(**inputs)
+    return searches, explored
+
+
+def _steps(found) -> list[tuple] | None:
+    """A search's result as rule names and match maps."""
+    if found is None:
+        return None
+    return [(t.rule.name, t.match.node_map, t.match.edge_map) for t in found]
+
+
+def _unreachable(host: InstanceGraph, rules, depth: int) -> InstanceGraph:
+    """More nodes of one type than `depth` steps from the host can have."""
+    most = len(host.nodes) + depth * max(len(r.created_nodes()) for r in rules) + 1
+    ntype = host.typegraph.node_types[0]
+    return InstanceGraph(host.typegraph, {f"u{i}": ntype for i in range(most)}, {})
+
+
+@pytest.mark.parametrize("name", PLANNED)
+def test_shared_setup_searches_find_what_fresh_ones_do(planning_inputs, monkeypatch, name):
+    searches, _ = _recorded_run(monkeypatch, planning_inputs[name])
+    tables = {id(explorations) for *_, explorations, _ in searches}
+    assert len(tables) == 1 and searches[0][3] is not None  # one table per run
+    for pattern, initial, rules, _, steps in searches:
+        assert _steps(steps) == _steps(_search_embedding(pattern, initial, rules, SETUP_DEPTH))
+    # again through a new table whose explorations an unreachable pattern
+    # has already run to their end
+    explorations: dict = {}
+    for _, initial, rules, _, _ in searches:
+        if _host_key(initial) not in explorations:
+            pattern = _unreachable(initial, rules, SETUP_DEPTH)
+            assert _search_embedding(pattern, initial, rules, SETUP_DEPTH, explorations) is None
+    for pattern, initial, rules, _, steps in searches:
+        shared = _search_embedding(pattern, initial, rules, SETUP_DEPTH, explorations)
+        assert _steps(shared) == _steps(steps)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_shared_searches_on_random_systems_find_what_fresh_ones_do(seed):
+    rng = random.Random(seed)
+    tg = random_typegraph(rng)
+    rules = [random_rule(rng, tg, name=f"r{i}", max_nodes=3, max_edges=2) for i in range(3)]
+    host = random_graph(rng, tg, max_nodes=3, max_edges=2)
+    # the same nodes without their edges is another start host
+    starts = [InstanceGraph.empty(tg), host, InstanceGraph(tg, host.nodes, {})]
+    patterns = [host] + [r.lhs for r in rules] + [
+        random_graph(rng, tg, max_nodes=3, max_edges=3, prefix="p") for _ in range(3)
+    ]
+    depth = 3
+    explorations: dict = {}
+    # the first start host's exploration runs to its end before any other search
+    unreachable = _unreachable(starts[0], rules, depth)
+    assert _search_embedding(unreachable, starts[0], rules, depth, explorations) is None
+    searches = [(pattern, start) for pattern in patterns for start in starts]
+    rng.shuffle(searches)
+    for pattern, start in searches:
+        # an equal host, not the same object: the table keys by elements
+        equal = InstanceGraph(tg, start.nodes, start.edges)
+        shared = _search_embedding(pattern, equal, rules, depth, explorations)
+        assert _steps(shared) == _steps(_search_embedding(pattern, start, rules, depth))
+    assert len(explorations) == len({_host_key(s) for s in starts})
+
+
+# distinct start hosts of one planner run: the empty host seeded with one
+# principal, and with two
+START_HOSTS = {"running-example": 2, "github-issue": 2, "synthetic": 2}
+
+
+@pytest.mark.parametrize("name", PLANNED)
+def test_a_planner_run_explores_once_per_start_host(planning_inputs, monkeypatch, name):
+    inputs = planning_inputs[name]
+    searches, explored = _recorded_run(monkeypatch, inputs)
+    hosts = {_host_key(initial) for _, initial, *_ in searches}
+    assert len(hosts) == START_HOSTS[name]
+    assert len(searches) > len(hosts)
+    assert sorted(explored) == sorted(hosts)
+    # a second run, with the first reason's sink open to every role, starts
+    # its own explorations: nothing is kept between runs
+    policy = inputs["policy"]
+    sink = min(inputs["flow"].reasons, key=lambda r: r.id).sink_rule
+    opened = PolicyAnnotation(
+        allowed={**policy.allowed, sink: inputs["roles"].roles},
+        creator_only=policy.creator_only,
+        non_monotone=policy.non_monotone,
+    )
+    searches, explored = _recorded_run(monkeypatch, {**inputs, "policy": opened})
+    again = {_host_key(initial) for _, initial, *_ in searches}
+    assert sorted(explored) == sorted(again)
+    assert hosts & again
