@@ -544,7 +544,16 @@ def cmd_review_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_check_theorem(args: argparse.Namespace) -> int:
-    analysis = Project.load(args.project).analysis()
+    project = Project.load(args.project)
+    analysis = project.analysis()
+    analyzed = {r.name for r in analysis.api.rules}
+    for name in (args.source, args.sink):
+        # the setup rules are looked at only for a name the analysis lacks
+        if name not in analyzed and name in {r.name for r in project.setup_rules()}:
+            raise GraphError(
+                f"rule {name} is setup-only: the analysis skips setup-only "
+                "rules, so they have no verdicts"
+            )
     check = check_theorem_conditions(
         analysis.api, args.source, args.sink, analysis.verdicts
     )

@@ -31,7 +31,6 @@ from .rules import (
     DELETE,
     PRESERVE,
     DirectTransformation,
-    NotReversibleError,
     Rule,
     apply_inverse,
 )
@@ -261,20 +260,35 @@ def _realize(
     unshared context may additionally coincide with context first
     preserves, so every such identification counts as a realization; the
     returned witness is the smallest one that works.
+
+    Every overlap that inverse application would refuse is refused here,
+    before any host is glued.  `apply_inverse` refuses a glued host when a
+    host edge outside first's comatch image touches the image of a node
+    first creates.  In the glued host those edges are second's pattern
+    edges that the identification leaves unmapped.  An identification
+    extends `base` only onto elements first preserves, so it maps no node
+    onto a created node, and it maps no edge with such an endpoint, since
+    a preserved edge has preserved endpoints.  Hence the refusal does not
+    depend on the identification: every one is refused exactly when some
+    pattern edge outside `base` has an endpoint that `base` maps onto a
+    created node.  In both directions `base` maps second's pattern into
+    first's result side, so the check serves both.  What is left to try is
+    second's dangling condition; the inverse step then certifies the
+    witness, and raises should it ever refuse one.
     """
     # `base` identifies some of second's pattern elements with first's result side
     base = {**embedding.node_map, **embedding.edge_map}
     if tag == CREATE:
         base = {image: x for x, image in base.items()}
+    onto_created = {y for y, x in base.items() if first.tags[x] == CREATE}
+    for y, edge in second.lhs.edges.items():
+        if y not in base and (edge.src in onto_created or edge.tgt in onto_created):
+            return None
     for identification in _context_identifications(first, second.lhs, base):
         glued, first_in, second_in = _glue(first.rhs, second.lhs, identification)
-        try:
+        if check_dangling(second_in, second.deleted_nodes()):
             apply_inverse(first, glued, first_in)
-        except NotReversibleError:
-            continue
-        if not check_dangling(second_in, second.deleted_nodes()):
-            continue
-        return glued, first_in, second_in
+            return glued, first_in, second_in
     return None
 
 
@@ -357,6 +371,15 @@ def delete_overlap_reasons(first: Rule, second: Rule) -> list[dict]:
     ]
 
 
+def _independent(
+    first: Rule, second: Rule, reasons: list[DependencyReason]
+) -> bool:
+    """`universally_sequentially_independent` given the pair's produce-use
+    `reasons`: none, and no realizable delete overlap, looked for only
+    until the first one."""
+    return not reasons and next(_overlaps(first, second, DELETE), None) is None
+
+
 def universally_sequentially_independent(first: Rule, second: Rule) -> bool:
     """True iff every consecutive (first, second) step pair can be reversed.
 
@@ -364,9 +387,7 @@ def universally_sequentially_independent(first: Rule, second: Rule) -> bool:
     created (no produce-use reason) nor delete something the first step's
     result still needs (no realizable delete overlap).
     """
-    if dependency_reasons(first, second):
-        return False
-    return not delete_overlap_reasons(first, second)
+    return _independent(first, second, dependency_reasons(first, second))
 
 
 def classify_transformation_pair(

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .core import GraphError, TypeGraph, _boolean
 from .dependency import (
     DependencyReason,
+    _independent,
     dependency_reasons,
     universally_sequentially_independent,
 )
@@ -345,20 +346,22 @@ class PairVerdicts:
 
 def pair_verdicts(flow: TaintedFlow) -> PairVerdicts:
     """The verdicts of every ordered pair of the flow's rules, self-pairs
-    included.  The flow already holds the reasons of its API's pairs; the
-    engine counts those of any other dependent pair."""
+    included.  The flow already holds the reasons of its API's pairs and
+    the engine finds those of every other pair, so each pair's reasons are
+    enumerated once; the verdict is `universally_sequentially_independent`'s
+    on those reasons."""
     pairs = set(flow.api.pairs())
     entries = {}
     for first in flow.api.rules:
         for second in flow.api.rules:
-            independent = universally_sequentially_independent(first, second)
-            if independent:
-                count = 0
-            elif (first.name, second.name) in pairs:
-                count = len(flow.reasons_for(first.name, second.name))
+            if (first.name, second.name) in pairs:
+                reasons = flow.reasons_for(first.name, second.name)
             else:
-                count = len(dependency_reasons(first, second))
-            entries[first.name, second.name] = (independent, count)
+                reasons = dependency_reasons(first, second)
+            entries[first.name, second.name] = (
+                _independent(first, second, reasons),
+                len(reasons),
+            )
     return PairVerdicts(entries)
 
 

@@ -508,6 +508,22 @@ def test_check_theorem_exit_reflects_conclusiveness(running_example, capsys):
         "check-theorem", "--project", str(running_example),
         "--source", "ghost", "--sink", "updateRepo",
     ]) == 2
+    assert capsys.readouterr().err == "error: unknown rule ghost\n"
+
+
+@pytest.mark.parametrize(
+    "source, sink", [("createUser", "updateRepo"), ("createRepo", "createUser")]
+)
+def test_check_theorem_names_a_setup_only_rule(running_example, capsys, source, sink):
+    assert main([
+        "check-theorem", "--project", str(running_example),
+        "--source", source, "--sink", sink,
+    ]) == 2
+    _, err = capsys.readouterr()
+    assert err == (
+        "error: rule createUser is setup-only: the analysis skips setup-only "
+        "rules, so they have no verdicts\n"
+    )
 
 
 # ---- the analysis sidecar ----------------------------------------------
@@ -555,7 +571,11 @@ def _engine_calls(monkeypatch) -> Counter:
     """Count calls of the overlap engine's entry points from any module."""
     calls: Counter = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("graphbac")]
-    for name in ("dependency_reasons", "universally_sequentially_independent"):
+    for name in (
+        "dependency_reasons",
+        "universally_sequentially_independent",
+        "delete_overlap_reasons",
+    ):
         original = getattr(dependency, name)
 
         def counted(*args, _name=name, _original=original):
@@ -578,6 +598,23 @@ def test_a_fresh_sidecar_runs_no_overlap_search(running_example, capsys, monkeyp
     for command in LATER:
         assert _later(running_example, command) == 0, command
     assert calls["dependency_reasons"] and calls["universally_sequentially_independent"]
+
+
+@pytest.mark.parametrize("name", ["running-example", "synthetic"])
+def test_analyze_enumerates_each_pair_once(tmp_path, capsys, monkeypatch, name):
+    project = tmp_path / name
+    if name == "synthetic":
+        synthetic_project(project, SYNTHETIC_TINY)
+    else:
+        shutil.copytree(PROJECTS / name, project)
+    n = len(Project.load(project).analyzed_rules())
+    calls = _engine_calls(monkeypatch)
+    _analyzed(project, capsys)
+    # the flow's reasons and the verdicts' together: once per ordered pair
+    assert calls["dependency_reasons"] == n * n
+    # the verdicts stop at a first delete overlap, and build no witness list
+    assert calls["delete_overlap_reasons"] == 0
+    assert calls["universally_sequentially_independent"] == 0
 
 
 def _outputs(project: Path, argv: list[str], capsys) -> tuple[int, str, dict]:

@@ -615,22 +615,49 @@ def _same_rewrites(rule, host):
     return results
 
 
+def _random_rule_pair(seed):
+    """The rng after drawing them, and two rules over one random type graph."""
+    rng = random.Random(seed)
+    tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
+    r1 = random_rule(rng, tg, name="r1", max_nodes=3, max_edges=3)
+    r2 = random_rule(rng, tg, name="r2", max_nodes=3, max_edges=3)
+    return rng, r1, r2
+
+
+def _same_overlaps(first, second, seed):
+    """Both overlap kinds of the pair agree with the reference engine; returns
+    how many produce-use reasons and delete overlaps it has."""
+    got = dependency_reasons(first, second)
+    ref = _ref_dependency_reasons(first, second)
+    assert [reason_to_doc(r) for r in got] == [reason_to_doc(r) for r in ref], seed
+    assert [(_maps(r.source_comatch), _maps(r.sink_match)) for r in got] == [
+        (_maps(r.source_comatch), _maps(r.sink_match)) for r in ref
+    ], seed
+    overlaps = delete_overlap_reasons(first, second)
+    assert overlaps == _ref_delete_overlap_reasons(first, second), seed
+    return len(got), len(overlaps)
+
+
 def test_merged_directions_agree_with_the_separate_ones():
     for seed in range(300):
-        rng = random.Random(seed)
-        tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
-        r1 = random_rule(rng, tg, name="r1", max_nodes=3, max_edges=3)
-        r2 = random_rule(rng, tg, name="r2", max_nodes=3, max_edges=3)
+        rng, r1, r2 = _random_rule_pair(seed)
         for first, second in ((r1, r2), (r2, r1)):
-            got = dependency_reasons(first, second)
-            ref = _ref_dependency_reasons(first, second)
-            assert [reason_to_doc(r) for r in got] == [reason_to_doc(r) for r in ref], seed
-            assert [(_maps(r.source_comatch), _maps(r.sink_match)) for r in got] == [
-                (_maps(r.source_comatch), _maps(r.sink_match)) for r in ref
-            ], seed
-            assert delete_overlap_reasons(first, second) == _ref_delete_overlap_reasons(
-                first, second
-            ), seed
+            _same_overlaps(first, second, seed)
         host = host_with_embedded_lhs(rng, r1, extra_nodes=2, extra_edges=2)
         for result in _same_rewrites(r1, host):
             _same_rewrites(r2, result)
+
+
+def test_overlaps_agree_with_the_reference_on_a_thousand_pairs():
+    """`_realize` refuses, before gluing, every overlap whose created nodes
+    would carry a pattern edge the overlap leaves out; `_ref_realize` glues
+    and inverts every identification.  Seeds apart from the test above."""
+    reasons = overlaps = 0
+    for seed in range(300, 800):
+        _, r1, r2 = _random_rule_pair(seed)
+        for first, second in ((r1, r2), (r2, r1)):
+            found = _same_overlaps(first, second, seed)
+            reasons += found[0]
+            overlaps += found[1]
+    # both kinds occur often enough for a wrong refusal to show
+    assert reasons > 100 and overlaps > 100, (reasons, overlaps)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import shutil
 import time
 
 import pytest
@@ -10,9 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphbac.core import GraphError, InstanceGraph, enumerate_matches
-from graphbac.dependency import extract_reason
+from graphbac.dependency import (
+    dependency_reasons,
+    extract_reason,
+    universally_sequentially_independent,
+)
 from graphbac.rules import CREATE, PRESERVE, Rule, apply
-from graphbac.cli import Project
+from graphbac.cli import Project, main
 from graphbac.taint import (
     PairVerdicts,
     ReviewEntry,
@@ -28,7 +34,9 @@ from graphbac.taint import (
 )
 
 from fixtures import (
+    PROJECTS,
     SYNTHETIC_FULL,
+    SYNTHETIC_TINY,
     analyzed_collab_rules,
     collab_typegraph,
     incident_rules,
@@ -224,6 +232,26 @@ def test_stored_verdicts_answer_as_the_engine_does(api, flow):
             assert check_theorem_conditions(
                 api, first.name, second.name, stored
             ) == check_theorem_conditions(api, first.name, second.name)
+
+
+@pytest.mark.parametrize("name", ["running-example", "github-issue", "synthetic"])
+def test_the_sidecar_answers_as_the_engine_does(tmp_path, capsys, name):
+    project = tmp_path / name
+    if name == "synthetic":
+        synthetic_project(project, SYNTHETIC_TINY)
+    else:
+        shutil.copytree(PROJECTS / name, project)
+    assert main(["analyze", "--project", str(project)]) == 0
+    capsys.readouterr()
+    records = json.loads((project / "analysis.lock.json").read_text())["pairs"]
+    rules = {r.name: r for r in Project.load(project).analyzed_rules()}
+    assert len(records) == len(rules) ** 2
+    for record in records:
+        first, second = rules[record["first"]], rules[record["second"]]
+        assert record["independent"] == universally_sequentially_independent(
+            first, second
+        ), record
+        assert record["reasons"] == len(dependency_reasons(first, second)), record
 
 
 def test_the_matrix_answers_every_pair_of_the_synthetic_project(tmp_path):
