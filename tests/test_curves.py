@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib.util
-import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "curves.py"
@@ -16,9 +15,7 @@ def _curves():
     return module
 
 
-def test_the_kstar_curve_at_k3_has_its_six_reasons(capsys):
-    assert _curves().main(["--points", "3"]) == 0
-    (line,) = capsys.readouterr().out.splitlines()
-    point = json.loads(line)
+def test_the_kstar_curve_at_k3_has_its_six_reasons():
+    point = _curves().kstar(3)
     assert (point["curve"], point["k"], point["reasons"]) == ("kstar", 3, 6)
     assert point["wall_s"] >= 0

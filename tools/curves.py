@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """graphbac scaling curves: one JSON line per point.
 
-    python3 tools/curves.py [--points 3 4 5]
+    python3 tools/curves.py
 
 graphbac is imported from the `src/` of the checkout this script is in;
 nothing outside the standard library is needed.  Each line names the
@@ -18,7 +18,6 @@ wall time per reason flat as k grows.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -29,6 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from graphbac.core import EdgeType, TypeGraph  # noqa: E402
 from graphbac.dependency import dependency_reasons  # noqa: E402
 from graphbac.rules import CREATE, PRESERVE, Rule  # noqa: E402
+
+KSTAR_POINTS = (3, 4, 5)
 
 
 def star_rule(name: str, typegraph: TypeGraph, k: int, tag: str) -> Rule:
@@ -49,14 +50,8 @@ def kstar(k: int) -> dict:
     return {"curve": "kstar", "k": k, "reasons": len(reasons), "wall_s": round(wall, 4)}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--points", type=int, nargs="+", default=[3, 4, 5],
-        help="star sizes k to measure (default: 3 4 5)",
-    )
-    args = parser.parse_args(argv)
-    for k in args.points:
+def main() -> int:
+    for k in KSTAR_POINTS:
         print(json.dumps(kstar(k)), flush=True)
     return 0
 
