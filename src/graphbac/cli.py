@@ -24,6 +24,7 @@ import os
 import sys
 import traceback
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -147,24 +148,25 @@ def _write_doc(path: Path, doc: object) -> str:
     return text
 
 
+@dataclass
 class Analysis:
     """A project's static analysis: its API, the verdicts of every ordered
     pair of analyzed rules, and the unreviewed tainted flow, which is built
     (or loaded) on first use."""
 
-    def __init__(
-        self,
-        api: TaintedGraphAPI,
-        verdicts: PairVerdicts,
-        build_flow: Callable[[], TaintedFlow],
-    ):
-        self.api = api
-        self.verdicts = verdicts
-        self._build_flow = build_flow
+    api: TaintedGraphAPI
+    verdicts: PairVerdicts
+    build_flow: Callable[[], TaintedFlow]
+
+    @classmethod
+    def computed(cls, api: TaintedGraphAPI) -> "Analysis":
+        """The flow and its verdicts, as `analyze` computes and writes them."""
+        flow = tainted_flow(api)
+        return cls(api, pair_verdicts(flow), lambda: flow)
 
     @cached_property
     def flow(self) -> TaintedFlow:
-        return self._build_flow()
+        return self.build_flow()
 
 
 def _analysis_doc(flow: TaintedFlow) -> dict:
@@ -349,7 +351,7 @@ class Project:
         api = self.api()
         lock_path = self.analysis_lock_path()
         if not lock_path.exists():
-            return Analysis(api, PairVerdicts(), lambda: tainted_flow(api))
+            return Analysis.computed(api)
         lock = _load_json(lock_path)
         analysis_path = self.path("analysis")
         with _file_context(lock_path):
@@ -410,21 +412,26 @@ class Project:
         return self._parsed(self.path("policy"), parse, self.roles, self.rules)
 
     def plan(self, override: str | None = None) -> TestPlan:
-        def parse(doc: object, spec: RoleSpec) -> TestPlan:
+        def parse(doc: object, spec: RoleSpec, rules: list[Rule]) -> TestPlan:
             plan = TestPlan.from_doc(doc)
-            used = set(plan.roles.roles) | {
-                s.role for t in plan.tests for s in t.steps
-            }
+            steps = [s for t in plan.tests for s in t.steps]
+            used = set(plan.roles.roles) | {s.role for s in steps}
             extra = sorted(used - set(spec.roles))
             if extra:
                 raise GraphError(
                     "plan uses role(s) not in the project role spec: "
                     + ", ".join(extra)
                 )
+            unknown = sorted({s.rule for s in steps} - {r.name for r in rules})
+            if unknown:
+                raise GraphError(
+                    f"plan uses rule(s) not in {self.path('rules').name}: "
+                    + ", ".join(unknown)
+                )
             return plan
 
         path = Path(override) if override else self.path("plan")
-        return self._parsed(path, parse, self.roles)
+        return self._parsed(path, parse, self.roles, self.rules)
 
     def initial(self) -> InstanceGraph:
         path = self.path("initial")
@@ -474,9 +481,8 @@ def cmd_derive_rules(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
-    flow = tainted_flow(project.api())
-    verdicts = pair_verdicts(flow)
-    api = flow.api
+    analysis = Analysis.computed(project.api())
+    api, flow = analysis.api, analysis.flow
     tainted = sum(1 for r in flow.reasons if r.tainted)
     print(
         f"analyzed {len(api.rules)} rules over "
@@ -494,7 +500,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         {
             "inputs_sha256": project.analysis_inputs_sha256(),
             "analysis_sha256": _sha256(text),
-            "pairs": verdicts.to_doc(),
+            "pairs": analysis.verdicts.to_doc(),
         },
     )
     return 0
@@ -769,8 +775,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, func: Callable, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, description=help_text)
+    def add(name: str, func: Callable, help_text: str, within=sub) -> argparse.ArgumentParser:
+        p = within.add_parser(name, help=help_text, description=help_text)
         p.add_argument(
             "--project",
             default=".",
@@ -795,19 +801,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "review", help="manage the analyst review ledger over the analysis"
     )
     review_sub = review.add_subparsers(dest="action", required=True, metavar="action")
-    init_p = review_sub.add_parser(
-        "init", help="write a ledger skeleton with one unreviewed entry per reason"
+    init_p = add(
+        "init",
+        cmd_review_init,
+        "write a ledger skeleton with one unreviewed entry per reason",
+        review_sub,
     )
-    init_p.add_argument("--project", default=".", help="project directory")
     init_p.add_argument(
         "--force", action="store_true", help="overwrite an existing ledger"
     )
-    init_p.set_defaults(func=cmd_review_init.__name__)
-    apply_p = review_sub.add_parser(
-        "apply", help="validate the ledger against the analysis and show its state"
+    add(
+        "apply",
+        cmd_review_apply,
+        "validate the ledger against the analysis and show its state",
+        review_sub,
     )
-    apply_p.add_argument("--project", default=".", help="project directory")
-    apply_p.set_defaults(func=cmd_review_apply.__name__)
 
     theorem = add(
         "check-theorem",

@@ -71,7 +71,8 @@ class MockTarget:
         policies: dict[str, PolicyAnnotation],
         tokens: dict[str, TokenEntry],
         faults: Iterable[FaultInjection] = (),
-        initial: InstanceGraph | None = None,
+        *,
+        initial: InstanceGraph,
     ) -> None:
         self.rules = {r.operation(): r for r in rules}
         self.roles = roles
@@ -91,11 +92,6 @@ class MockTarget:
                 raise GraphError(f"fault references unknown rule {fault.rule}")
             if fault.role is not None and fault.role not in roles.roles:
                 raise GraphError(f"fault references unknown role {fault.role}")
-        some_rule = next(iter(self.rules.values()), None)
-        if initial is None:
-            if some_rule is None:
-                raise GraphError("mock target needs at least one rule")
-            initial = InstanceGraph(some_rule.typegraph, {}, {})
         self._initial = initial
         self._lock = threading.Lock()
         self._restart()
@@ -282,7 +278,7 @@ def target_from_doc(
     doc: dict,
     rules: Iterable[Rule],
     roles: RoleSpec,
-    initial: InstanceGraph | None = None,
+    initial: InstanceGraph,
 ) -> MockTarget:
     """Build a target from its config document (tokens, policies, faults)."""
     try:

@@ -142,8 +142,8 @@ class RoleSpec:
     def from_doc(cls, doc: dict) -> "RoleSpec":
         try:
             return cls(
-                roles=tuple(doc["roles"]),
-                order=tuple((lo, hi) for lo, hi in doc.get("order", [])),
+                roles=_string_list(doc["roles"], "roles"),
+                order=_role_pairs_field(doc.get("order", []), "order"),
                 principals=dict(doc.get("principals", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -199,7 +199,10 @@ class PolicyAnnotation:
     def from_doc(cls, doc: dict) -> "PolicyAnnotation":
         try:
             rules = doc["rules"]
-            allowed = {name: tuple(entry.get("allowed", ())) for name, entry in rules.items()}
+            allowed = {
+                name: _string_list(entry.get("allowed", []), f"policy for {name}: allowed")
+                for name, entry in rules.items()
+            }
             flagged = {
                 flag: tuple(
                     sorted(
@@ -212,8 +215,6 @@ class PolicyAnnotation:
             }
         except (KeyError, TypeError, AttributeError) as exc:
             raise GraphError(f"malformed policy annotation: {exc}") from exc
-        if not all(isinstance(r, str) for roles in allowed.values() for r in roles):
-            raise GraphError("malformed policy annotation: allowed must list role names")
         return cls(allowed=allowed, **flagged)
 
 
@@ -222,10 +223,20 @@ class PolicyAnnotation:
 
 
 def _string_list(value: object, what: str) -> tuple[str, ...]:
-    """A plan document field that must be a list of strings."""
+    """A document field that must be a list of strings."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise GraphError(f"{what} must be a list of strings, got {value!r}")
     return tuple(value)
+
+
+def _role_pairs_field(value: object, what: str) -> tuple[tuple[str, str], ...]:
+    """A document field that must be a list of [role, role] pairs."""
+    if not isinstance(value, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(r, str) for r in p)
+        for p in value
+    ):
+        raise GraphError(f"{what} must be a list of pairs of role names, got {value!r}")
+    return tuple((a, b) for a, b in value)
 
 
 @dataclass(frozen=True)
@@ -290,17 +301,6 @@ class TaintTest:
             test_id, kind = doc["id"], doc["kind"]
             if not (isinstance(test_id, str) and isinstance(kind, str)):
                 raise GraphError(f"test {test_id!r}: id and kind must be strings")
-            pairs = doc.get("covered_role_pairs", [])
-            if not isinstance(pairs, list) or not all(
-                isinstance(p, list)
-                and len(p) == 2
-                and isinstance(p[0], str)
-                and isinstance(p[1], str)
-                for p in pairs
-            ):
-                raise GraphError(
-                    f"test {test_id}: covered_role_pairs must list pairs of role names"
-                )
             return cls(
                 id=test_id,
                 kind=kind,
@@ -311,7 +311,9 @@ class TaintTest:
                 covered_reasons=_string_list(
                     doc.get("covered_reasons", []), f"test {test_id}: covered_reasons"
                 ),
-                covered_role_pairs=tuple((a, b) for a, b in pairs),
+                covered_role_pairs=_role_pairs_field(
+                    doc.get("covered_role_pairs", []), f"test {test_id}: covered_role_pairs"
+                ),
             )
         except (KeyError, TypeError) as exc:
             raise GraphError(f"malformed test document: {exc}") from exc
@@ -391,7 +393,7 @@ def _search_embedding(
     initial: InstanceGraph,
     rules: Iterable[Rule],
     depth: int,
-    explorations: dict[tuple, _Exploration] | None = None,
+    explorations: dict[tuple, _Exploration],
 ) -> list[DirectTransformation] | None:
     """The steps to the first explored host the pattern embeds in, else None.
 
@@ -400,8 +402,6 @@ def _search_embedding(
     hosts goes on with its exploration rather than starting another.
     `explore` is deterministic, so the steps are the same either way.
     """
-    if explorations is None:
-        explorations = {}
     key = _host_key(initial)
     if key not in explorations:
         explorations[key] = _Exploration(explore(rules, initial, depth))
@@ -478,7 +478,8 @@ def generate_minimal_tests(
     roles: RoleSpec,
     policy: PolicyAnnotation,
     setup_rules: Sequence[Rule] = (),
-    initial: InstanceGraph | None = None,
+    *,
+    initial: InstanceGraph,
     include_unreviewed: bool = False,
 ) -> TestPlan:
     if not include_unreviewed and flow.unreviewed_ids():
@@ -498,14 +499,13 @@ class _Planner:
         roles: RoleSpec,
         policy: PolicyAnnotation,
         setup_rules: Sequence[Rule],
-        initial: InstanceGraph | None,
+        initial: InstanceGraph,
     ) -> None:
         self.flow = flow
         self.roles = roles
         self.policy = policy
         self.api = flow.api
-        tg = self.api.tainted_typegraph.typegraph
-        self.initial = initial if initial is not None else InstanceGraph(tg, {}, {})
+        self.initial = initial
         self.all_rules = list(self.api.rules) + [
             r for r in setup_rules if r.name not in {x.name for x in self.api.rules}
         ]

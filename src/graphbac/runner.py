@@ -98,15 +98,12 @@ class RunnerConfig:
     def __post_init__(self) -> None:
         if self.cleanup not in ("none", "reset"):
             raise GraphError(f"unknown cleanup mode {self.cleanup}")
-        try:
-            timeout = float(self.timeout)
-        except (TypeError, ValueError):
-            timeout = math.nan
-        if not 0 < timeout < math.inf:
+        # a JSON number: a bool is an int to Python, and "10" is text
+        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
             raise GraphError(
                 f"timeout must be a positive number of seconds, got {self.timeout!r}"
             )
-        object.__setattr__(self, "timeout", timeout)
+        object.__setattr__(self, "timeout", float(self.timeout))
 
     def scheme_for(self, role: str) -> str:
         return self.schemes.get(role, "bearer")
@@ -304,17 +301,17 @@ def _well_formed_errors(errors: object) -> bool:
     )
 
 
-def _query_text(operation: str, rule: Rule | None) -> str:
-    if rule is not None and rule.call is not None and rule.call.document_template:
+def _query_text(rule: Rule) -> str:
+    if rule.call is not None and rule.call.document_template:
         return rule.call.document_template
-    return f"# operation {operation}, dispatched by operationName"
+    return f"# operation {rule.operation()}, dispatched by operationName"
 
 
 def _run_test(
     test: TaintTest,
     config: RunnerConfig,
     transport: Transport,
-    rules: Mapping[str, Rule] | None,
+    rules: Mapping[str, Rule],
 ) -> TestResult:
     transcripts: list[StepTranscript] = []
     outputs: list[dict | None] = []
@@ -338,12 +335,12 @@ def _run_test(
                 StepTranscript(index, step.rule, step.role, {}, None, False, problem)
             )
             return inconclusive(f"step {index} ({step.rule}): {problem}")
-        rule = rules.get(step.rule) if rules is not None else None
+        rule = rules[step.rule]
         # the target dispatches and answers under the operation name, which
         # may differ from the rule name
-        operation = rule.operation() if rule is not None else step.rule
+        operation = rule.operation()
         request = {
-            "query": _query_text(operation, rule),
+            "query": _query_text(rule),
             "variables": variables,
             "operationName": operation,
         }
@@ -417,10 +414,15 @@ def run_plan(
     plan: TestPlan,
     config: RunnerConfig,
     transport: Transport | None = None,
-    rules: Mapping[str, Rule] | None = None,
+    *,
+    rules: Mapping[str, Rule],
 ) -> TestReport:
-    """Run every test in order; one request in flight at a time."""
+    """Run every test in order; one request in flight at a time.  A step
+    whose rule `rules` lacks stops the run before anything is sent."""
     config.validate_for(plan)
+    unknown = sorted({s.rule for t in plan.tests for s in t.steps} - set(rules))
+    if unknown:
+        raise RunnerError("plan uses unknown rule(s): " + ", ".join(unknown))
     transport = transport if transport is not None else http_transport(config.endpoint)
     results = tuple(_run_test(test, config, transport, rules) for test in plan.tests)
     if config.cleanup == "reset" and config.tokens:

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .core import GraphError, TypeGraph, _boolean
-from .dependency import (
-    DependencyReason,
-    _independent,
-    dependency_reasons,
-    universally_sequentially_independent,
-)
+from .dependency import DependencyReason, _independent, dependency_reasons
 from .rules import CREATE, Rule
 
 UNREVIEWED = "unreviewed"
@@ -274,20 +269,15 @@ class PairVerdicts:
     reasons lead from first to second (0 for an independent pair).
 
     `entries` maps (first name, second name) to (independent, reason
-    count).  Without entries the overlap engine answers each question when
-    it is asked.
+    count).
     """
 
-    entries: dict[tuple[str, str], tuple[bool, int]] | None = None
+    entries: dict[tuple[str, str], tuple[bool, int]]
 
     def independent(self, first: Rule, second: Rule) -> bool:
-        if self.entries is None:
-            return universally_sequentially_independent(first, second)
         return self.entries[first.name, second.name][0]
 
     def reason_count(self, source: Rule, sink: Rule) -> int:
-        if self.entries is None:
-            return len(dependency_reasons(source, sink))
         return self.entries[source.name, sink.name][1]
 
     def to_doc(self) -> list[dict]:
@@ -369,7 +359,7 @@ def check_theorem_conditions(
     api: TaintedGraphAPI,
     source_name: str,
     sink_name: str,
-    verdicts: PairVerdicts = PairVerdicts(),
+    verdicts: PairVerdicts,
 ) -> TheoremCheck:
     """Evaluate the two sufficient conditions for minimal tests to be conclusive.
 
@@ -379,7 +369,7 @@ def check_theorem_conditions(
     source is universally sequentially independent of the sink, so nothing
     else can have produced what the sink uses.  Either suffices — under the
     stability caveat.  `verdicts` answers the independence questions and the
-    pair's reason count, from a stored matrix or from the overlap engine.
+    pair's reason count.
     """
     source = api.rule(source_name)
     sink = api.rule(sink_name)

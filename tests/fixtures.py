@@ -132,4 +132,5 @@ def collab_plan() -> TestPlan:
         collab_roles(),
         collab_policy(),
         setup_rules=[collab_rules()["createUser"]],
+        initial=InstanceGraph.empty(collab_typegraph()),
     )

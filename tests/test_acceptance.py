@@ -63,6 +63,8 @@ from graphbac.taint import (
     TaintedTypeGraph,
     check_theorem_conditions,
     classify_sources_sinks,
+    pair_verdicts,
+    tainted_flow,
 )
 
 from fixtures import (
@@ -123,7 +125,7 @@ def _served(project_dir: Path, faults: list[dict] | None = None):
     doc = json.loads((project_dir / "mock.json").read_text())
     if faults:
         doc["faults"] = list(doc.get("faults", [])) + faults
-    target = target_from_doc(doc, project.rules(), project.roles())
+    target = target_from_doc(doc, project.rules(), project.roles(), project.initial())
     server, _thread = start_in_background(target)
     return server, f"http://127.0.0.1:{server.server_address[1]}/graphql"
 
@@ -222,7 +224,9 @@ def test_criterion_04_independence_makes_minimal_tests_conclusive(report):
     independent = universally_sequentially_independent(
         rules["createProject"], rules["updateRepo"]
     )
-    check = check_theorem_conditions(api, "createRepo", "updateRepo")
+    check = check_theorem_conditions(
+        api, "createRepo", "updateRepo", pair_verdicts(tainted_flow(api))
+    )
     report(
         independent and check.conclusive and check.reason_count == 1,
         "createProject is universally sequentially independent of updateRepo; "

@@ -55,7 +55,7 @@ def _served(project_dir: Path, faults: list[dict] | None = None):
     doc = json.loads((project_dir / "mock.json").read_text())
     if faults:
         doc["faults"] = list(doc.get("faults", [])) + faults
-    target = target_from_doc(doc, project.rules(), project.roles())
+    target = target_from_doc(doc, project.rules(), project.roles(), project.initial())
     server, _thread = start_in_background(target)
     port = server.server_address[1]
     return server, f"http://127.0.0.1:{port}/graphql"
@@ -594,10 +594,12 @@ def test_a_fresh_sidecar_runs_no_overlap_search(running_example, capsys, monkeyp
     for command in LATER:
         assert _later(running_example, command) == 0, command
     assert calls == {}
-    lock.unlink()  # without the sidecar, the same commands run the engine
+    lock.unlink()  # without the sidecar, each command computes what `analyze` would
+    n = len(Project.load(running_example).analyzed_rules())
     for command in LATER:
+        calls.clear()
         assert _later(running_example, command) == 0, command
-    assert calls["dependency_reasons"] and calls["universally_sequentially_independent"]
+        assert calls == {"dependency_reasons": n * n}, command
 
 
 @pytest.mark.parametrize("name", ["running-example", "synthetic"])
@@ -898,6 +900,48 @@ def test_plan_outside_the_role_spec_is_rejected(running_example, capsys):
     assert "Ghost" in err
 
 
+@pytest.mark.parametrize("command", ["check-coverage", "run-tests"])
+def test_a_plan_step_with_an_unknown_rule_exits_2_naming_the_plan(
+    running_example, capsys, monkeypatch, command
+):
+    for var, token in RUNNING_TOKENS.items():
+        monkeypatch.setenv(var, token)
+    doc = json.loads((running_example / "plan.json").read_text())
+    doc["tests"][0]["steps"][-1]["rule"] = "noSuchRule"
+    if command == "check-coverage":
+        plan = running_example / "plan.json"
+        argv = ["check-coverage"]
+    else:
+        plan = running_example / "elsewhere.json"
+        # the port is never contacted: the plan is refused before any request
+        argv = ["run-tests", "--plan", str(plan), "--endpoint", "http://127.0.0.1:1/graphql"]
+    plan.write_text(json.dumps(doc))
+    assert main([*argv, "--project", str(running_example)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {plan}: plan uses rule(s) not in rules.json: noSuchRule\n"
+    assert not (running_example / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, damage, field",
+    [
+        ("roles.json", _set("Owner", "roles"), "roles"),
+        ("roles.json", _set("Owner", "order"), "order"),
+        ("roles.json", _set(["ab"], "order"), "order"),
+        ("policy.json", _set("Owner", "rules", "createIssue", "allowed"), "allowed"),
+    ],
+)
+def test_a_string_for_a_list_of_roles_exits_2_naming_the_field(
+    running_example, capsys, name, damage, field
+):
+    path = running_example / name
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    assert main(["plan-tests", "--project", str(running_example)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+    assert f"{field} must be a list" in err, err
+
+
 # ---- run-tests ----------------------------------------------------------
 
 
@@ -971,6 +1015,8 @@ def test_run_tests_requires_an_endpoint(running_example, capsys, monkeypatch):
         pytest.param("timeout", "abc", id="timeout-text"),
         pytest.param("timeout", [], id="timeout-list"),
         pytest.param("timeout", -1, id="timeout-negative"),
+        pytest.param("timeout", True, id="timeout-bool"),
+        pytest.param("timeout", "10", id="timeout-numeric-text"),
         pytest.param("cleanup", 5, id="cleanup-number"),
         pytest.param("matcher", [], id="matcher-empty-list"),
         pytest.param("matcher", 0, id="matcher-zero"),

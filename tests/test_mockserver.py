@@ -48,6 +48,7 @@ def make_target(faults=(), policies=None, tokens=None) -> MockTarget:
         policies=policies or {"bearer": collab_policy()},
         tokens=dict(tokens or TOKENS),
         faults=faults,
+        initial=InstanceGraph.empty(collab_typegraph()),
     )
 
 
@@ -228,13 +229,14 @@ def test_config_document_round_trip():
         },
         "faults": [{"kind": "drop_check", "rule": "updateIssue"}],
     }
+    empty = InstanceGraph.empty(collab_typegraph())
     target = target_from_doc(
-        json.loads(json.dumps(doc)), collab_rules().values(), collab_roles()
+        json.loads(json.dumps(doc)), collab_rules().values(), collab_roles(), empty
     )
     assert target.tokens["tok-fine"].scheme == "fine-grained"
     assert target.faults == (FaultInjection("drop_check", "updateIssue"),)
     with pytest.raises(GraphError, match="malformed mock config"):
-        target_from_doc({"tokens": {}}, collab_rules().values(), collab_roles())
+        target_from_doc({"tokens": {}}, collab_rules().values(), collab_roles(), empty)
 
 
 def test_http_round_trip():
@@ -318,6 +320,7 @@ def running_example_target(
         policies={s: PolicyAnnotation.from_doc(p) for s, p in doc["policies"].items()},
         tokens={t: TokenEntry(**entry) for t, entry in doc["tokens"].items()},
         faults=faults,
+        initial=InstanceGraph.empty(typegraph),
     )
 
 

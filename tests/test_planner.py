@@ -127,7 +127,7 @@ def test_synthesize_setup_prefixes():
     pool = list(rules.values())
 
     def setup(name):
-        return _search_embedding(rules[name].lhs, empty_host(), pool, 6)
+        return _search_embedding(rules[name].lhs, empty_host(), pool, 6, {})
 
     assert setup("createUser") == []
     assert [t.rule.name for t in setup("createRepo")] == ["createUser"]
@@ -137,7 +137,7 @@ def test_synthesize_setup_prefixes():
 def test_synthesize_setup_reports_unreachable_patterns():
     rules = collab_rules()
     assert (
-        _search_embedding(rules["updateRepo"].lhs, empty_host(), [rules["getUser"]], 3)
+        _search_embedding(rules["updateRepo"].lhs, empty_host(), [rules["getUser"]], 3, {})
         is None
     )
 
@@ -304,12 +304,14 @@ def test_unreviewed_flow_blocks_generation():
             collab_roles(),
             collab_policy(),
             setup_rules=[collab_rules()["createUser"]],
+            initial=empty_host(),
         )
     forced = generate_minimal_tests(
         flow,
         collab_roles(),
         collab_policy(),
         setup_rules=[collab_rules()["createUser"]],
+        initial=empty_host(),
         include_unreviewed=True,
     )
     assert len(forced.tests) == 18
@@ -326,6 +328,7 @@ def test_fully_allowed_sink_is_negative_infeasible(reviewed_flow):
         collab_roles(),
         relaxed,
         setup_rules=[collab_rules()["createUser"]],
+        initial=empty_host(),
     )
     assert plan.negative_infeasible == ("createProject->deleteProject#0",)
     assert len(plan.tests) == 17
@@ -368,6 +371,7 @@ def test_random_policies_keep_plans_coverage_complete(seed):
         collab_roles(),
         policy,
         setup_rules=[collab_rules()["createUser"]],
+        initial=empty_host(),
     )
     for test in plan.tests:
         denied = [s for s in test.steps if not policy.allows(s.rule, s.role)]
@@ -413,7 +417,7 @@ def _recorded_run(monkeypatch, inputs: dict) -> tuple[list[tuple], list[tuple]]:
     searches, explored = [], []
     search, explore = planner._search_embedding, planner.explore
 
-    def recording(pattern, initial, rules, depth, explorations=None):
+    def recording(pattern, initial, rules, depth, explorations):
         steps = search(pattern, initial, rules, depth, explorations)
         searches.append((pattern, initial, rules, explorations, steps))
         return steps
@@ -447,9 +451,10 @@ def _unreachable(host: InstanceGraph, rules, depth: int) -> InstanceGraph:
 def test_shared_setup_searches_find_what_fresh_ones_do(planning_inputs, monkeypatch, name):
     searches, _ = _recorded_run(monkeypatch, planning_inputs[name])
     tables = {id(explorations) for *_, explorations, _ in searches}
-    assert len(tables) == 1 and searches[0][3] is not None  # one table per run
+    assert len(tables) == 1  # one table per run
     for pattern, initial, rules, _, steps in searches:
-        assert _steps(steps) == _steps(_search_embedding(pattern, initial, rules, SETUP_DEPTH))
+        fresh = _search_embedding(pattern, initial, rules, SETUP_DEPTH, {})
+        assert _steps(steps) == _steps(fresh)
     # again through a new table whose explorations an unreachable pattern
     # has already run to their end
     explorations: dict = {}
@@ -484,7 +489,7 @@ def test_shared_searches_on_random_systems_find_what_fresh_ones_do(seed):
         # an equal host, not the same object: the table keys by elements
         equal = InstanceGraph(tg, start.nodes, start.edges)
         shared = _search_embedding(pattern, equal, rules, depth, explorations)
-        assert _steps(shared) == _steps(_search_embedding(pattern, start, rules, depth))
+        assert _steps(shared) == _steps(_search_embedding(pattern, start, rules, depth, {}))
     assert len(explorations) == len({_host_key(s) for s in starts})
 
 

@@ -8,9 +8,9 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from fixtures import collab_plan, collab_policy, collab_roles, collab_rules
+from fixtures import collab_plan, collab_policy, collab_roles, collab_rules, collab_typegraph
 
-from graphbac.core import GraphError
+from graphbac.core import GraphError, InstanceGraph
 from graphbac.mockserver import (
     FaultInjection,
     MockTarget,
@@ -49,6 +49,7 @@ def make_target(faults=(), rules=None) -> MockTarget:
         policies={"bearer": collab_policy()},
         tokens={token: TokenEntry(role) for role, token in TOKENS.items()},
         faults=faults,
+        initial=InstanceGraph.empty(collab_typegraph()),
     )
 
 
@@ -109,7 +110,7 @@ def test_tokens_from_env():
 
 def test_clean_target_passes_every_generated_test(plan):
     target = make_target()
-    report = run_plan(plan, make_config(), transport=target.transport())
+    report = run_plan(plan, make_config(), transport=target.transport(), rules=collab_rules())
     assert len(report.results) == 18
     assert report.all_passed
     assert report.counts() == {SUCCESS: 18, FAIL: 0, INCONCLUSIVE: 0}
@@ -122,7 +123,7 @@ def test_clean_target_passes_every_generated_test(plan):
 
 def test_dropped_check_is_detected_as_vulnerability(plan):
     target = make_target(faults=(FaultInjection("drop_check", "updateIssue"),))
-    report = run_plan(plan, make_config(), transport=target.transport())
+    report = run_plan(plan, make_config(), transport=target.transport(), rules=collab_rules())
     flipped = [r for r in report.results if r.classification == NEGATIVE_FAIL]
     assert [r.test_id for r in flipped] == ["flow-neg:createIssue->updateIssue#0"]
     assert report.detected_vulnerabilities == ("flow-neg:createIssue->updateIssue#0",)
@@ -136,7 +137,7 @@ def test_over_restriction_fails_positive_tests(plan):
     target = make_target(
         faults=(FaultInjection("over_restrict", "createIssue", "Collaborator"),)
     )
-    report = run_plan(plan, make_config(), transport=target.transport())
+    report = run_plan(plan, make_config(), transport=target.transport(), rules=collab_rules())
     failed = sorted(
         r.test_id for r in report.results if r.classification == POSITIVE_FAIL
     )
@@ -148,7 +149,7 @@ def test_transport_failure_is_inconclusive(plan):
     def broken(request, headers, timeout):
         raise OSError("connection refused")
 
-    report = run_plan(plan, make_config(), transport=broken)
+    report = run_plan(plan, make_config(), transport=broken, rules=collab_rules())
     assert all(r.verdict == INCONCLUSIVE for r in report.results)
     assert all("transport failure" in r.detail for r in report.results)
     assert report.detected_vulnerabilities == ()
@@ -167,7 +168,7 @@ def test_transport_failure_is_inconclusive(plan):
     ],
 )
 def test_response_that_is_not_an_object_is_inconclusive(plan, body):
-    report = run_plan(plan, make_config(), transport=lambda *args: body)
+    report = run_plan(plan, make_config(), transport=lambda *args: body, rules=collab_rules())
     problem = "not a list of error objects" if isinstance(body, dict) else "not a JSON object"
     assert all(r.verdict == INCONCLUSIVE for r in report.results)
     assert all(problem in r.detail for r in report.results)
@@ -195,7 +196,7 @@ def test_body_that_is_not_json_is_inconclusive_over_http(plan, status):
         endpoint = f"http://127.0.0.1:{server.server_address[1]}/graphql"
         with pytest.raises(OSError, match=f"HTTP {status}"):
             http_transport(endpoint)({}, {}, 5.0)
-        report = run_plan(plan, make_config(endpoint=endpoint))
+        report = run_plan(plan, make_config(endpoint=endpoint), rules=collab_rules())
         assert all(r.verdict == INCONCLUSIVE for r in report.results)
         assert all("transport failure" in r.detail for r in report.results)
     finally:
@@ -229,6 +230,19 @@ def test_renamed_operations_run_like_the_originals(plan, faults):
     assert sent["operationName"] == "userCreate"
 
 
+def test_a_step_with_an_unknown_rule_stops_the_run_before_any_request(plan):
+    sent = []
+
+    def recording(request, headers, timeout):
+        sent.append(request)
+        return {"data": {}}
+
+    rules = {name: rule for name, rule in collab_rules().items() if name != "updateIssue"}
+    with pytest.raises(RunnerError, match="unknown rule.*updateIssue"):
+        run_plan(plan, make_config(), transport=recording, rules=rules)
+    assert sent == []
+
+
 def test_non_access_error_is_inconclusive(plan):
     def flaky(request, headers, timeout):
         return {
@@ -236,7 +250,7 @@ def test_non_access_error_is_inconclusive(plan):
             "errors": [{"message": "boom", "extensions": {"code": "INTERNAL"}}],
         }
 
-    report = run_plan(plan, make_config(), transport=flaky)
+    report = run_plan(plan, make_config(), transport=flaky, rules=collab_rules())
     assert all(r.verdict == INCONCLUSIVE for r in report.results)
     assert all("non-access error" in r.detail for r in report.results)
 
@@ -258,7 +272,7 @@ def test_unresolvable_binding_is_inconclusive_and_names_the_path():
     )
     plan = TestPlan(roles=roles, tests=(test,))
     target = make_target()
-    report = run_plan(plan, make_config(), transport=target.transport())
+    report = run_plan(plan, make_config(), transport=target.transport(), rules=collab_rules())
     result = report.results[0]
     assert result.verdict == INCONCLUSIVE
     assert "zzz" in result.detail and "step 0" in result.detail
@@ -266,13 +280,13 @@ def test_unresolvable_binding_is_inconclusive_and_names_the_path():
 
 def test_cleanup_reset_clears_the_target(plan):
     target = make_target()
-    run_plan(plan, make_config(cleanup="reset"), transport=target.transport())
+    run_plan(plan, make_config(cleanup="reset"), transport=target.transport(), rules=collab_rules())
     assert not target.graph.nodes
 
 
 def test_report_documents_and_rendering(plan):
     target = make_target(faults=(FaultInjection("drop_check", "updateIssue"),))
-    report = run_plan(plan, make_config(), transport=target.transport())
+    report = run_plan(plan, make_config(), transport=target.transport(), rules=collab_rules())
     doc = json.loads(json.dumps(report.to_doc()))
     assert doc["summary"] == {SUCCESS: 17, FAIL: 1, INCONCLUSIVE: 0}
     assert doc["all_passed"] is False
