@@ -91,9 +91,12 @@ _DEFAULT_PATHS = {
     "report": "report.json",
 }
 _SETTINGS = ("endpoint", "schemes", "matcher", "timeout", "cleanup", "include_inputs")
-# The modules whose code decides the analysis and the documents that hold
-# it; `analyze` records a digest of their source in the analysis sidecar.
-_ANALYSIS_MODULES = ("core.py", "rules.py", "dependency.py", "taint.py", "cli.py")
+# The modules whose code turns the input bytes into the analysis and the
+# documents that hold it, from the schema parser on; `analyze` records a
+# digest of their source in the analysis sidecar, beside that of the inputs.
+_ANALYSIS_MODULES = (
+    "schema.py", "core.py", "rules.py", "dependency.py", "taint.py", "cli.py"
+)
 _RERUN = "run `graphbac analyze`"
 
 
@@ -150,23 +153,27 @@ def _write_doc(path: Path, doc: object) -> str:
 
 @dataclass
 class Analysis:
-    """A project's static analysis: its API, the verdicts of every ordered
-    pair of analyzed rules, and the unreviewed tainted flow, which is built
+    """A project's static analysis: the verdicts of every ordered pair of
+    analyzed rules, then its API and its unreviewed tainted flow, each built
     (or loaded) on first use."""
 
-    api: TaintedGraphAPI
     verdicts: PairVerdicts
-    build_flow: Callable[[], TaintedFlow]
+    build_api: Callable[[], TaintedGraphAPI]
+    build_flow: Callable[[TaintedGraphAPI], TaintedFlow]
 
     @classmethod
     def computed(cls, api: TaintedGraphAPI) -> "Analysis":
         """The flow and its verdicts, as `analyze` computes and writes them."""
         flow = tainted_flow(api)
-        return cls(api, pair_verdicts(flow), lambda: flow)
+        return cls(pair_verdicts(flow), lambda: api, lambda _api: flow)
+
+    @cached_property
+    def api(self) -> TaintedGraphAPI:
+        return self.build_api()
 
     @cached_property
     def flow(self) -> TaintedFlow:
-        return self.build_flow()
+        return self.build_flow(self.api)
 
 
 def _analysis_doc(flow: TaintedFlow) -> dict:
@@ -204,7 +211,7 @@ def _flow_from_doc(
     expected = [
         (f"{source}->{sink}#{i}", source, sink)
         for source, sink in api.pairs()
-        for i in range(verdicts.reason_count(rules[source], rules[sink]))
+        for i in range(verdicts.reason_count(source, sink))
     ]
     if [(r.id, r.source_rule, r.sink_rule) for r in reasons] != expected:
         raise GraphError(
@@ -222,6 +229,10 @@ class Project:
     def __init__(self, root: Path, config: dict):
         self.root = root
         self.config = config
+        # document path -> the sha256 of its text, for each document read
+        self._sha256s: dict[Path, str] = {}
+        # document path -> its text, from the read until `_parsed` parses it
+        self._texts: dict[Path, str] = {}
         # document path (or path and derived form) -> parsed value
         self._loaded: dict[object, object] = {}
 
@@ -254,6 +265,20 @@ class Project:
             f"{self.root / 'project.json'}: include_inputs",
         )
 
+    def _text(self, path: Path) -> str:
+        """The text of the document at `path`, read on first use and kept
+        until `_parsed` parses that same copy; its sha256 is kept on."""
+        if path not in self._texts:
+            self._texts[path] = text = _read(path)
+            self._sha256s[path] = _sha256(text)
+        return self._texts[path]
+
+    def _sha256_of(self, path: Path) -> str:
+        """The sha256 of the document's text, which is read once per command."""
+        if path not in self._sha256s:
+            self._text(path)
+        return self._sha256s[path]
+
     def _parsed(
         self,
         path: Path,
@@ -266,7 +291,9 @@ class Project:
         this file; the documents it needs are loaded first, outside that
         context, so their errors name only their own file."""
         if path not in self._loaded:
-            doc = _read(path) if text else _load_json(path)
+            raw = self._text(path)
+            del self._texts[path]
+            doc = raw if text else _parse_json(path, raw)
             needed = [need() for need in needs]
             with _file_context(path):
                 self._loaded[path] = parse(doc, *needed)
@@ -277,24 +304,29 @@ class Project:
     def schema_model(self) -> SchemaModel:
         return self._parsed(self.path("schema"), parse_sdl, text=True)
 
+    def _typegraph_source(self) -> str:
+        """The document the type graph comes from: "schema" when present,
+        else "typegraph", a stored type graph document."""
+        if self.path("schema").exists():
+            return "schema"
+        if not self.path("typegraph").exists():
+            raise GraphError(
+                f"{self.path('schema')}: file not found "
+                f"(and no {self.path('typegraph').name} to fall back on)"
+            )
+        return "typegraph"
+
     def typegraph(self) -> TypeGraph:
         """From the schema when present, else from a stored type graph document."""
-        schema_path = self.path("schema")
-        if schema_path.exists():
-            key = (schema_path, "typegraph")
+        if self._typegraph_source() == "schema":
+            key = (self.path("schema"), "typegraph")
             if key not in self._loaded:
                 self._loaded[key] = to_type_graph(
                     self.schema_model(),
                     include_inputs=self.include_inputs(),
                 )
             return self._loaded[key]
-        tg_path = self.path("typegraph")
-        if not tg_path.exists():
-            raise GraphError(
-                f"{self.path('schema')}: file not found "
-                f"(and no {tg_path.name} to fall back on)"
-            )
-        return self._parsed(tg_path, TypeGraph.from_doc)
+        return self._parsed(self.path("typegraph"), TypeGraph.from_doc)
 
     def rules(self) -> list[Rule]:
         return self._parsed(self.path("rules"), rules_from_doc, self.typegraph)
@@ -328,30 +360,62 @@ class Project:
         return self.path("analysis").with_suffix(".lock.json")
 
     def analysis_inputs_sha256(self) -> str:
-        """sha256 over what the analysis depends on: the type graph, the
-        rules, the tainted types and the source of the analysis code."""
+        """sha256 over what the analysis depends on: the bytes of the type
+        graph's source document, keyed by which document it is, `include_inputs`
+        when that source is the schema, the bytes of the rules and of the
+        taint document, and the source of the analysis code.  No document is
+        parsed for it, so any byte edit to an input makes the digest new."""
+        source = self._typegraph_source()
         inputs = {
-            "typegraph": self.typegraph().to_doc(),
-            "rules": rules_to_doc(self.rules()),
-            "tainted_types": list(self.tainted_typegraph().tainted),
+            source: self._sha256_of(self.path(source)),
+            "rules": self._sha256_of(self.path("rules")),
+            "taint": self._sha256_of(self.path("taint")),
             "code_sha256": _analysis_code_sha256(),
         }
+        if source == "schema":
+            inputs["include_inputs"] = self.include_inputs()
         return _sha256(json.dumps(inputs, sort_keys=True))
 
     def analysis(self) -> Analysis:
         """The analysis the stages after `analyze` read, once per command.
 
         Without a sidecar it is computed now, as `analyze` computes it.
-        With one, the verdicts come from the sidecar and the flow from
-        `analysis.json`; a sidecar whose digests no longer match the
-        inputs or `analysis.json` is an error that asks for `analyze`.
-        The input documents are parsed first, so that a damaged one names
-        its own file.
+        With one whose digests match the input bytes and `analysis.json`,
+        the verdicts come from the sidecar, and the API and the flow are
+        built on first use, so a stage that needs only the verdicts parses
+        no input.  A sidecar that is damaged or no longer matches is an
+        error that asks for `analyze`; the input documents are parsed
+        before it is raised, so that a damaged one names its own file.
         """
-        api = self.api()
         lock_path = self.analysis_lock_path()
         if not lock_path.exists():
-            return Analysis.computed(api)
+            return Analysis.computed(self.api())
+        try:
+            verdicts, analysis_text = self._checked_sidecar(lock_path)
+        except GraphError:
+            self.api()
+            raise
+        analysis_path = self.path("analysis")
+
+        def build_api() -> TaintedGraphAPI:
+            api = self.api()
+            if verdicts.names != tuple(r.name for r in api.rules):
+                raise GraphError(
+                    f"{lock_path}: its verdicts are not those of the analyzed "
+                    f"rules; {_RERUN}"
+                )
+            return api
+
+        def load_flow(api: TaintedGraphAPI) -> TaintedFlow:
+            with _file_context(analysis_path):
+                doc = _parse_json(analysis_path, analysis_text)
+                return _flow_from_doc(doc, api, verdicts)
+
+        return Analysis(verdicts, build_api, load_flow)
+
+    def _checked_sidecar(self, lock_path: Path) -> tuple[PairVerdicts, str]:
+        """The sidecar's verdicts and the text of the `analysis.json` it
+        vouches for, once both digests match."""
         lock = _load_json(lock_path)
         analysis_path = self.path("analysis")
         with _file_context(lock_path):
@@ -377,17 +441,9 @@ class Project:
                     f"written; {_RERUN}"
                 )
             try:
-                verdicts = PairVerdicts.from_doc(
-                    lock.get("pairs"), [r.name for r in api.rules]
-                )
+                return PairVerdicts.from_doc(lock.get("pairs")), text
             except GraphError as exc:
                 raise GraphError(f"{exc}; {_RERUN}") from exc
-
-        def load_flow() -> TaintedFlow:
-            with _file_context(analysis_path):
-                return _flow_from_doc(_parse_json(analysis_path, text), api, verdicts)
-
-        return Analysis(api, verdicts, load_flow)
 
     def flow(self, reviewed: bool = True) -> TaintedFlow:
         """The analysis's tainted flow, with the review ledger applied when
@@ -551,18 +607,17 @@ def cmd_review_apply(args: argparse.Namespace) -> int:
 
 def cmd_check_theorem(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
-    analysis = project.analysis()
-    analyzed = {r.name for r in analysis.api.rules}
+    verdicts = project.analysis().verdicts
     for name in (args.source, args.sink):
-        # the setup rules are looked at only for a name the analysis lacks
-        if name not in analyzed and name in {r.name for r in project.setup_rules()}:
+        # the setup rules are looked at only for a name the verdicts lack
+        if name not in verdicts.names and name in {
+            r.name for r in project.setup_rules()
+        }:
             raise GraphError(
                 f"rule {name} is setup-only: the analysis skips setup-only "
                 "rules, so they have no verdicts"
             )
-    check = check_theorem_conditions(
-        analysis.api, args.source, args.sink, analysis.verdicts
-    )
+    check = check_theorem_conditions(args.source, args.sink, verdicts)
     reasons = "reason" if check.reason_count == 1 else "reasons"
     print(f"{check.source} -> {check.sink}: {check.reason_count} dependency {reasons}")
     if check.condition1_holds:

@@ -10,9 +10,9 @@ rather than letting noise masquerade as a security verdict.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -98,8 +98,13 @@ class RunnerConfig:
     def __post_init__(self) -> None:
         if self.cleanup not in ("none", "reset"):
             raise GraphError(f"unknown cleanup mode {self.cleanup}")
-        # a JSON number: a bool is an int to Python, and "10" is text
-        if type(self.timeout) not in (int, float) or not 0 < self.timeout < math.inf:
+        # a JSON number: a bool is an int to Python, and "10" is text; a
+        # socket cannot wait longer than TIMEOUT_MAX (about 292 years), and
+        # float() cannot hold an integer of hundreds of digits
+        if (
+            type(self.timeout) not in (int, float)
+            or not 0 < self.timeout <= threading.TIMEOUT_MAX
+        ):
             raise GraphError(
                 f"timeout must be a positive number of seconds, got {self.timeout!r}"
             )

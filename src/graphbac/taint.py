@@ -13,6 +13,7 @@ conclusive for a pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import GraphError, TypeGraph, _boolean
@@ -274,11 +275,11 @@ class PairVerdicts:
 
     entries: dict[tuple[str, str], tuple[bool, int]]
 
-    def independent(self, first: Rule, second: Rule) -> bool:
-        return self.entries[first.name, second.name][0]
+    def independent(self, first: str, second: str) -> bool:
+        return self.entries[first, second][0]
 
-    def reason_count(self, source: Rule, sink: Rule) -> int:
-        return self.entries[source.name, sink.name][1]
+    def reason_count(self, source: str, sink: str) -> int:
+        return self.entries[source, sink][1]
 
     def to_doc(self) -> list[dict]:
         return [
@@ -291,46 +292,47 @@ class PairVerdicts:
             for (first, second), (independent, count) in sorted(self.entries.items())
         ]
 
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The rules the verdicts are about, sorted by name, as
+        `classify_sources_sinks` orders an API's rules."""
+        return tuple(sorted({first for first, _ in self.entries}))
+
     @classmethod
-    def from_doc(cls, doc: object, rule_names: Sequence[str]) -> "PairVerdicts":
-        """Stored verdicts, which must cover exactly the ordered pairs of
-        `rule_names`, self-pairs included."""
+    def from_doc(cls, doc: object) -> "PairVerdicts":
+        """Stored verdicts, which must cover every ordered pair of the rules
+        they name, self-pairs included."""
         if not isinstance(doc, list):
             raise GraphError("pairs must be a list of pair verdicts")
         entries: dict[tuple[str, str], tuple[bool, int]] = {}
         for item in doc:
-            if not isinstance(item, dict) or not all(
-                isinstance(item.get(key), str) for key in ("first", "second")
+            if (
+                not isinstance(item, dict)
+                or type(item.get("first")) is not str
+                or type(item.get("second")) is not str
             ):
                 raise GraphError(
                     f"pair verdict {item!r} must name its first and second rule"
                 )
             pair = (item["first"], item["second"])
-            name = " -> ".join(pair)
             independent, count = item.get("independent"), item.get("reasons")
-            if not isinstance(independent, bool):
-                raise GraphError(f"pair {name}: independent must be true or false")
-            if (
-                isinstance(count, bool)
-                or not isinstance(count, int)
-                or count < 0
-                or (independent and count)
-            ):
+            # JSON gives exact types: a bool is no count, and 1 is no verdict
+            if type(independent) is not bool:
                 raise GraphError(
-                    f"pair {name}: reasons must be a count of reasons, "
+                    f"pair {' -> '.join(pair)}: independent must be true or false"
+                )
+            if type(count) is not int or count < 0 or (independent and count):
+                raise GraphError(
+                    f"pair {' -> '.join(pair)}: reasons must be a count of reasons, "
                     "0 for an independent pair"
                 )
             if pair in entries:
-                raise GraphError(f"pair {name} has two verdicts")
+                raise GraphError(f"pair {' -> '.join(pair)} has two verdicts")
             entries[pair] = (independent, count)
-        expected = {(a, b) for a in rule_names for b in rule_names}
-        missing, extra = sorted(expected - set(entries)), sorted(set(entries) - expected)
-        if missing:
-            raise GraphError(f"no verdict for pair {' -> '.join(missing[0])}")
-        if extra:
-            raise GraphError(
-                f"verdict for pair {' -> '.join(extra[0])} of rules not analyzed"
-            )
+        names = {name for pair in entries for name in pair}
+        if len(entries) != len(names) ** 2:
+            missing = min((a, b) for a in names for b in names if (a, b) not in entries)
+            raise GraphError(f"no verdict for pair {' -> '.join(missing)}")
         return cls(entries)
 
 
@@ -356,10 +358,7 @@ def pair_verdicts(flow: TaintedFlow) -> PairVerdicts:
 
 
 def check_theorem_conditions(
-    api: TaintedGraphAPI,
-    source_name: str,
-    sink_name: str,
-    verdicts: PairVerdicts,
+    source_name: str, sink_name: str, verdicts: PairVerdicts
 ) -> TheoremCheck:
     """Evaluate the two sufficient conditions for minimal tests to be conclusive.
 
@@ -368,20 +367,22 @@ def check_theorem_conditions(
     produced before the sink sees it.  Condition 2: every rule other than the
     source is universally sequentially independent of the sink, so nothing
     else can have produced what the sink uses.  Either suffices — under the
-    stability caveat.  `verdicts` answers the independence questions and the
-    pair's reason count.
+    stability caveat.  The verdict matrix answers the independence questions
+    and the pair's reason count, over the rules it names.
     """
-    source = api.rule(source_name)
-    sink = api.rule(sink_name)
+    names = verdicts.names
+    for name in (source_name, sink_name):
+        if name not in names:
+            raise GraphError(f"unknown rule {name}")
     c1_failures = [
-        r.name
-        for r in api.rules
-        if r.name != sink_name and not verdicts.independent(source, r)
+        name
+        for name in names
+        if name != sink_name and not verdicts.independent(source_name, name)
     ]
     c2_failures = [
-        r.name
-        for r in api.rules
-        if r.name != source_name and not verdicts.independent(r, sink)
+        name
+        for name in names
+        if name != source_name and not verdicts.independent(name, sink_name)
     ]
     return TheoremCheck(
         source=source_name,
@@ -390,5 +391,5 @@ def check_theorem_conditions(
         condition1_failures=tuple(c1_failures),
         condition2_holds=not c2_failures,
         condition2_failures=tuple(c2_failures),
-        reason_count=verdicts.reason_count(source, sink),
+        reason_count=verdicts.reason_count(source_name, sink_name),
     )

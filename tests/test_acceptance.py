@@ -225,7 +225,7 @@ def test_criterion_04_independence_makes_minimal_tests_conclusive(report):
         rules["createProject"], rules["updateRepo"]
     )
     check = check_theorem_conditions(
-        api, "createRepo", "updateRepo", pair_verdicts(tainted_flow(api))
+        "createRepo", "updateRepo", pair_verdicts(tainted_flow(api))
     )
     report(
         independent and check.conclusive and check.reason_count == 1,

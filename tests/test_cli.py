@@ -435,7 +435,11 @@ def test_each_document_is_read_once_per_command(
     monkeypatch.setattr(cli, "to_type_graph", counted_derivation)
     argv = LATER.get(command, [command])
     assert main([*argv, "--project", str(running_example)]) == 0
-    assert {"<sdl>", "<typegraph>", "schema.graphql", "rules.json"} <= set(reads)
+    assert {"schema.graphql", "rules.json"} <= set(reads)
+    # the theorem answers from a fresh sidecar's matrix and parses no schema
+    parsed = {"<sdl>", "<typegraph>"}
+    answers_from_matrix = sidecar and command == "check-theorem"
+    assert parsed & set(reads) == (set() if answers_from_matrix else parsed)
     assert all(count == 1 for count in reads.values()), reads
     # only the stages after `analyze` read the analysis, and only from a sidecar
     analysis_files = {"analysis.json", "analysis.lock.json"}
@@ -603,6 +607,50 @@ def test_a_fresh_sidecar_runs_no_overlap_search(running_example, capsys, monkeyp
 
 
 @pytest.mark.parametrize("name", ["running-example", "synthetic"])
+def test_a_fresh_sidecar_answers_check_theorem_without_parsing(
+    tmp_path, capsys, monkeypatch, name
+):
+    project = tmp_path / name
+    if name == "synthetic":
+        synthetic_project(project, SYNTHETIC_TINY)
+    else:
+        shutil.copytree(PROJECTS / name, project)
+    _analyzed(project, capsys)
+    rules = [r.name for r in Project.load(project).analyzed_rules()]
+    calls: Counter = Counter()
+    for attr in ("parse_sdl", "to_type_graph", "rules_from_doc"):
+        original = getattr(cli, attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, attr, counted)
+    for source in rules:
+        for sink in rules:
+            argv = ["check-theorem", "--source", source, "--sink", sink]
+            assert main([*argv, "--project", str(project)]) in (0, 1), argv
+    assert calls == {}
+    capsys.readouterr()
+    # without the sidecar the same command parses each input once
+    (project / "analysis.lock.json").unlink()
+    argv = ["check-theorem", "--source", rules[0], "--sink", rules[-1]]
+    assert main([*argv, "--project", str(project)]) in (0, 1)
+    assert calls == {"parse_sdl": 1, "to_type_graph": 1, "rules_from_doc": 1}
+
+
+@pytest.mark.parametrize("sidecar", [True, False])
+@pytest.mark.parametrize("flag", ["--source", "--sink"])
+def test_check_theorem_names_an_unknown_rule(running_example, capsys, sidecar, flag):
+    if sidecar:
+        _analyzed(running_example, capsys)
+    names = {"--source": "createRepo", "--sink": "updateRepo", flag: "noSuchRule"}
+    argv = [item for pair in names.items() for item in pair]
+    assert main(["check-theorem", "--project", str(running_example), *argv]) == 2
+    assert capsys.readouterr().err == "error: unknown rule noSuchRule\n"
+
+
+@pytest.mark.parametrize("name", ["running-example", "synthetic"])
 def test_analyze_enumerates_each_pair_once(tmp_path, capsys, monkeypatch, name):
     project = tmp_path / name
     if name == "synthetic":
@@ -654,6 +702,18 @@ def test_the_sidecar_changes_no_output(tmp_path, capsys, name):
         assert got[0] in (0, 1), argv
 
 
+def _reformat_rules(project: Path) -> None:
+    """Edit only the whitespace of `rules.json`."""
+    path = project / "rules.json"
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=4))
+
+
+def _comment_schema(project: Path) -> None:
+    """Edit `schema.graphql` so that it derives the same type graph."""
+    with (project / "schema.graphql").open("a") as out:
+        out.write("\n# the sidecar is keyed on bytes\n")
+
+
 def _change_rules(project: Path) -> None:
     doc = json.loads((project / "rules.json").read_text())
     doc["rules"][1]["call"]["operation"] = "fetchUser"
@@ -677,7 +737,15 @@ def _change_analysis(project: Path) -> None:
 
 @pytest.mark.parametrize("command", sorted(LATER))
 @pytest.mark.parametrize(
-    "change", [_change_rules, _change_taint, _include_inputs, _change_analysis]
+    "change",
+    [
+        _change_rules,
+        _reformat_rules,
+        _comment_schema,
+        _change_taint,
+        _include_inputs,
+        _change_analysis,
+    ],
 )
 def test_a_stale_sidecar_asks_for_analyze(running_example, capsys, command, change):
     # an input type the type graph gains only with include_inputs
@@ -755,6 +823,23 @@ def test_a_damaged_sidecar_exits_2_naming_it(running_example, capsys, command, d
     assert _later(running_example, command) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {lock}"), err
+    assert err.count(str(running_example)) == 1, err
+
+
+@pytest.mark.parametrize("command", ["review apply", "plan-tests", "check-coverage"])
+def test_verdicts_of_other_rules_exit_2_naming_the_sidecar(
+    running_example, capsys, command
+):
+    lock = _analyzed(running_example, capsys)
+    doc = json.loads(lock.read_text())
+    # a complete matrix, but without one analyzed rule
+    doc["pairs"] = [
+        p for p in doc["pairs"] if "getProject" not in (p["first"], p["second"])
+    ]
+    lock.write_text(json.dumps(doc))
+    assert _later(running_example, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lock}: its verdicts are not those of the analyzed rules")
     assert err.count(str(running_example)) == 1, err
 
 
@@ -1017,6 +1102,8 @@ def test_run_tests_requires_an_endpoint(running_example, capsys, monkeypatch):
         pytest.param("timeout", -1, id="timeout-negative"),
         pytest.param("timeout", True, id="timeout-bool"),
         pytest.param("timeout", "10", id="timeout-numeric-text"),
+        pytest.param("timeout", 1e300, id="timeout-beyond-the-platform"),
+        pytest.param("timeout", 10**400, id="timeout-beyond-a-float"),
         pytest.param("cleanup", 5, id="cleanup-number"),
         pytest.param("matcher", [], id="matcher-empty-list"),
         pytest.param("matcher", 0, id="matcher-zero"),

@@ -19,3 +19,10 @@ def test_the_kstar_curve_at_k3_has_its_six_reasons():
     point = _curves().kstar(3)
     assert (point["curve"], point["k"], point["reasons"]) == ("kstar", 3, 6)
     assert point["wall_s"] >= 0
+
+
+def test_the_oracle_curve_at_depth_3_explores_12_hosts():
+    point = _curves().oracle(3)
+    assert (point["curve"], point["depth"], point["hosts"]) == ("oracle", 3, 12)
+    assert point["agreed"]
+    assert point["wall_s"] >= 0

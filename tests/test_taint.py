@@ -204,7 +204,7 @@ def test_theorem_conditions_hold_on_reduced_rule_set():
     ttg = TaintedTypeGraph(collab_typegraph(), ("Repository",))
     api = classify_sources_sinks(subset, ttg)
     check = check_theorem_conditions(
-        api, "createRepo", "updateRepo", reference_verdicts(all_pairs(api))
+        "createRepo", "updateRepo", reference_verdicts(all_pairs(api))
     )
     assert check.condition1_holds
     assert check.condition2_holds
@@ -217,7 +217,7 @@ def test_theorem_conditions_hold_on_reduced_rule_set():
 
 def test_theorem_conditions_fail_on_full_rule_set(api):
     check = check_theorem_conditions(
-        api, "createRepo", "updateRepo", reference_verdicts(all_pairs(api))
+        "createRepo", "updateRepo", reference_verdicts(all_pairs(api))
     )
     # createRepo feeds createIssue, and createIssue feeds updateIssue/deleteIssue
     assert not check.condition1_holds
@@ -230,7 +230,7 @@ def test_theorem_vacuous_on_two_rule_set():
     ttg = TaintedTypeGraph(collab_typegraph(), ("Repository",))
     api = classify_sources_sinks([rules["createRepo"], rules["updateRepo"]], ttg)
     check = check_theorem_conditions(
-        api, "createRepo", "updateRepo", reference_verdicts(all_pairs(api))
+        "createRepo", "updateRepo", reference_verdicts(all_pairs(api))
     )
     assert check.condition1_holds and check.condition2_holds
 
@@ -239,7 +239,7 @@ def test_theorem_flags_toy_blind_spot():
     ttg = TaintedTypeGraph(incident_typegraph(), ("T",))
     api = classify_sources_sinks(incident_rules().values(), ttg)
     check = check_theorem_conditions(
-        api, "createIncidentT", "deleteT", reference_verdicts(all_pairs(api))
+        "createIncidentT", "deleteT", reference_verdicts(all_pairs(api))
     )
     assert check.verdict == "neither"
     assert check.reason_count == 0
@@ -247,17 +247,16 @@ def test_theorem_flags_toy_blind_spot():
 
 
 def test_stored_verdicts_answer_as_the_engine_does(api, flow):
-    stored = PairVerdicts.from_doc(
-        pair_verdicts(flow).to_doc(), [r.name for r in api.rules]
-    )
+    stored = PairVerdicts.from_doc(pair_verdicts(flow).to_doc())
     reference = reference_verdicts(all_pairs(api))
     for first in api.rules:
         for second in api.rules:
-            assert stored.independent(first, second) == reference.independent(first, second)
-            assert stored.reason_count(first, second) == reference.reason_count(first, second)
-            assert check_theorem_conditions(
-                api, first.name, second.name, stored
-            ) == check_theorem_conditions(api, first.name, second.name, reference)
+            pair = (first.name, second.name)
+            assert stored.independent(*pair) == reference.independent(*pair)
+            assert stored.reason_count(*pair) == reference.reason_count(*pair)
+            assert check_theorem_conditions(*pair, stored) == check_theorem_conditions(
+                *pair, reference
+            )
 
 
 @pytest.mark.parametrize("name", ["running-example", "github-issue", "synthetic"])
@@ -285,7 +284,7 @@ def test_the_matrix_answers_every_pair_of_the_synthetic_project(tmp_path):
     start = time.process_time()
     verdicts = pair_verdicts(tainted_flow(api))
     checks = [
-        check_theorem_conditions(api, source.name, sink.name, verdicts)
+        check_theorem_conditions(source.name, sink.name, verdicts)
         for source in api.rules
         for sink in api.rules
         if source is not sink
@@ -307,7 +306,7 @@ def test_the_matrix_answers_every_pair_of_the_synthetic_project(tmp_path):
     )
     for other in others:
         for pair in ((star, other), (other, star)):
-            assert by_pair[pair] == check_theorem_conditions(api, *pair, reference)
+            assert by_pair[pair] == check_theorem_conditions(*pair, reference)
 
 
 def test_flow_soundness_on_concrete_two_step_sequence(api, flow):
