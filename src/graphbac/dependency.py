@@ -405,12 +405,12 @@ def classify_transformation_pair(
     return INDEPENDENT
 
 
-def extract_reason(
+def _span_maps(
     t1: DirectTransformation, t2: DirectTransformation
-) -> DependencyReason | None:
-    """The span witnessing a produce-use pair, as element pairs with equal image."""
-    if classify_transformation_pair(t1, t2) != PRODUCE_USE:
-        return None
+) -> tuple[dict[str, str], dict[str, str]]:
+    """The node and edge maps from t1's creation graph into t2's pattern
+    that pair the elements with equal host image, in the creation graph's
+    fixed order.  Their keys are the span a produce-use pair extracts."""
     creation = _part_graph(t1.rule, CREATE)
     host_to_sink_node = {image: n for n, image in t2.match.node_map.items()}
     host_to_sink_edge = {image: e for e, image in t2.match.edge_map.items()}
@@ -424,14 +424,23 @@ def extract_reason(
         image = t1.comatch.edge_map[e]
         if image in host_to_sink_edge:
             edge_map[e] = host_to_sink_edge[image]
-    span = creation.subgraph(node_map, edge_map)
+    return node_map, edge_map
+
+
+def extract_reason(
+    t1: DirectTransformation, t2: DirectTransformation
+) -> DependencyReason | None:
+    """The reason witnessing a produce-use pair: the span of element pairs
+    with equal image, realized.  None when the pair is not produce-use, or
+    when the analysis cannot realize its span, which contradicts the pair."""
+    if classify_transformation_pair(t1, t2) != PRODUCE_USE:
+        return None
+    node_map, edge_map = _span_maps(t1, t2)
+    span = _part_graph(t1.rule, CREATE).subgraph(node_map, edge_map)
     embedding = Morphism(span, t2.rule.lhs, node_map, edge_map)
-    reason = _reason(
+    return _reason(
         f"{t1.rule.name}->{t2.rule.name}#extracted", t1.rule, t2.rule, span, embedding
     )
-    if reason is None:
-        raise AssertionError("extracted span from a concrete pair must be realizable")
-    return reason
 
 
 def reason_to_doc(reason: DependencyReason) -> dict:

@@ -10,14 +10,20 @@ The reachable states come from `rules.explore`, the same breadth-first search
 the planner uses for setup steps.
 
 Each ordered rule pair is checked against one concrete walk: the first
-rule's steps from every reachable host (computed once per first rule), each
-followed by every step of the second rule, each step pair classified once.
-Both checks read that walk, the pair's reported reasons and whether each
-reason is concretely realizable, all computed once; the walk is dropped
-when the pair is done.
+rule's steps from every reachable host, each followed by every step of the
+second rule, each step pair classified once.  Every analyzed rule's first
+steps are computed once per run and kept for the whole run; the walks of
+(a, b) and (b, a) are made and held together, and dropped when both pairs
+are done.  Both checks read the walk, the pair's reported reasons and
+whether each reason is concretely realizable, all computed once, and each
+span a concrete produce-use pair extracts is realized once per run.
 
 An independent pair commutes when its switched result is isomorphic to the
-original one.  By the local Church-Rosser theorem the two results are
+original one.  By the local Church-Rosser theorem the switched steps use
+the original matches, so the walk already holds them: t2' is a first step
+of the second rule on t1's host, and t1' a step of the first rule after
+t2', in the walk of the reversed pair.  The oracle looks both up there and
+applies a rule only for a step the walk lacks.  The two results are
 related by a known bijection (the identity on the untouched context, each
 created element to its counterpart), so the oracle checks that certificate
 with the validating `Morphism` constructor and searches with `isomorphic`
@@ -28,13 +34,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GraphError, InstanceGraph, Morphism
 from .dependency import (
     INDEPENDENT,
     PRODUCE_USE,
     DependencyReason,
+    _span_maps,
     classify_transformation_pair,
     delete_overlap_reasons,
     dependency_reasons,
@@ -61,6 +69,18 @@ def reachable_hosts(
 
 
 StepPair = tuple[DirectTransformation, DirectTransformation, str]
+# the reason a produce-use pair extracts, None when the analysis cannot
+# realize its span (see `extract_reason`)
+Extract = Callable[
+    [DirectTransformation, DirectTransformation], DependencyReason | None
+]
+# (t2', t1') for an independent pair (t1, t2) (see `_switched_steps`)
+Switch = Callable[
+    [DirectTransformation, DirectTransformation],
+    tuple[DirectTransformation, DirectTransformation],
+]
+# one rule's steps by host identity and match images (see `_index`)
+StepIndex = dict[tuple, DirectTransformation]
 
 
 def _step_pairs(
@@ -72,12 +92,37 @@ def _step_pairs(
             yield t1, t2, classify_transformation_pair(t1, t2)
 
 
+def _extractor() -> Extract:
+    """`extract_reason` for produce-use pairs, each span realized once.
+
+    The span and its embedding are cheap to read off a pair; realizing them
+    is not, and many pairs extract the same span.  The returned function
+    keeps each realization by (source, sink, embedding), which also names
+    the span, its domain.
+    """
+    reasons: dict[tuple, DependencyReason | None] = {}
+
+    def extract(
+        t1: DirectTransformation, t2: DirectTransformation
+    ) -> DependencyReason | None:
+        node_map, edge_map = _span_maps(t1, t2)
+        key = (
+            t1.rule.name, t2.rule.name, tuple(node_map.items()), tuple(edge_map.items())
+        )
+        if key not in reasons:
+            reasons[key] = extract_reason(t1, t2)
+        return reasons[key]
+
+    return extract
+
+
 def produce_use_disagreements(
     source: Rule,
     sink: Rule,
     steps: Sequence[StepPair],
     reported: Sequence[DependencyReason],
     realized: Sequence[bool],
+    extract: Extract,
 ) -> list[str]:
     """Completeness and soundness of the reported reasons for one rule pair.
 
@@ -87,8 +132,15 @@ def produce_use_disagreements(
     for t1, t2, cls in steps:
         if cls != PRODUCE_USE:
             continue
-        extracted = extract_reason(t1, t2)
-        if not any(extracted.same_span(r) for r in reported):
+        extracted = extract(t1, t2)
+        if extracted is None:
+            node_map, edge_map = _span_maps(t1, t2)
+            out.append(
+                f"{source.name}->{sink.name}: concrete pair over span "
+                f"{sorted(node_map) + sorted(edge_map)} is not realizable "
+                "by the analysis"
+            )
+        elif not any(extracted.same_span(r) for r in reported):
             out.append(
                 f"{source.name}->{sink.name}: concrete pair over span "
                 f"{sorted(extracted.span.nodes) + sorted(extracted.span.edges)} "
@@ -111,14 +163,21 @@ def _witness_pairs(
     yield from _step_pairs(transformations(first, before), second)
 
 
-def _realize_reason(source: Rule, sink: Rule, reason: DependencyReason) -> bool:
+def _realize_reason(
+    source: Rule, sink: Rule, reason: DependencyReason, extract: Extract
+) -> bool:
     """True when a concrete consecutive pair's extracted span equals the reason's."""
-    return any(
-        cls == PRODUCE_USE and extract_reason(t1, t2).same_span(reason)
-        for t1, t2, cls in _witness_pairs(
-            source, sink, reason.glued, reason.source_comatch
-        )
-    )
+    for t1, t2, cls in _witness_pairs(source, sink, reason.glued, reason.source_comatch):
+        if cls == PRODUCE_USE:
+            extracted = extract(t1, t2)
+            if extracted is not None and extracted.same_span(reason):
+                return True
+    return False
+
+
+def _step_at(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformation:
+    """The rule's step on the host at the match's images, the match validated."""
+    return apply(rule, host, Morphism(rule.lhs, host, match.node_map, match.edge_map))
 
 
 def _switched_steps(
@@ -126,11 +185,46 @@ def _switched_steps(
 ) -> tuple[DirectTransformation, DirectTransformation]:
     """(t2', t1'): the second step applied first, then the first; both
     matches carry over unchanged."""
-    host = t1.host
-    m2 = Morphism(t2.rule.lhs, host, t2.match.node_map, t2.match.edge_map)
-    t2p = apply(t2.rule, host, m2)
-    m1 = Morphism(t1.rule.lhs, t2p.result, t1.match.node_map, t1.match.edge_map)
-    return t2p, apply(t1.rule, t2p.result, m1)
+    t2p = _step_at(t2.rule, t1.host, t2.match)
+    return t2p, _step_at(t1.rule, t2p.result, t1.match)
+
+
+def _images(rule: Rule, match: Morphism) -> tuple[str, ...]:
+    """The match's node and edge images in the rule pattern's fixed order."""
+    lhs, node_map, edge_map = rule.lhs, match.node_map, match.edge_map
+    return (*map(node_map.__getitem__, lhs.nodes), *map(edge_map.__getitem__, lhs.edges))
+
+
+def _index(steps: Iterable[DirectTransformation]) -> StepIndex:
+    """Steps of one rule by host identity and match images, in walk order.
+
+    A host is named by its identity, so the caller keeps every host alive
+    while the index is in use.
+    """
+    return {(id(t.host), _images(t.rule, t.match)): t for t in steps}
+
+
+def _looked_up(
+    index: StepIndex, rule: Rule, host: InstanceGraph, match: Morphism
+) -> DirectTransformation:
+    """`_step_at(rule, host, match)`, taken from the index when it holds the
+    step.  Matching, `apply` and `_fresh_ids` are deterministic, so an
+    indexed step is the one `apply` would build."""
+    step = index.get((id(host), _images(rule, match)))
+    return step if step is not None else _step_at(rule, host, match)
+
+
+def _switch(
+    t1: DirectTransformation,
+    t2: DirectTransformation,
+    firsts: StepIndex,
+    seconds: StepIndex,
+) -> tuple[DirectTransformation, DirectTransformation]:
+    """`_switched_steps(t1, t2)` from the walk: t2' among the second rule's
+    first steps (`firsts`, on t1's host), t1' among the first rule's steps
+    after those (`seconds`, the walk of the reversed pair)."""
+    t2p = _looked_up(firsts, t2.rule, t1.host, t2.match)
+    return t2p, _looked_up(seconds, t1.rule, t2p.result, t1.match)
 
 
 def _certificate(
@@ -186,11 +280,13 @@ def independence_disagreements(
     second: Rule,
     steps: Sequence[StepPair],
     realized: Sequence[bool],
+    switch: Switch,
 ) -> list[str]:
     """The universal-independence verdict against every concrete pair.
 
     `realized` says, for each reason reported for the pair, whether a
-    concrete pair realizes it (see `run_oracle`).
+    concrete pair realizes it (see `run_oracle`); `switch` gives an
+    independent pair's switched steps.
     """
     verdict = universally_sequentially_independent(first, second)
     out = []
@@ -203,7 +299,7 @@ def independence_disagreements(
                 )
             continue
         try:
-            t2p, t1p = _switched_steps(t1, t2)
+            t2p, t1p = switch(t1, t2)
         except GraphError as exc:
             out.append(
                 f"{first.name};{second.name}: independent pair is not switchable ({exc})"
@@ -292,6 +388,21 @@ class OracleReport:
         return not self.disagreements
 
 
+def _pair_disagreements(
+    first: Rule,
+    second: Rule,
+    steps: Sequence[StepPair],
+    extract: Extract,
+    switch: Switch,
+) -> list[str]:
+    """Both checks of one ordered rule pair against its walk."""
+    reasons = dependency_reasons(first, second)
+    realized = [_realize_reason(first, second, r, extract) for r in reasons]
+    return produce_use_disagreements(
+        first, second, steps, reasons, realized, extract
+    ) + independence_disagreements(first, second, steps, realized, switch)
+
+
 def run_oracle(
     analyzed: Iterable[Rule],
     all_rules: Iterable[Rule],
@@ -302,24 +413,36 @@ def run_oracle(
     start = time.monotonic()
     analyzed = sorted(analyzed, key=lambda r: r.name)
     hosts = reachable_hosts(all_rules, initial, depth)
-    disagreements = []
-    pairs = 0
-    for a in analyzed:
-        firsts = [t for host in hosts for t in transformations(a, host)]
-        for b in analyzed:
-            pairs += 1
-            steps = list(_step_pairs(firsts, b))
-            reasons = dependency_reasons(a, b)
-            realized = [_realize_reason(a, b, reason) for reason in reasons]
-            disagreements.extend(
-                produce_use_disagreements(a, b, steps, reasons, realized)
-            )
-            disagreements.extend(independence_disagreements(a, b, steps, realized))
-            del steps  # only one pair's steps are held at a time
+    # `hosts` keeps every host alive while these indexes name them
+    firsts = [
+        _index(t for host in hosts for t in transformations(a, host)) for a in analyzed
+    ]
+    extract = _extractor()
+    messages: dict[tuple[int, int], list[str]] = {}
+    for i, a in enumerate(analyzed):
+        for j in range(i, len(analyzed)):
+            b = analyzed[j]
+            # each walk's second steps are the reversed pair's switched t1';
+            # the self-pair is its own reversed pair
+            walks = {(i, j): list(_step_pairs(firsts[i].values(), b))}
+            if j != i:
+                walks[j, i] = list(_step_pairs(firsts[j].values(), a))
+            for x, y in walks:
+                switch = partial(
+                    _switch,
+                    firsts=firsts[y],
+                    seconds=_index(t2 for _, t2, _ in walks[y, x]),
+                )
+                messages[x, y] = _pair_disagreements(
+                    analyzed[x], analyzed[y], walks[x, y], extract, switch
+                )
+            del walks  # only one unordered pair's walks are held at a time
+    n = len(analyzed)
     return OracleReport(
         depth=depth,
         hosts_explored=len(hosts),
-        pairs_checked=pairs,
-        disagreements=disagreements,
+        pairs_checked=n * n,
+        disagreements=[m for i in range(n) for j in range(n) for m in messages[i, j]],
         elapsed_seconds=time.monotonic() - start,
     )
+

@@ -94,3 +94,16 @@ def host_with_embedded_lhs(
         f"h_{e}": Edge(d.type, f"h_{d.src}", f"h_{d.tgt}") for e, d in lhs.edges.items()
     }
     return graph.add(nodes, edges)
+
+
+def wide_system(seed: int) -> tuple[list[Rule], InstanceGraph]:
+    """The wide random system of a seed: a type graph of up to 3 node and 3
+    edge types, 3 rules of at most 3 nodes and 2 edges, and an initial host
+    of 0-2 isolated nodes."""
+    rng = random.Random(seed)
+    tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
+    rules = [
+        random_rule(rng, tg, name=f"r{i}", max_nodes=3, max_edges=2) for i in range(3)
+    ]
+    nodes = {f"s{i}": rng.choice(tg.node_types) for i in range(rng.randint(0, 2))}
+    return rules, InstanceGraph(tg, nodes, {})

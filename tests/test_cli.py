@@ -1235,6 +1235,18 @@ def test_oracle_rejects_a_negative_depth(capsys):
     assert captured.out == ""
 
 
+def test_an_unrealizable_extracted_span_exits_1(capsys, monkeypatch):
+    # every concrete produce-use pair then extracts a span the analysis
+    # cannot realize: a disagreement, not an internal error
+    monkeypatch.setattr(dependency, "_realize", lambda *args: None)
+    assert main([
+        "oracle", "--project", str(PROJECTS / "incident-toy"), "--max-depth", "3",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert "is not realizable by the analysis" in captured.out
+    assert captured.err == ""
+
+
 def test_toy_projects_fall_back_to_the_typegraph_document():
     project = Project.load(PROJECTS / "incident-toy")
     tg = project.typegraph()

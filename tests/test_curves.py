@@ -26,3 +26,12 @@ def test_the_oracle_curve_at_depth_3_explores_12_hosts():
     assert (point["curve"], point["depth"], point["hosts"]) == ("oracle", 3, 12)
     assert point["agreed"]
     assert point["wall_s"] >= 0
+
+
+def test_the_sweep_curve_at_seed_255_explores_18_hosts():
+    point = _curves().sweep(255)
+    assert (point["curve"], point["seed"], point["hosts"], point["pairs"]) == (
+        "sweep", 255, 18, 9,
+    )
+    assert point["agreed"]
+    assert point["wall_s"] >= 0

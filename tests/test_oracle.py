@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbac.rules
-from graphbac import oracle
+from graphbac import dependency, oracle
+from graphbac.cli import Project
 from graphbac.core import GraphError, InstanceGraph, Morphism
 from graphbac.dependency import (
     INDEPENDENT,
@@ -39,7 +42,9 @@ from fixtures import (
     incident_initial,
     incident_rules,
 )
-from randgen import random_rule, random_typegraph
+from randgen import random_rule, random_typegraph, wide_system
+
+PROJECTS = Path(__file__).resolve().parent.parent / "projects"
 
 
 def test_reachable_hosts_dedups_isomorphic_states():
@@ -156,12 +161,21 @@ def test_collab_pairwise_agreement_at_shallow_depth():
                 for t2 in transformations(second, t1.result)
             ]
             reasons = dependency_reasons(first, second)
-            realized = [oracle._realize_reason(first, second, r) for r in reasons]
+            realized = [
+                oracle._realize_reason(first, second, r, extract_reason) for r in reasons
+            ]
             assert (
-                produce_use_disagreements(first, second, steps, reasons, realized)
+                produce_use_disagreements(
+                    first, second, steps, reasons, realized, extract_reason
+                )
                 == []
             )
-            assert independence_disagreements(first, second, steps, realized) == []
+            assert (
+                independence_disagreements(
+                    first, second, steps, realized, oracle._switched_steps
+                )
+                == []
+            )
 
 
 @settings(max_examples=20, deadline=None)
@@ -244,22 +258,118 @@ def test_a_wrong_certificate_falls_back_to_the_search(monkeypatch, toy):
     assert searches, "a wrong certificate must send the pair to `isomorphic`"
 
 
+def _planted(step):
+    """The step with one more isolated node in its result."""
+    result = step.result
+    if "planted" in result.nodes:  # already planted further down the call
+        return step
+    extra = {"planted": result.typegraph.node_types[0]}
+    return dataclasses.replace(step, result=result.add(extra, {}))
+
+
 @pytest.mark.parametrize("toy", TOYS)
 def test_a_switched_step_that_differs_is_reported(monkeypatch, toy):
     make_rules, make_initial = toy
     rules = list(make_rules().values())
-    real = oracle._switched_steps
 
-    def planted(t1, t2):
-        t2p, t1p = real(t1, t2)
-        extra = {"planted": t1p.result.typegraph.node_types[0]}
-        return t2p, dataclasses.replace(t1p, result=t1p.result.add(extra, {}))
+    def planting(real):
+        def planted(t1, t2, *args, **kwargs):
+            t2p, t1p = real(t1, t2, *args, **kwargs)
+            return t2p, _planted(t1p)
 
-    monkeypatch.setattr(oracle, "_switched_steps", planted)
+        return planted
+
+    # the shared oracle switches through `_switch` (lookup or fallback), the
+    # reference through `_switched_steps`
+    monkeypatch.setattr(oracle, "_switch", planting(oracle._switch))
+    monkeypatch.setattr(oracle, "_switched_steps", planting(oracle._switched_steps))
     monkeypatch.setattr(oracle, "_certificate", _wrong_certificate)
     shared, reference = _both_oracles(rules, make_initial(), 3)
     assert shared == reference
     assert any("switched order yields a different result" in m for m in shared)
+
+
+def _step_name(rule, host, match):
+    """A step by its rule, its host's content and its match images."""
+    content = tuple(sorted(host.nodes.items())), tuple(sorted(host.edges.items()))
+    return rule.name, content, oracle._images(rule, match)
+
+
+def _independent_pairs(rules, initial, depth):
+    hosts = reachable_hosts(rules, initial, depth)
+    for first in sorted(rules, key=lambda r: r.name):
+        for second in sorted(rules, key=lambda r: r.name):
+            for t1, t2 in _reference_pairs(first, second, hosts):
+                if classify_transformation_pair(t1, t2) == INDEPENDENT:
+                    yield t1, t2
+
+
+def test_a_wrong_t2_prime_is_reported_for_every_pair_that_shares_it(monkeypatch):
+    # on the incident toy no two independent pairs share a t2'
+    rules = list(chain_rules().values())
+    # plant a wrong t2' where the most independent pairs share it, among the
+    # steps that are no pair's t1'
+    t2_primes, t1_primes = Counter(), set()
+    for t1, t2 in _independent_pairs(rules, chain_initial(), 3):
+        t2p = oracle._switched_steps(t1, t2)[0]
+        t2_primes[_step_name(t2.rule, t1.host, t2.match)] += 1
+        t1_primes.add(_step_name(t1.rule, t2p.result, t1.match))
+    target, count = max(
+        ((name, n) for name, n in t2_primes.items() if name not in t1_primes),
+        key=lambda item: item[1],
+    )
+    assert count == 4
+
+    def planting(real):
+        def planted(*args):
+            step = real(*args)
+            return _planted(step) if _step_name(*args[-3:]) == target else step
+
+        return planted
+
+    # the shared oracle looks t2' up in its walk, the reference applies it
+    monkeypatch.setattr(oracle, "_looked_up", planting(oracle._looked_up))
+    monkeypatch.setattr(oracle, "_step_at", planting(oracle._step_at))
+    shared, reference = _both_oracles(rules, chain_initial(), 3)
+    assert shared == reference
+    differs = [m for m in shared if "switched order yields a different result" in m]
+    assert len(differs) == len(shared) == count, shared
+
+
+def test_the_running_example_oracle_applies_no_rule_outside_its_walk(monkeypatch):
+    project = Project.load(PROJECTS / "running-example")
+
+    def refused(*args):
+        raise AssertionError("a switched step was applied, not looked up")
+
+    monkeypatch.setattr(oracle, "apply", refused)
+    report = run_oracle(project.analyzed_rules(), project.rules(), project.initial(), 4)
+    assert report.agreed, report.disagreements
+    assert (report.hosts_explored, report.pairs_checked) == (29, 81)
+
+
+@pytest.mark.parametrize("toy", TOYS)
+def test_every_looked_up_switch_is_the_applied_one(monkeypatch, toy):
+    make_rules, make_initial = toy
+    rules = list(make_rules().values())
+    real = oracle._switch
+    checked = []
+
+    def compared(t1, t2, *args, **kwargs):
+        switched = real(t1, t2, *args, **kwargs)
+        checked.append(switched == oracle._switched_steps(t1, t2))
+        return switched
+
+    monkeypatch.setattr(oracle, "_switch", compared)
+    assert run_oracle(rules, rules, make_initial(), 3).agreed
+    assert checked and all(checked)
+
+
+def test_an_unrealizable_extracted_span_is_a_disagreement(monkeypatch):
+    rules = list(incident_rules().values())
+    monkeypatch.setattr(dependency, "_realize", lambda *args: None)
+    report = run_oracle(rules, rules, incident_initial(), 3)
+    assert any("is not realizable by the analysis" in m for m in report.disagreements)
 
 
 # ---- planted faults: one shared walk against a walk per check ------------
@@ -450,3 +560,12 @@ def test_planted_faults_on_random_systems(seed):
         if fault == "flip_an_independent_verdict" and planted:
             # no reason and no delete overlap can witness the claimed dependency
             assert any("declared dependent" in m for m in shared), shared
+
+
+def test_wide_random_systems_agree_with_the_reference():
+    """The wide shape explores many more step pairs per system than the
+    2-rule systems above: both oracles must find no disagreement."""
+    for seed in range(40):
+        rules, initial = wide_system(seed)
+        shared, reference = _both_oracles(rules, initial, 3)
+        assert shared == reference == [], seed
