@@ -189,6 +189,100 @@ def _rule_spans(rule: Rule, tag: str) -> list[InstanceGraph]:
     return spans
 
 
+def _signature_keys(graph: InstanceGraph) -> dict[str, tuple]:
+    """Each node's degree signature, the count of its edges per (edge type,
+    direction), as a hashable key: equal keys are equal signatures.  Unlike
+    `InstanceGraph.degree_signatures` it caches nothing on the graph, since
+    a rule keeps its spans; a rule does keep one key per distinct signature
+    of a created node in its spans, and a sorted tuple is the smaller key."""
+    sigs: dict[str, dict[tuple[str, str], int]] = {n: {} for n in graph.nodes}
+    for e in graph.edges.values():
+        out, into = sigs[e.src], sigs[e.tgt]
+        out[(e.type, "out")] = out.get((e.type, "out"), 0) + 1
+        into[(e.type, "in")] = into.get((e.type, "in"), 0) + 1
+    return {n: tuple(sorted(sig.items())) for n, sig in sigs.items()}
+
+
+# What an overlap span needs of the graph it embeds into, and what a graph
+# offers: ("node", type) a node of the type, ("edge", type) an edge of the
+# type (an edge type fixes its endpoint types), and for the two degree
+# conditions `_realize` states, ("exact", type, signature) a node of the
+# type with that degree signature (CREATE) or ("kept", type) a node of the
+# type that the first rule preserves (DELETE).
+
+
+def _span_needs(rule: Rule, tag: str) -> tuple[dict[tuple, int], list[int]]:
+    """What each of the rule's `_rule_spans` for the tag needs, built on
+    first use and kept beside them (shared; do not modify): a bit for each
+    need some span has, and one mask of need bits per span, in span order.
+
+    CREATE: a node the rule creates needs a pattern node of its type and
+    with its signature in the span; any other node a node of its type.
+    DELETE: a node whose signature in the span is short of its signature in
+    the rule's pattern, so that some pattern edge at it lies outside the
+    span, needs a node of its type that the first rule preserves.
+    """
+    key = f"_needs_{tag}"
+    needs = rule.__dict__.get(key)
+    if needs is None:
+        whole = _signature_keys(rule.lhs) if tag == DELETE else {}
+        bits: dict[tuple, int] = {}
+        masks = []
+        for span in _rule_spans(rule, tag):
+            sigs = _signature_keys(span)
+            wanted = [("edge", d.type) for d in span.edges.values()]
+            for n, ntype in span.nodes.items():
+                if tag == CREATE:
+                    exact = rule.tags[n] == CREATE
+                    wanted.append(("exact", ntype, sigs[n]) if exact else ("node", ntype))
+                else:
+                    wanted.append(("node", ntype) if sigs[n] == whole[n] else ("kept", ntype))
+            mask = 0
+            for need in wanted:
+                mask |= bits.setdefault(need, 1 << len(bits))
+            masks.append(mask)
+        needs = rule.__dict__[key] = (bits, masks)
+    return needs
+
+
+def _offers(rule: Rule, tag: str) -> frozenset:
+    """What the rule offers to the spans of the tag's overlaps, which embed
+    into its pattern (CREATE, the rule is the sink) or into its result side
+    (DELETE, the rule is the first).  Built on first use and kept."""
+    key = f"_offers_{tag}"
+    offers = rule.__dict__.get(key)
+    if offers is None:
+        graph = rule.lhs if tag == CREATE else rule.rhs
+        found = {("edge", d.type) for d in graph.edges.values()}
+        found |= {("node", ntype) for ntype in graph.nodes.values()}
+        if tag == CREATE:
+            sigs = _signature_keys(graph)
+            found |= {("exact", ntype, sigs[y]) for y, ntype in graph.nodes.items()}
+        else:
+            found |= {
+                ("kept", ntype)
+                for y, ntype in graph.nodes.items()
+                if rule.tags[y] == PRESERVE
+            }
+        offers = rule.__dict__[key] = frozenset(found)
+    return offers
+
+
+def _candidate_spans(first: Rule, second: Rule, tag: str) -> list[InstanceGraph]:
+    """The spans of a (first, second) pair that `_overlaps` embeds, in span
+    order: those whose needs the other rule offers.  Every span left out
+    has no embedding that `_realize` would accept (see its docstring)."""
+    owner, target = (first, second) if tag == CREATE else (second, first)
+    bits, masks = _span_needs(owner, tag)
+    offered = _offers(target, tag)
+    missing = sum(bit for need, bit in bits.items() if need not in offered)
+    return [
+        span
+        for span, mask in zip(_rule_spans(owner, tag), masks)
+        if not mask & missing
+    ]
+
+
 def _context_identifications(
     producer: Rule, pattern: InstanceGraph, base: dict[str, str]
 ) -> list[dict[str, str]]:
@@ -275,6 +369,25 @@ def _realize(
     first's result side, so the check serves both.  What is left to try is
     second's dangling condition; the inverse step then certifies the
     witness, and raises should it ever refuse one.
+
+    The same refusal is a condition on degrees, which lets `_overlaps` skip
+    a span before matching it.  Let y be a pattern node that `base` maps
+    onto a created node.  In CREATE, y is the image of a created span node
+    n.  The embedding is injective and keeps edge types and directions, so
+    the pattern edges at y inside `base` are the images of the span's edges
+    at n, one each; all pattern edges at y lie in `base` exactly when y's
+    degree signature in second's pattern equals n's in the span.  In
+    DELETE, y is a span node, and the pattern edges at y inside `base` are
+    the span's edges at y; all of them lie in `base` exactly when y's
+    signature in the span equals its signature in second's pattern.  So in
+    CREATE every created span node must land on a pattern node of its type
+    whose signature equals its own in the span, and in DELETE every span
+    node short of its pattern signature must land on a node first
+    preserves.  `_candidate_spans` leaves out each span for which no such
+    node exists: every embedding of it would be refused here.  A created
+    node has in any span at most its edges in the creation graph, so the
+    equality per span implies the condition per pair that its landing node's
+    signature be pointwise at most its creation-graph signature.
     """
     # `base` identifies some of second's pattern elements with first's result side
     base = {**embedding.node_map, **embedding.edge_map}
@@ -317,13 +430,15 @@ def _overlaps(
     CREATE: spans of first's creation graph embedded into second's pattern
     (produce-use).  DELETE: spans of second's deletion graph embedded into
     first's result side (delete overlaps).  Yields the span, its embedding
-    and `_realize`'s (glued host, first comatch, second match).
+    and `_realize`'s (glued host, first comatch, second match).  Only the
+    `_candidate_spans` reach the matcher; the others have no embedding
+    `_realize` accepts, and the order of the rest is unchanged.
     """
     if first.typegraph != second.typegraph:
         raise GraphError("rules are typed over different type graphs")
-    owner, into = (first, second.lhs) if tag == CREATE else (second, first.rhs)
+    into = second.lhs if tag == CREATE else first.rhs
     seen: set[tuple] = set()
-    for span in _rule_spans(owner, tag):
+    for span in _candidate_spans(first, second, tag):
         for embedding in enumerate_matches(span, into):
             outcome = _realize(first, second, embedding, tag)
             if outcome is None:

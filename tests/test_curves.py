@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import graphbac.dependency as dependency
+
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "curves.py"
 
 
@@ -35,3 +37,22 @@ def test_the_sweep_curve_at_seed_255_explores_18_hosts():
     )
     assert point["agreed"]
     assert point["wall_s"] >= 0
+
+
+def test_the_kstar_at_k4_matches_only_the_whole_star(monkeypatch):
+    """Only the whole star can be realized: a span leaving a spoke out gives
+    its hub a smaller degree than the sink's hub, and a leaf without its
+    spoke a smaller degree than every sink leaf.  The pre-check skips every
+    other span, so the matcher runs once."""
+    source, sink = _curves().star_pair(4)
+    matched = []
+    original = dependency.enumerate_matches
+
+    def counting(pattern, host):
+        matched.append(pattern)
+        return original(pattern, host)
+
+    monkeypatch.setattr(dependency, "enumerate_matches", counting)
+    reasons = dependency.dependency_reasons(source, sink)
+    assert len(reasons) == 24
+    assert [(len(p.nodes), len(p.edges)) for p in matched] == [(5, 4)]

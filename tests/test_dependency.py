@@ -27,9 +27,12 @@ from graphbac.dependency import (
     PRODUCE_USE,
     USE_DELETE,
     DependencyReason,
+    _candidate_spans,
     _context_identifications,
     _glue,
     _part_graph,
+    _realize,
+    _rule_spans,
     classify_transformation_pair,
     delete_overlap_reasons,
     dependency_reasons,
@@ -661,3 +664,62 @@ def test_overlaps_agree_with_the_reference_on_a_thousand_pairs():
             overlaps += found[1]
     # both kinds occur often enough for a wrong refusal to show
     assert reasons > 100 and overlaps > 100, (reasons, overlaps)
+
+
+# ---- the pre-check that keeps spans from the matcher ------------------------
+
+
+def _skipped_embeddings(first, second, tag):
+    """Every embedding of a span `_candidate_spans` leaves out, with the
+    number `_realize` accepts."""
+    owner, into = (first, second.lhs) if tag == CREATE else (second, first.rhs)
+    kept = {id(span) for span in _candidate_spans(first, second, tag)}
+    embeddings = accepted = 0
+    for span in _rule_spans(owner, tag):
+        if id(span) in kept:
+            continue
+        for embedding in enumerate_matches(span, into):
+            embeddings += 1
+            accepted += _realize(first, second, embedding, tag) is not None
+    return embeddings, accepted
+
+
+def test_skipped_spans_have_no_embedding_realize_accepts():
+    """On the seeds of the thousand-pair test, the pre-check leaves out
+    spans that do embed, and `_realize` refuses every such embedding."""
+    skipped = {CREATE: 0, DELETE: 0}
+    for seed in range(300, 800):
+        _, r1, r2 = _random_rule_pair(seed)
+        for first, second in ((r1, r2), (r2, r1)):
+            for tag in (CREATE, DELETE):
+                embeddings, accepted = _skipped_embeddings(first, second, tag)
+                assert accepted == 0, (seed, tag)
+                skipped[tag] += embeddings
+    assert skipped[CREATE] > 0 and skipped[DELETE] > 0, skipped
+
+
+def test_a_delete_span_short_of_its_edges_skips_a_created_image():
+    # the second rule deletes x with its edge to p; the first rule creates
+    # the only X node, so the span {x}, which leaves that edge out, embeds
+    # only onto a created node, which `_realize` refuses
+    tg = TypeGraph(("P", "X"), (EdgeType("link", "X", "P"),))
+    first = Rule(
+        name="addX",
+        typegraph=tg,
+        nodes={"c": "X", "q": "P"},
+        edges={"f": Edge("link", "c", "q")},
+        tags={"c": "create", "q": "preserve", "f": "create"},
+    )
+    second = Rule(
+        name="dropX",
+        typegraph=tg,
+        nodes={"x": "X", "p": "P"},
+        edges={"e": Edge("link", "x", "p")},
+        tags={"x": "delete", "p": "preserve", "e": "delete"},
+    )
+    candidates = _candidate_spans(first, second, DELETE)
+    assert [(set(s.nodes), set(s.edges)) for s in candidates] == [({"x", "p"}, {"e"})]
+    assert _skipped_embeddings(first, second, DELETE) == (2, 0)
+    got = delete_overlap_reasons(first, second)
+    assert got == _ref_delete_overlap_reasons(first, second)
+    assert [(w["span_nodes"], w["span_edges"]) for w in got] == [(["p", "x"], ["e"])]

@@ -7,8 +7,9 @@ graphbac is imported from the `src/` of the checkout this script is in,
 and the seeded system generator from its `tests/randgen.py`; nothing
 outside the standard library is needed.  Each line names the
 curve and its size parameter, and holds what the point counts and the
-wall time of the measured call, on fresh rules, so that no cache of an
-earlier point is reused.
+median, minimum and maximum wall time of REPEATS runs of the measured
+call.  Every run gets fresh rules, so that no cache of an earlier run is
+reused; single calls of a point spread by up to 40 % on a shared machine.
 
 kstar: `dependency_reasons` from a source that creates a k-edge star (a
 hub and k leaves) to a sink that reads the same star.  Only the whole
@@ -31,6 +32,7 @@ independent step pairs on them, so its time is per-pair overhead.
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -46,9 +48,10 @@ from graphbac.oracle import run_oracle  # noqa: E402
 from graphbac.rules import CREATE, PRESERVE, Rule  # noqa: E402
 from randgen import wide_system  # noqa: E402
 
-KSTAR_POINTS = (3, 4, 5)
+KSTAR_POINTS = (3, 4, 5, 6)
 ORACLE_POINTS = (3, 4, 5)
 SWEEP_SEEDS = (255, 66)
+REPEATS = 5
 
 
 def star_rule(name: str, typegraph: TypeGraph, k: int, tag: str) -> Rule:
@@ -59,43 +62,64 @@ def star_rule(name: str, typegraph: TypeGraph, k: int, tag: str) -> Rule:
     return Rule(name=name, typegraph=typegraph, nodes=nodes, edges=edges, tags=tags)
 
 
-def kstar(k: int) -> dict:
+def timed(inputs, call) -> tuple:
+    """`call(*inputs())` run REPEATS times, each on fresh inputs: the last
+    result and the median, minimum and maximum wall time of the calls."""
+    walls = []
+    for _ in range(REPEATS):
+        args = inputs()
+        start = time.perf_counter()
+        result = call(*args)
+        walls.append(time.perf_counter() - start)
+    return result, {
+        "wall_s": round(statistics.median(walls), 4),
+        "min_s": round(min(walls), 4),
+        "max_s": round(max(walls), 4),
+    }
+
+
+def star_pair(k: int) -> tuple[Rule, Rule]:
+    """Fresh rules that create and that read a k-edge star."""
     typegraph = TypeGraph(("Hub", "Leaf"), (EdgeType("spoke", "Hub", "Leaf"),))
-    source = star_rule("createStar", typegraph, k, CREATE)
-    sink = star_rule("readStar", typegraph, k, PRESERVE)
-    start = time.perf_counter()
-    reasons = dependency_reasons(source, sink)
-    wall = time.perf_counter() - start
-    return {"curve": "kstar", "k": k, "reasons": len(reasons), "wall_s": round(wall, 4)}
+    return (
+        star_rule("createStar", typegraph, k, CREATE),
+        star_rule("readStar", typegraph, k, PRESERVE),
+    )
+
+
+def kstar(k: int) -> dict:
+    reasons, walls = timed(lambda: star_pair(k), dependency_reasons)
+    return {"curve": "kstar", "k": k, "reasons": len(reasons), **walls}
 
 
 def oracle(depth: int) -> dict:
-    project = Project.load(ROOT / "projects" / "running-example")
-    analyzed, rules, initial = project.analyzed_rules(), project.rules(), project.initial()
-    start = time.perf_counter()
-    report = run_oracle(analyzed, rules, initial, depth)
-    wall = time.perf_counter() - start
+    def inputs():
+        project = Project.load(ROOT / "projects" / "running-example")
+        return project.analyzed_rules(), project.rules(), project.initial(), depth
+
+    report, walls = timed(inputs, run_oracle)
     return {
         "curve": "oracle",
         "depth": depth,
         "hosts": report.hosts_explored,
         "agreed": report.agreed,
-        "wall_s": round(wall, 4),
+        **walls,
     }
 
 
 def sweep(seed: int) -> dict:
-    rules, initial = wide_system(seed)
-    start = time.perf_counter()
-    report = run_oracle(rules, rules, initial, 3)
-    wall = time.perf_counter() - start
+    def inputs():
+        rules, initial = wide_system(seed)
+        return rules, rules, initial, 3
+
+    report, walls = timed(inputs, run_oracle)
     return {
         "curve": "sweep",
         "seed": seed,
         "hosts": report.hosts_explored,
         "pairs": report.pairs_checked,
         "agreed": report.agreed,
-        "wall_s": round(wall, 4),
+        **walls,
     }
 
 
