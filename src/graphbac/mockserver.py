@@ -11,6 +11,7 @@ dynamic analysis has something real to detect.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -232,24 +233,46 @@ class MockTarget:
 
 class _Handler(BaseHTTPRequestHandler):
     target: MockTarget  # set by serve()
+    # keep-alive: one connection, and one server thread, serve a whole run
+    protocol_version = "HTTP/1.1"
+    # headers and body go out in two sends; with Nagle's algorithm on, each
+    # kept-alive response would wait for the client's delayed ACK
+    disable_nagle_algorithm = True
 
     def do_POST(self) -> None:  # noqa: N802  (http.server naming)
+        # a body whose end is unknown ends the connection, or its bytes
+        # would be read as the next request
+        if "Transfer-Encoding" in self.headers:
+            self._refuse("a request body needs a Content-Length")
+            return
+        length = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = json.loads(self.rfile.read(length) or b"{}")
+            size = int(length)
+        except ValueError:
+            size = -1
+        if size < 0:
+            self._refuse(f"Content-Length {length!r} is not a byte count")
+            return
+        try:
+            body = json.loads(self.rfile.read(size) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError and bad UTF-8 included
             self._respond(400, _error(BAD_REQUEST, f"malformed request: {exc}"))
             return
         response = self.target.execute(self.headers.get("Authorization"), body)
         self._respond(200, response)
 
-    def _respond(self, status: int, payload: dict) -> None:
+    def _refuse(self, problem: str) -> None:
+        self._respond(400, _error(BAD_REQUEST, f"malformed request: {problem}"), close=True)
+
+    def _respond(self, status: int, payload: dict, *, close: bool = False) -> None:
         raw = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(raw)
 
@@ -257,10 +280,18 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address) -> None:
+        # a client that goes away, mid-request or while its connection
+        # sits idle, is no fault of the mock's
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 def serve(target: MockTarget, port: int = 0) -> ThreadingHTTPServer:
     """Bind an HTTP server for the target; the caller drives serve_forever."""
     handler = type("BoundHandler", (_Handler,), {"target": target})
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+    return _Server(("127.0.0.1", port), handler)
 
 
 def start_in_background(target: MockTarget, port: int = 0) -> tuple[ThreadingHTTPServer, threading.Thread]:

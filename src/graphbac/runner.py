@@ -9,11 +9,13 @@ rather than letting noise masquerade as a security verdict.
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import os
 import re
+import select
 import threading
-import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
@@ -247,30 +249,112 @@ class TestReport:
 # execution
 
 
-def http_transport(endpoint: str) -> Transport:
-    try:
-        url = urllib.parse.urlsplit(endpoint)
-    except ValueError:  # an unbalanced IPv6 bracket, say
-        url = None
-    if url is None or url.scheme not in ("http", "https") or not url.netloc:
-        raise RunnerError(f"endpoint must be an http or https URL, got {endpoint!r}")
+class _HttpTransport:
+    """Posts each request over HTTP/1.1 and keeps the connection open for
+    the next one.
 
-    def send(request: dict, headers: dict, timeout: float) -> dict:
+    Idle connections wait in a list that each call pops from and appends
+    to, so two threads never share one.  Before an idle connection is used
+    again, a connection the server closed while it sat idle is replaced.  A
+    request that fails once it has been sent is never sent again, since a
+    resent mutation could apply twice: it raises `OSError`, and its
+    connection is closed.  A proxy named by `http_proxy` / `https_proxy`
+    and not bypassed by `no_proxy` is used as urllib would.
+    """
+
+    def __init__(self, url: urllib.parse.SplitResult) -> None:
+        self._https = url.scheme == "https"
+        # an explicit port, so that an IPv6 host is not split at its colons
+        self._host, self._port = url.hostname, url.port or (443 if self._https else 80)
+        self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._proxy: tuple[str | None, int | None] | None = None
+        self._proxy_headers: dict[str, str] = {}
+        self._headers = {"Content-Type": "application/json", "User-Agent": "graphbac"}
+        self._idle: list[http.client.HTTPConnection] = []
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+            parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+            try:
+                self._proxy = (parts.hostname, parts.port)
+            except ValueError as exc:  # a port out of range or not a number
+                raise RunnerError(f"{url.scheme} proxy {proxy!r}: {exc}") from exc
+            if parts.username and parts.password:
+                credentials = ":".join(
+                    urllib.parse.unquote(p) for p in (parts.username, parts.password)
+                )
+                self._proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(credentials.encode()).decode()
+                )
+            if not self._https:  # a plain proxy is sent the absolute URI
+                self._target = urllib.parse.urlunsplit(url._replace(fragment=""))
+                self._headers.update(self._proxy_headers)
+
+    def __call__(self, request: dict, headers: dict, timeout: float) -> dict:
         data = json.dumps(request).encode()
-        req = urllib.request.Request(
-            endpoint, data=data, headers={"Content-Type": "application/json", **headers}
-        )
+        conn = self._connection(timeout)
         try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                status, body = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            status, body = exc.code, exc.read()
+            conn.request(
+                "POST",
+                self._target,
+                body=data,
+                headers={**self._headers, **headers},
+            )
+            response = conn.getresponse()
+            status, body = response.status, response.read()
+        except http.client.HTTPException as exc:
+            conn.close()
+            if isinstance(exc, OSError):  # closed by the server, no reply
+                raise
+            raise OSError(f"malformed HTTP response: {exc!r}") from exc
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
         try:
             return json.loads(body)
         except ValueError as exc:  # not JSON, or not even text
             raise OSError(f"HTTP {status}: {body[:200]!r}") from exc
 
-    return send
+    def _connection(self, timeout: float) -> http.client.HTTPConnection:
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                break
+            # an idle socket reads ready once the server has closed it
+            if select.select([conn.sock], [], [], 0)[0]:
+                conn.close()
+                continue
+            conn.sock.settimeout(timeout)
+            return conn
+        if self._proxy is None:
+            host, port = self._host, self._port
+        else:
+            host, port = self._proxy
+        cls = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+        conn = cls(host, port, timeout=timeout)
+        if self._https and self._proxy is not None:
+            conn.set_tunnel(self._host, self._port, headers=self._proxy_headers)
+        return conn
+
+    def close(self) -> None:
+        """Close every idle connection; a later call opens a new one."""
+        while self._idle:
+            self._idle.pop().close()
+
+
+def http_transport(endpoint: str) -> _HttpTransport:
+    try:
+        url = urllib.parse.urlsplit(endpoint)
+        url.port  # raises for a port out of range or not a number
+    except ValueError:  # that, or an unbalanced IPv6 bracket
+        url = None
+    if url is None or url.scheme not in ("http", "https") or not url.hostname:
+        raise RunnerError(f"endpoint must be an http or https URL, got {endpoint!r}")
+    return _HttpTransport(url)
 
 
 def _resolve_bindings(
@@ -428,18 +512,24 @@ def run_plan(
     unknown = sorted({s.rule for t in plan.tests for s in t.steps} - set(rules))
     if unknown:
         raise RunnerError("plan uses unknown rule(s): " + ", ".join(unknown))
-    transport = transport if transport is not None else http_transport(config.endpoint)
-    results = tuple(_run_test(test, config, transport, rules) for test in plan.tests)
-    if config.cleanup == "reset" and config.tokens:
-        role = sorted(config.tokens)[0]
-        request = {"query": "", "variables": {}, "operationName": RESET_OPERATION}
-        headers = {
-            "Authorization": f"{config.scheme_for(role)} {config.tokens[role]}"
-        }
-        try:
-            transport(request, headers, config.timeout)
-        except OSError:
-            pass  # cleanup is best-effort
+    own = None  # a transport made here is closed here
+    if transport is None:
+        transport = own = http_transport(config.endpoint)
+    try:
+        results = tuple(_run_test(test, config, transport, rules) for test in plan.tests)
+        if config.cleanup == "reset" and config.tokens:
+            role = sorted(config.tokens)[0]
+            request = {"query": "", "variables": {}, "operationName": RESET_OPERATION}
+            headers = {
+                "Authorization": f"{config.scheme_for(role)} {config.tokens[role]}"
+            }
+            try:
+                transport(request, headers, config.timeout)
+            except OSError:
+                pass  # cleanup is best-effort
+    finally:
+        if own is not None:
+            own.close()
     detected = tuple(
         r.test_id for r in results if r.classification == NEGATIVE_FAIL
     )

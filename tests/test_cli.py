@@ -1135,7 +1135,17 @@ def test_malformed_run_setting_exits_2_naming_project_json(
     assert not (running_example / "report.json").exists()
 
 
-@pytest.mark.parametrize("endpoint", ["notaurl", "ftp://127.0.0.1/graphql", "http://[::1"])
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "notaurl",
+        "ftp://127.0.0.1/graphql",
+        "http://[::1",
+        "http://127.0.0.1:99999/graphql",
+        "http://127.0.0.1:port/graphql",
+        "http://:8764/graphql",
+    ],
+)
 def test_run_tests_rejects_an_endpoint_that_is_not_an_http_url(
     running_example, capsys, monkeypatch, endpoint
 ):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import socket
+import struct
 import threading
 import urllib.request
 from pathlib import Path
@@ -267,7 +269,128 @@ def test_http_round_trip():
         assert code_of(payload) == BAD_REQUEST
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
+
+
+def served(target) -> tuple[object, threading.Semaphore]:
+    """A running server for the target, and a semaphore released each time
+    the server is done with a connection (after any error report)."""
+    server, _thread = start_in_background(target)
+    done = threading.Semaphore(0)
+    shutdown_request = server.shutdown_request
+
+    def finished(request):
+        shutdown_request(request)
+        done.release()
+
+    server.shutdown_request = finished
+    return server, done
+
+
+def exchange(server, data: bytes, *, reset: bool = False) -> bytes:
+    """Send raw bytes and read until the mock closes the connection, or,
+    with `reset`, until one response is in and then reset the connection."""
+    received = b""
+    with socket.create_connection(server.server_address, timeout=3) as sock:
+        sock.sendall(data)
+        while not reset or b'"data"' not in received:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # after bytes the mock did not read
+                break
+            if not chunk:
+                break
+            received += chunk
+        if reset:  # a zero linger time: close sends RST, not FIN
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    return received
+
+
+def post(body: bytes, headers: str = "") -> bytes:
+    return (
+        f"POST /graphql HTTP/1.1\r\nHost: mock\r\n"
+        f"Authorization: bearer tok-owner\r\n{headers}\r\n"
+    ).encode() + body
+
+
+CREATE_USER = json.dumps({"operationName": "createUser", "variables": {}}).encode()
+
+
+def test_keep_alive_serves_requests_in_turn_on_one_connection():
+    target = make_target()
+    server, _done = served(target)
+    try:
+        request = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\n")
+        last = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\nConnection: close\r\n")
+        received = exchange(server, request + last)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert received.count(b"HTTP/1.1 200 ") == 2
+    assert sorted(target.graph.nodes) == ["u~1", "u~2"]  # both requests ran
+
+
+@pytest.mark.parametrize(
+    "headers, body",
+    [
+        ("Content-Length: -1\r\n", CREATE_USER),
+        ("Content-Length: ten\r\n", CREATE_USER),
+        ("Transfer-Encoding: chunked\r\n", b"%x\r\n%s\r\n0\r\n\r\n" % (len(CREATE_USER), CREATE_USER)),
+    ],
+    ids=["negative-length", "length-not-a-number", "chunked"],
+)
+def test_a_body_of_unknown_length_is_refused_and_the_connection_closed(headers, body):
+    target = make_target()
+    server, _done = served(target)
+    try:
+        received = exchange(server, post(body, headers))  # times out if the mock hangs
+    finally:
+        server.shutdown()
+        server.server_close()
+    head, _, payload = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    assert code_of(json.loads(payload)) == BAD_REQUEST
+    assert received.count(b"HTTP/1.1") == 1  # the body was not read as a request
+    assert not target.graph.nodes
+
+
+def test_a_client_that_goes_away_prints_nothing(capsys):
+    server, done = served(make_target())
+    request = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\n")
+    try:
+        # reset while the connection sits idle after a response
+        assert b"HTTP/1.1 200 " in exchange(server, request, reset=True)
+        assert done.acquire(timeout=5)
+        # reset right after sending, before the response
+        with socket.create_connection(server.server_address, timeout=3) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(request)
+        assert done.acquire(timeout=5)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert capsys.readouterr().err == ""
+
+
+def test_a_fault_of_the_mock_is_still_reported(capsys, monkeypatch):
+    target = make_target()
+
+    def broken(authorization, body):
+        raise RuntimeError("the mock broke")
+
+    monkeypatch.setattr(target, "execute", broken)
+    server, done = served(target)
+    try:
+        request = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\n")
+        assert exchange(server, request) == b""  # no response, then closed
+        assert done.acquire(timeout=5)
+    finally:
+        server.shutdown()
+        server.server_close()
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: the mock broke" in err
 
 
 def test_concurrent_requests_are_serialized():

@@ -6,16 +6,19 @@ import json
 import threading
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from fixtures import collab_plan, collab_policy, collab_roles, collab_rules, collab_typegraph
 
+from graphbac.cli import Project
 from graphbac.core import GraphError, InstanceGraph
 from graphbac.mockserver import (
     FaultInjection,
     MockTarget,
     TokenEntry,
     start_in_background,
+    target_from_doc,
 )
 from graphbac.planner import TaintTest, TestPlan, TestStep
 from graphbac.runner import (
@@ -311,4 +314,193 @@ def test_full_plan_over_http(plan):
         assert sent["query"].startswith("mutation createUser")
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
+
+
+# ---- the HTTP transport -------------------------------------------------
+
+RUNNING_EXAMPLE = Path(__file__).resolve().parent.parent / "projects" / "running-example"
+
+
+def running_example_mock() -> tuple[Project, MockTarget, dict[str, str]]:
+    """The running-example project, its mock with `drop_check:updateIssue`
+    (as the replay benchmark serves it) and its tokens by role."""
+    project = Project.load(RUNNING_EXAMPLE)
+    doc = json.loads(project.path("mock").read_text())
+    doc["faults"] = [*doc.get("faults", []), {"kind": "drop_check", "rule": "updateIssue"}]
+    target = target_from_doc(doc, project.rules(), project.roles(), project.initial())
+    return project, target, {entry["role"]: token for token, entry in doc["tokens"].items()}
+
+
+def stub_server(handler) -> tuple[ThreadingHTTPServer, threading.Semaphore]:
+    """A running server for `handler` on a free port, and a semaphore
+    released each time the server has closed a connection."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    closed = threading.Semaphore(0)
+    shutdown_request = server.shutdown_request
+
+    def closing(request):
+        shutdown_request(request)
+        closed.release()
+
+    server.shutdown_request = closing
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    return server, closed
+
+
+def stop(server) -> None:
+    server.shutdown()
+    server.server_close()
+
+
+class Recording(BaseHTTPRequestHandler):
+    """An HTTP/1.1 stub that records each request and answers `{"data": {}}`."""
+
+    protocol_version = "HTTP/1.1"
+    seen: list  # (path, headers, body) per request; set by each test
+    answer = True
+    close_after = False  # close without a Connection: close header
+
+    def do_POST(self):  # noqa: N802  (http.server naming)
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.seen.append((self.path, dict(self.headers), body))
+        if self.answer:
+            raw = b'{"data": {}}'
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+        self.close_connection = self.close_after or not self.answer
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def recording(**attrs) -> type[Recording]:
+    return type("Stub", (Recording,), {"seen": [], **attrs})
+
+
+def test_one_run_over_http_opens_one_connection():
+    project, target, tokens = running_example_mock()
+    server, thread = start_in_background(target)
+    accepted = []
+    get_request = server.get_request
+
+    def counting():
+        accepted.append(None)
+        return get_request()
+
+    server.get_request = counting
+    try:
+        endpoint = f"http://127.0.0.1:{server.server_address[1]}/graphql"
+        report = run_plan(
+            project.plan(),
+            RunnerConfig(endpoint=endpoint, tokens=tokens),
+            rules=project.rules_by_name(),
+        )
+    finally:
+        stop(server)
+        thread.join(timeout=5)
+    assert report.counts() == {SUCCESS: 17, FAIL: 1, INCONCLUSIVE: 0}
+    assert sum(len(r.transcripts) for r in report.results) > 1
+    assert len(accepted) == 1
+
+
+def test_a_replay_over_http_equals_the_in_process_one():
+    project, served, tokens = running_example_mock()
+    _, local, _ = running_example_mock()
+    plan, rules = project.plan(), project.rules_by_name()
+    server, thread = start_in_background(served)
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/graphql"
+    config = RunnerConfig(endpoint=endpoint, tokens=tokens)
+    transport = http_transport(endpoint)
+    try:
+        for _ in range(3):  # the mock is not reset: each round grows its state
+            over_http = run_plan(plan, config, transport, rules=rules)
+            in_process = run_plan(plan, config, local.transport(), rules=rules)
+            assert over_http.to_doc() == in_process.to_doc()
+            assert served.snapshot() == local.snapshot()
+    finally:
+        transport.close()
+        stop(server)
+        thread.join(timeout=5)
+    assert over_http.detected_vulnerabilities == ("flow-neg:createIssue->updateIssue#0",)
+
+
+def test_a_connection_the_server_closed_is_replaced_and_no_post_is_resent():
+    handler = recording(close_after=True)
+    server, closed = stub_server(handler)
+    transport = http_transport(f"http://127.0.0.1:{server.server_address[1]}/graphql")
+    try:
+        for n in range(5):
+            assert transport({"n": n}, {}, 5.0) == {"data": {}}
+            assert closed.acquire(timeout=5)  # gone before the next request
+    finally:
+        transport.close()
+        stop(server)
+    assert [body for _, _, body in handler.seen] == [{"n": n} for n in range(5)]
+
+
+def test_a_request_that_fails_after_it_was_sent_is_not_resent(plan):
+    handler = recording(answer=False)
+    server, _closed = stub_server(handler)
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/graphql"
+    transport = http_transport(endpoint)
+    try:
+        with pytest.raises(OSError):
+            transport({"n": 0}, {}, 5.0)
+        assert [body for _, _, body in handler.seen] == [{"n": 0}]
+        report = run_plan(plan, make_config(endpoint=endpoint), rules=collab_rules())
+    finally:
+        transport.close()
+        stop(server)
+    assert all(r.verdict == INCONCLUSIVE for r in report.results)
+    assert all("transport failure" in r.detail for r in report.results)
+    # each test stops at its first step, which was sent once
+    assert len(handler.seen) == 1 + len(plan.tests)
+
+
+def test_a_reply_that_is_not_http_is_inconclusive(plan):
+    class Garbage(Recording):
+        def do_POST(self):  # noqa: N802  (http.server naming)
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.wfile.write(b"SSH-2.0-not-http\r\n")
+            self.close_connection = True
+
+    server, _closed = stub_server(Garbage)
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/graphql"
+    try:
+        with pytest.raises(OSError, match="malformed HTTP response"):
+            http_transport(endpoint)({}, {}, 5.0)
+        report = run_plan(plan, make_config(endpoint=endpoint), rules=collab_rules())
+    finally:
+        stop(server)
+    assert all(r.verdict == INCONCLUSIVE for r in report.results)
+    assert all("malformed HTTP response" in r.detail for r in report.results)
+
+
+@pytest.mark.parametrize("bypassed", [False, True])
+def test_an_http_proxy_in_the_environment_is_used(monkeypatch, bypassed):
+    handler = recording()
+    server, _closed = stub_server(handler)
+    netloc = f"127.0.0.1:{server.server_address[1]}"
+    for var in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{netloc}")
+    if bypassed:
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+    transport = http_transport(f"http://{netloc}/graphql?v=1")
+    try:
+        assert transport({}, {}, 5.0) == {"data": {}}
+    finally:
+        transport.close()
+        stop(server)
+    [(path, headers, body)] = handler.seen
+    assert (headers["Host"], body) == (netloc, {})
+    if bypassed:
+        assert path == "/graphql?v=1"
+        assert "Proxy-Authorization" not in headers
+    else:  # a proxy is sent the absolute URI, and the proxy's credentials
+        assert path == f"http://{netloc}/graphql?v=1"
+        assert headers["Proxy-Authorization"] == "Basic dXNlcjpwQHNz"  # user:p@ss
