@@ -129,7 +129,7 @@ class MockTarget:
         entry = self.tokens.get(token)
         if entry is None:
             return _error(UNAUTHENTICATED, "unknown token")
-        if scheme.lower() != entry.scheme:
+        if scheme.lower() != entry.scheme.lower():  # schemes ignore case (RFC 9110)
             return _error(
                 UNAUTHENTICATED,
                 f"token must be presented with the {entry.scheme} scheme",

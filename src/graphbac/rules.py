@@ -189,17 +189,23 @@ class DirectTransformation:
 
 
 def _fresh_ids(bases: Iterable[str], host: InstanceGraph) -> dict[str, str]:
-    """Deterministic fresh host ids, one per base rule-element id."""
+    """Deterministic fresh host ids, one per distinct base rule-element id:
+    `base~n` for the least n >= 1 that names no host element.
+
+    The search starts at the host's floor for the base, below which every
+    `base~k` is taken (`InstanceGraph._floors`), and leaves the floor at
+    the id found, so a host holding many copies of an element does not
+    probe them all again.  Distinct bases never give the same id, since
+    the suffix holds no `~`.
+    """
+    floors = host._floors
     out: dict[str, str] = {}
-    taken: set[str] = set()
     for base in bases:
-        n = 1
-        while (
-            (fresh := f"{base}~{n}") in taken or fresh in host.nodes or fresh in host.edges
-        ):
+        n = floors.get(base, 1)
+        while (fresh := f"{base}~{n}") in host.nodes or fresh in host.edges:
             n += 1
+        floors[base] = n
         out[base] = fresh
-        taken.add(fresh)
     return out
 
 
@@ -207,8 +213,8 @@ def _rewrite(
     rule: Rule, at: Morphism, old: str, new: str
 ) -> tuple[InstanceGraph, dict[str, str], dict[str, str]]:
     """Rewrite the host at `at`, a placement of the rule's `old` side: remove
-    the images of the `old`-tagged elements, then add fresh copies of the
-    `new`-tagged ones.
+    the images of the `old`-tagged elements and add fresh copies of the
+    `new`-tagged ones, in one derivation of the host.
 
     `apply` reads the rule left to right (DELETE to CREATE at a match) and
     `apply_inverse` right to left (CREATE to DELETE at a comatch).  The
@@ -217,10 +223,6 @@ def _rewrite(
     """
     host, node_map, edge_map, tags = at.target, at.node_map, at.edge_map, rule.tags
     new_nodes, new_edges = rule.tagged(new, nodes=True), rule.tagged(new, nodes=False)
-    stripped = host.remove(
-        [node_map[n] for n in rule.tagged(old, nodes=True)],
-        [edge_map[e] for e in rule.tagged(old, nodes=False)],
-    )
     fresh = _fresh_ids(new_nodes + new_edges, host)
     side = rule.rhs if new == CREATE else rule.lhs
     nodes = {n: fresh[n] if tags[n] == new else node_map[n] for n in side.nodes}
@@ -229,7 +231,12 @@ def _rewrite(
     for e in new_edges:
         edge = rule.edges[e]
         added_edges[fresh[e]] = Edge(edge.type, nodes[edge.src], nodes[edge.tgt])
-    result = stripped.add({fresh[n]: rule.nodes[n] for n in new_nodes}, added_edges)
+    result = host._derive(
+        [node_map[n] for n in rule.tagged(old, nodes=True)],
+        [edge_map[e] for e in rule.tagged(old, nodes=False)],
+        {fresh[n]: rule.nodes[n] for n in new_nodes},
+        added_edges,
+    )
     return result, nodes, edges
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphbac.core as core
 from graphbac.core import (
     Edge,
     EdgeType,
@@ -23,7 +24,8 @@ from graphbac.core import (
     graph_to_doc,
     iter_matches,
 )
-from randgen import random_graph, random_typegraph
+from graphbac.rules import NotApplicableError, _fresh_ids, apply, transformations
+from randgen import random_graph, random_rule, random_typegraph
 
 TG = TypeGraph(
     ("User", "Repository"),
@@ -327,7 +329,7 @@ def test_derived_graphs_raise_exactly_when_the_whole_graph_check_does(seed):
     node_ids = some(rng, sorted(g.nodes), 0.4) | some(rng, strays, 0.2)
     edge_ids = some(rng, sorted(g.edges), 0.5) | some(rng, strays, 0.2)
     old = outcome(lambda: reference_remove(g, node_ids, edge_ids))
-    new = outcome(lambda: g.remove(node_ids, edge_ids))
+    new = outcome(lambda: g._derive(node_ids, edge_ids, {}, {}))
     # the message may name another dangling edge than the whole-graph check
     assert new[0] == old[0] and (new[0] == "error" or new == old)
 
@@ -342,11 +344,124 @@ def test_an_id_names_a_node_or_an_edge_not_both():
         InstanceGraph(TG, {"u": "User", "r": "Repository"}, {"u": Edge("User.repos", "u", "r")})
 
 
-def test_remove_refuses_to_leave_an_edge_dangling():
+def test_a_derivation_refuses_to_leave_an_edge_dangling():
     host = user_repo_host()
     with pytest.raises(GraphError, match="edge owner has a missing endpoint"):
-        host.remove(["u"], ["repos"])
-    assert host.remove(["u"], ["repos", "owner"]).nodes == {"r": "Repository"}
+        host._derive(["u"], ["repos"], {}, {})
+    assert host._derive(["u"], ["repos", "owner"], {}, {}).nodes == {"r": "Repository"}
+
+
+# The matcher's caches, as `_derive` carries them from graph to graph.
+
+CACHES = ("_signatures", "_incidence", "_index", "_floors")
+
+
+def assert_caches_as_if_built_afresh(graph: InstanceGraph) -> None:
+    """Each cache the graph has made equals the one a copy of it builds
+    from its elements alone; neighbour lists only as sets, since their
+    order is not observable.  A floor only has to be a true floor."""
+    made = graph.__dict__
+    fresh = InstanceGraph(graph.typegraph, graph.nodes, graph.edges)
+    if "_signatures" in made:
+        assert made["_signatures"] == fresh._signatures
+    if "_incidence" in made:
+        assert made["_incidence"] == fresh._incidence
+    if "_index" in made:
+        index, want = made["_index"], fresh._index
+        assert index.by_type == want.by_type
+        assert index.by_edge == want.by_edge
+        assert index.signatures == want.signatures
+        assert index.neighbours.keys() == want.neighbours.keys()
+        for key, found in index.neighbours.items():
+            assert len(set(found)) == len(found)
+            assert set(found) == set(want.neighbours[key])
+    for base, floor in made.get("_floors", {}).items():
+        taken = [f"{base}~{k}" for k in range(1, floor)]
+        assert all(i in graph.nodes or i in graph.edges for i in taken)
+
+
+def random_derivation(rng: random.Random, g: InstanceGraph, rules) -> InstanceGraph:
+    """One `add`, removal or rule step on g, with some stray and clashing
+    ids; a derivation that raises is tried again."""
+    while True:
+        kind = rng.choice(("add", "remove", "step", "step"))
+        try:
+            if kind == "step":
+                steps = transformations(rng.choice(rules), g)
+                if steps:
+                    return rng.choice(steps).result
+            elif kind == "add":
+                nodes = {}
+                for _ in range(rng.randint(0, 2)):
+                    nid = rng.choice(["a", "b", "r0_n0"]) + f"~{rng.randint(1, 4)}"
+                    nodes[nid] = rng.choice(g.typegraph.node_types)
+                ends = {**g.nodes, **nodes}
+                edges = {}
+                for et in g.typegraph.edge_types:
+                    srcs = [n for n, t in ends.items() if t == et.src]
+                    tgts = [n for n, t in ends.items() if t == et.tgt]
+                    if srcs and tgts and rng.random() < 0.5:
+                        eid = f"r0_e{rng.randint(0, 2)}~{rng.randint(1, 4)}"
+                        edges[eid] = Edge(et.name, rng.choice(srcs), rng.choice(tgts))
+                return g.add(nodes, edges)
+            else:
+                node_ids = some(rng, sorted(g.nodes), 0.3)
+                edge_ids = some(rng, sorted(g.edges), 0.3) | {
+                    e for n in node_ids for e in g.incident(n)
+                }
+                strays = ["ghost", *sorted(g.nodes)[:1], *sorted(g.edges)[:1]]
+                return g._derive(
+                    node_ids | some(rng, strays, 0.3),
+                    edge_ids | some(rng, strays, 0.3),
+                    {},
+                    {},
+                )
+        except (GraphError, NotApplicableError):
+            continue
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000))
+def test_carried_caches_equal_caches_built_afresh(seed):
+    # random adds, removals and rule steps, each from some graph made
+    # before, so parents are shared as the oracle shares its hosts; caches
+    # and fresh ids are asked for at random points in between
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_PATCH_FROM", 0)  # small graphs patch too
+        derive_and_compare(random.Random(seed))
+
+
+def derive_and_compare(rng: random.Random) -> None:
+    tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
+    rules = [random_rule(rng, tg, name=f"r{i}", max_nodes=3, max_edges=3) for i in range(3)]
+    graphs = [random_graph(rng, tg, max_nodes=5, max_edges=6, prefix="h")]
+    for _ in range(rng.randint(1, 12)):
+        parent = graphs[-1] if rng.random() < 0.6 else rng.choice(graphs)
+        child = random_derivation(rng, parent, rules)
+        graphs.append(child)
+        for g in (parent, child):
+            for cache in CACHES:
+                if rng.random() < 0.3:
+                    getattr(g, cache)
+            if rng.random() < 0.3:
+                bases = sorted(rng.sample(["a", "b", "r0_n0", "r0_e1", "r1_n2"], 2))
+                fresh = InstanceGraph(tg, g.nodes, g.edges)
+                assert _fresh_ids(bases, g) == _fresh_ids(bases, fresh)
+    # a patch that changed a parent's cache in place shows here too
+    for g in graphs:
+        assert_caches_as_if_built_afresh(g)
+
+
+def test_a_matched_graph_lets_its_parent_go(monkeypatch):
+    host = user_repo_host()
+    host._index  # noqa: B018  (cached_property evaluation)
+    assert "_origin" not in host.add({"u2": "User"}, {}).__dict__  # too small
+    monkeypatch.setattr(core, "_PATCH_FROM", 2)
+    child = host.add({"u2": "User"}, {})
+    assert child.__dict__["_origin"].parent is host
+    child._index  # noqa: B018
+    assert "_origin" not in child.__dict__
+    assert child._index.by_type["User"] == ["u", "u2"]
 
 
 @settings(max_examples=60, deadline=None)

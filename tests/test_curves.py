@@ -56,3 +56,12 @@ def test_the_kstar_at_k4_matches_only_the_whole_star(monkeypatch):
     reasons = dependency.dependency_reasons(source, sink)
     assert len(reasons) == 24
     assert [(len(p.nodes), len(p.edges)) for p in matched] == [(5, 4)]
+
+
+def test_the_mockstate_curve_after_one_round_holds_45_nodes():
+    point = _curves().mockstate(1)
+    assert (point["curve"], point["rounds"], point["nodes"], point["requests"]) == (
+        "mockstate", 1, 45, 66,
+    )
+    assert point["detected"] == ["flow-neg:createIssue->updateIssue#0"]
+    assert point["ms_per_request"] > 0

@@ -403,6 +403,15 @@ def test_random_pairs_independence_matches_concrete_reversal(seed):
 # merge left alone.
 
 
+def _ref_strip(host, node_ids, edge_ids):
+    """The host without the given elements, through the validating constructor."""
+    return InstanceGraph(
+        host.typegraph,
+        {n: t for n, t in host.nodes.items() if n not in node_ids},
+        {e: d for e, d in host.edges.items() if e not in edge_ids},
+    )
+
+
 def _ref_apply(rule, host, match):
     if match.source != rule.lhs or match.target != host:
         raise GraphError(f"match does not connect {rule.name}'s pattern to the host")
@@ -415,9 +424,10 @@ def _ref_apply(rule, host, match):
             f"rule {rule.name} not applicable: host edge {edge} would dangle"
         )
 
-    intermediate = host.remove(
-        (match.node_map[n] for n in deleted_nodes),
-        (match.edge_map[e] for e in rule.deleted_edges()),
+    intermediate = _ref_strip(
+        host,
+        {match.node_map[n] for n in deleted_nodes},
+        {match.edge_map[e] for e in rule.deleted_edges()},
     )
 
     fresh = _fresh_ids(rule.created_nodes() + rule.created_edges(), host)
@@ -454,8 +464,8 @@ def _ref_apply_inverse(rule, host, comatch):
             f"rule {rule.name} not reversible: host edge {edge} touches a created node"
         )
 
-    stripped = host.remove(
-        created_images, (comatch.edge_map[e] for e in rule.created_edges())
+    stripped = _ref_strip(
+        host, set(created_images), {comatch.edge_map[e] for e in rule.created_edges()}
     )
 
     fresh = _fresh_ids(rule.deleted_nodes() + rule.deleted_edges(), host)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import socket
 import struct
 import threading
 import urllib.request
+import weakref
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from fixtures import (
     policy_to_doc,
 )
 
+import graphbac.core
 from graphbac.core import GraphError, InstanceGraph, enumerate_matches
 from graphbac.mockserver import (
     BAD_REQUEST,
@@ -239,6 +242,46 @@ def test_config_document_round_trip():
     assert target.faults == (FaultInjection("drop_check", "updateIssue"),)
     with pytest.raises(GraphError, match="malformed mock config"):
         target_from_doc({"tokens": {}}, collab_rules().values(), collab_roles(), empty)
+
+
+def test_a_token_scheme_matches_whatever_its_case():
+    doc = {
+        "tokens": {"tok-owner": {"role": "Owner", "scheme": "Bearer"}},
+        "policies": {"Bearer": policy_to_doc(collab_policy())},
+    }
+    empty = InstanceGraph.empty(collab_typegraph())
+    target = target_from_doc(doc, collab_rules().values(), collab_roles(), empty)
+    for scheme in ("Bearer", "bearer", "BEARER"):
+        response = call(target, "tok-owner", "createUser", scheme=scheme)
+        assert response.get("errors") is None, (scheme, response)
+    response = call(target, "tok-owner", "createUser", scheme="Basic")
+    assert code_of(response) == UNAUTHENTICATED
+
+
+def test_the_states_the_mock_has_left_are_collected(monkeypatch):
+    # a state derived from another holds it only until it is first
+    # matched, so the mock keeps its current state and at most that
+    # state's parent, besides the initial state it resets to
+    monkeypatch.setattr(graphbac.core, "_PATCH_FROM", 0)  # small states too
+    target = make_target()
+    states = []
+
+    def request(op, variables=None):
+        response = call(target, "tok-owner", op, variables)
+        assert response.get("errors") is None, response
+        states.append(weakref.ref(target.graph))
+        return response["data"][op]
+
+    request("createUser")
+    repo = request("createRepo")["r"]
+    for _ in range(3):
+        issue = request("createIssue", {"repo": repo})["i"]
+        request("updateIssue", {"issue": issue})
+    request("deleteIssue", {"issue": issue})
+    request("createProject")
+    gc.collect()
+    assert [state() for state in states[:-2]] == [None] * (len(states) - 2)
+    assert states[-1]() is target.graph
 
 
 def test_http_round_trip():

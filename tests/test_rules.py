@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphbac.core as core
 from graphbac.core import (
     Edge,
     EdgeType,
@@ -16,6 +17,7 @@ from graphbac.core import (
     Morphism,
     TypeGraph,
     enumerate_matches,
+    first_match,
     iter_matches,
 )
 from graphbac.rules import (
@@ -111,6 +113,43 @@ def test_invalid_rules_rejected():
         )
     with pytest.raises(GraphError):
         Rule(name="bad", typegraph=TG, nodes={"u": "User"}, tags={"u": "preserve"}, actor="x")
+
+
+def test_fresh_ids_do_not_depend_on_the_steps_made_before(monkeypatch):
+    # the oracle takes many steps from one host: an id a step picks must
+    # be the one a freshly built copy of its host gives, whatever steps
+    # were taken from that host, from its results or back to it before
+    monkeypatch.setattr(core, "_PATCH_FROM", 0)  # small graphs carry floors too
+    tg = TypeGraph(("Issue",), ())
+    make = Rule(name="make", typegraph=tg, nodes={"i": "Issue"}, tags={"i": "create"})
+    drop = Rule(name="drop", typegraph=tg, nodes={"i": "Issue"}, tags={"i": "delete"})
+
+    def made(host):
+        step = apply(make, host, first_match(make.lhs, host))
+        return step.result, step.comatch.node_map["i"]
+
+    def dropped(host, nid):
+        return apply(drop, host, first_match(drop.lhs, host, {"i": nid})).result
+
+    def as_if_fresh(host, nid):
+        assert made(InstanceGraph(tg, host.nodes, host.edges))[1] == nid
+
+    host = InstanceGraph.empty(tg)
+    for _ in range(4):
+        host, _ = made(host)
+    first, nid = made(host)
+    assert nid == "i~5"
+    _, nid = made(first)  # its result's floor has risen past i~5
+    assert nid == "i~6"
+    _, nid = made(host)  # its host's has not
+    assert nid == "i~5"
+    gap = dropped(host, "i~2")
+    again, nid = made(gap)  # a removal lowers the floor
+    assert nid == "i~2"
+    as_if_fresh(gap, nid)
+    _, nid = made(again)
+    assert nid == "i~5"
+    as_if_fresh(again, nid)
 
 
 def test_apply_read_rule_is_identity():

@@ -27,6 +27,15 @@ most 3 nodes and 2 edges, 0-2 isolated initial nodes).  A point reports
 the hosts explored, the ordered rule pairs checked and whether the oracle
 agreed.  Seed 66 explores only 4 hosts, but checks some 48,000
 independent step pairs on them, so its time is per-pair overhead.
+
+mockstate: the running-example plan replayed in process, through
+`MockTarget.transport()`, for a growing number of rounds on a mock that is
+not reset, as the replay benchmark serves it (`drop_check:updateIssue`).
+Each round adds 45 nodes to the mock's state.  A point reports the
+state's nodes after the last round, and the last round's requests, its
+wall time and its time per request (median, minimum and maximum of
+REPEATS replays, each on a fresh mock).  If a new state's cost follows
+the change, not the state, the last round costs about what the first does.
 """
 
 from __future__ import annotations
@@ -44,13 +53,16 @@ sys.path.insert(0, str(ROOT / "tests"))
 from graphbac.cli import Project  # noqa: E402
 from graphbac.core import EdgeType, TypeGraph  # noqa: E402
 from graphbac.dependency import dependency_reasons  # noqa: E402
+from graphbac.mockserver import target_from_doc  # noqa: E402
 from graphbac.oracle import run_oracle  # noqa: E402
 from graphbac.rules import CREATE, PRESERVE, Rule  # noqa: E402
+from graphbac.runner import RunnerConfig, run_plan  # noqa: E402
 from randgen import wide_system  # noqa: E402
 
 KSTAR_POINTS = (3, 4, 5, 6)
 ORACLE_POINTS = (3, 4, 5)
 SWEEP_SEEDS = (255, 66)
+MOCKSTATE_POINTS = (1, 6, 12, 20)
 REPEATS = 5
 
 
@@ -123,6 +135,51 @@ def sweep(seed: int) -> dict:
     }
 
 
+def replay_last_round(rounds: int) -> tuple:
+    """Replay the running-example plan `rounds` times on a fresh mock: the
+    last round's report, the mock's nodes after it, and the round's
+    requests and wall time."""
+    project = Project.load(ROOT / "projects" / "running-example")
+    doc = json.loads(project.path("mock").read_text())
+    doc["faults"] = [*doc.get("faults", []), {"kind": "drop_check", "rule": "updateIssue"}]
+    target = target_from_doc(doc, project.rules(), project.roles(), project.initial())
+    tokens = {entry["role"]: token for token, entry in doc["tokens"].items()}
+    config = RunnerConfig(endpoint="in-process", tokens=tokens)
+    plan, rules, send = project.plan(), project.rules_by_name(), target.transport()
+    for _ in range(rounds - 1):
+        run_plan(plan, config, send, rules=rules)
+    requests = 0
+
+    def counted(request, headers, timeout):
+        nonlocal requests
+        requests += 1
+        return send(request, headers, timeout)
+
+    start = time.perf_counter()
+    report = run_plan(plan, config, counted, rules=rules)
+    wall = time.perf_counter() - start
+    return report, len(target.graph.nodes), requests, wall
+
+
+def mockstate(rounds: int) -> dict:
+    walls = []
+    for _ in range(REPEATS):
+        report, nodes, requests, wall = replay_last_round(rounds)
+        walls.append(wall)
+    per_request = [1000 * wall / requests for wall in walls]
+    return {
+        "curve": "mockstate",
+        "rounds": rounds,
+        "nodes": nodes,
+        "requests": requests,
+        "detected": list(report.detected_vulnerabilities),
+        "round_ms": round(1000 * statistics.median(walls), 2),
+        "ms_per_request": round(statistics.median(per_request), 4),
+        "min_ms_per_request": round(min(per_request), 4),
+        "max_ms_per_request": round(max(per_request), 4),
+    }
+
+
 def main() -> int:
     for k in KSTAR_POINTS:
         print(json.dumps(kstar(k)), flush=True)
@@ -130,6 +187,8 @@ def main() -> int:
         print(json.dumps(oracle(depth)), flush=True)
     for seed in SWEEP_SEEDS:
         print(json.dumps(sweep(seed)), flush=True)
+    for rounds in MOCKSTATE_POINTS:
+        print(json.dumps(mockstate(rounds)), flush=True)
     return 0
 
 
