@@ -117,10 +117,10 @@ class InstanceGraph:
     nodes maps node id -> node type name; edges maps edge id -> Edge.  Node and
     edge ids live in one namespace so rule element sets are unambiguous.
 
-    The constructor copies and validates the whole graph.  `add`, `subgraph`
-    and `_derive` (through which rule steps go) validate only what they
-    change, and a derived graph patches its parent's matcher caches for the
-    change instead of building its own from the whole graph.
+    The constructor copies and validates the whole graph.  `subgraph` and
+    `_derive` (through which rule steps go) validate only what they change,
+    and a derived graph patches its parent's matcher caches for the change
+    instead of building its own from the whole graph.
     """
 
     typegraph: TypeGraph
@@ -331,10 +331,6 @@ class InstanceGraph:
         return InstanceGraph._trusted(
             self.typegraph, {n: self.nodes[n] for n in node_ids}, edges
         )
-
-    def add(self, nodes: dict[str, str], edges: dict[str, Edge]) -> "InstanceGraph":
-        """A new graph with the given elements added; ids must be fresh."""
-        return self._derive((), (), nodes, edges)
 
     def _derive(
         self,

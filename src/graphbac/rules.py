@@ -10,10 +10,12 @@ left, undoing a step from its comatch, and is the engine primitive used to
 certify that glued overlap graphs are actually reachable.
 `transformations` lists every way a rule fires on a host, and `explore` is
 the one breadth-first search over them: the planner looks in it for setup
-steps and the oracle enumerates the reachable states with it.  Two hosts
-are the same state when `isomorphic`, which asks the matcher for one
-injective match; `canonical_form` is only a cheap invariant that buckets
-hosts before that check.
+steps and the oracle enumerates the reachable states with it.  `explore`
+steps no rule that creates and deletes nothing, since such a step only
+gives back the host it started from.  Two hosts are the same state when
+`isomorphic`: equal node and edge dicts decide it at once, and otherwise
+it asks the matcher for one injective match; `canonical_form` is only a
+cheap invariant that buckets hosts before that check.
 """
 
 from __future__ import annotations
@@ -298,9 +300,21 @@ def explore(
     first, rules in name order; the initial host comes first, with no steps.
     Hosts are bucketed by `canonical_form`, and a result is new when no
     host in its bucket is `isomorphic` to it.
+
+    A rule whose every node and edge is tagged preserve (a query) is never
+    stepped: its step removes and adds nothing, so it gives a graph with
+    the host's own nodes and edges.  Every host a step starts from, the
+    initial host or a frontier host, is already kept in its bucket, so
+    that result is `isomorphic` to a kept host and would never be yielded.
+    Leaving such rules out therefore changes no yielded host, trace or
+    order.  A rule that only creates or deletes an edge changes the host
+    and is stepped.
     """
     yield initial, ()
-    ordered = sorted(rules, key=lambda r: r.name)
+    ordered = sorted(
+        (r for r in rules if any(tag != PRESERVE for tag in r.tags.values())),
+        key=lambda r: r.name,
+    )
     seen = {canonical_form(initial): [initial]}
     frontier = [(initial, ())]
     for _ in range(depth):
@@ -333,13 +347,17 @@ def canonical_form(graph: InstanceGraph) -> tuple:
 def isomorphic(a: InstanceGraph, b: InstanceGraph) -> bool:
     """True iff the graphs are isomorphic as typed graphs.
 
-    With equal node and edge counts an injective morphism a -> b is a
-    bijection on nodes and on edges, so one match decides it.
+    Equal node and edge dicts prove it without a search: the identity map
+    is an isomorphism.  Otherwise, with equal node and edge counts an
+    injective morphism a -> b is a bijection on nodes and on edges, so one
+    match decides it.
     """
     if a.typegraph != b.typegraph:
         return False
     if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
         return False
+    if a.nodes == b.nodes and a.edges == b.edges:
+        return True
     return next(iter_matches(a, b), None) is not None
 
 

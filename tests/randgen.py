@@ -93,7 +93,7 @@ def host_with_embedded_lhs(
     edges = {
         f"h_{e}": Edge(d.type, f"h_{d.src}", f"h_{d.tgt}") for e, d in lhs.edges.items()
     }
-    return graph.add(nodes, edges)
+    return graph._derive((), (), nodes, edges)
 
 
 def wide_system(seed: int) -> tuple[list[Rule], InstanceGraph]:

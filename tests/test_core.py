@@ -323,7 +323,7 @@ def test_derived_graphs_raise_exactly_when_the_whole_graph_check_does(seed):
         src, tgt = (fresh_or_taken(rng.choice(ends), ["ghost"]) for _ in "st")
         new_edges[eid] = Edge(etype, src, tgt)
     old = outcome(lambda: reference_add(g, new_nodes, new_edges))
-    assert outcome(lambda: g.add(new_nodes, new_edges)) == old
+    assert outcome(lambda: g._derive((), (), new_nodes, new_edges)) == old
 
     strays = ["ghost"] + sorted(g.edges)[:1] + sorted(g.nodes)[:1]
     node_ids = some(rng, sorted(g.nodes), 0.4) | some(rng, strays, 0.2)
@@ -403,7 +403,7 @@ def random_derivation(rng: random.Random, g: InstanceGraph, rules) -> InstanceGr
                     if srcs and tgts and rng.random() < 0.5:
                         eid = f"r0_e{rng.randint(0, 2)}~{rng.randint(1, 4)}"
                         edges[eid] = Edge(et.name, rng.choice(srcs), rng.choice(tgts))
-                return g.add(nodes, edges)
+                return g._derive((), (), nodes, edges)
             else:
                 node_ids = some(rng, sorted(g.nodes), 0.3)
                 edge_ids = some(rng, sorted(g.edges), 0.3) | {
@@ -455,9 +455,9 @@ def derive_and_compare(rng: random.Random) -> None:
 def test_a_matched_graph_lets_its_parent_go(monkeypatch):
     host = user_repo_host()
     host._index  # noqa: B018  (cached_property evaluation)
-    assert "_origin" not in host.add({"u2": "User"}, {}).__dict__  # too small
+    assert "_origin" not in host._derive((), (), {"u2": "User"}, {}).__dict__  # too small
     monkeypatch.setattr(core, "_PATCH_FROM", 2)
-    child = host.add({"u2": "User"}, {})
+    child = host._derive((), (), {"u2": "User"}, {})
     assert child.__dict__["_origin"].parent is host
     child._index  # noqa: B018
     assert "_origin" not in child.__dict__

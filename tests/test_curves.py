@@ -65,3 +65,11 @@ def test_the_mockstate_curve_after_one_round_holds_45_nodes():
     )
     assert point["detected"] == ["flow-neg:createIssue->updateIssue#0"]
     assert point["ms_per_request"] > 0
+
+
+def test_the_forest_curve_at_depth_6_explores_85_hosts():
+    point = _curves().forest(6)
+    assert (point["curve"], point["depth"], point["hosts"]) == ("forest", 6, 85)
+    assert (point["isomorphic_calls"], point["negative"]) == (140, 34)
+    assert 0 < point["identical"] <= point["isomorphic_calls"] - point["negative"]
+    assert point["wall_s"] >= 0

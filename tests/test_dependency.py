@@ -440,7 +440,11 @@ def _ref_apply(rule, host, match):
         fresh[e]: Edge(rule.edges[e].type, image(rule.edges[e].src), image(rule.edges[e].tgt))
         for e in rule.created_edges()
     }
-    result = intermediate.add(new_nodes, new_edges)
+    result = InstanceGraph(
+        host.typegraph,
+        {**intermediate.nodes, **new_nodes},
+        {**intermediate.edges, **new_edges},
+    )
 
     comatch = Morphism(
         rule.rhs,
@@ -478,7 +482,9 @@ def _ref_apply_inverse(rule, host, comatch):
         fresh[e]: Edge(rule.edges[e].type, image(rule.edges[e].src), image(rule.edges[e].tgt))
         for e in rule.deleted_edges()
     }
-    return stripped.add(old_nodes, old_edges)
+    return InstanceGraph(
+        host.typegraph, {**stripped.nodes, **old_nodes}, {**stripped.edges, **old_edges}
+    )
 
 
 def _ref_profile(rule, side, tag):

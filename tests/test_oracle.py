@@ -264,7 +264,7 @@ def _planted(step):
     if "planted" in result.nodes:  # already planted further down the call
         return step
     extra = {"planted": result.typegraph.node_types[0]}
-    return dataclasses.replace(step, result=result.add(extra, {}))
+    return dataclasses.replace(step, result=result._derive((), (), extra, {}))
 
 
 @pytest.mark.parametrize("toy", TOYS)

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbac.core as core
+import graphbac.rules as rules_module
+from graphbac.cli import Project
 from graphbac.core import (
     Edge,
     EdgeType,
@@ -28,13 +30,16 @@ from graphbac.rules import (
     apply,
     apply_inverse,
     canonical_form,
+    explore,
     isomorphic,
     rule_from_doc,
     rule_to_doc,
     rules_from_doc,
     rules_to_doc,
+    transformations,
 )
-from randgen import host_with_embedded_lhs, random_rule, random_typegraph
+from fixtures import PROJECTS
+from randgen import host_with_embedded_lhs, random_rule, random_typegraph, wide_system
 
 TG = TypeGraph(
     ("User", "Repository"),
@@ -420,6 +425,7 @@ def test_isomorphism_respects_types_and_counts():
     c = InstanceGraph(TG, {"x": "User", "z": "User"}, {})
     assert not isomorphic(a, b)
     assert not isomorphic(a, c)
+    # identical nodes and edges over another type graph
     other = TypeGraph(("User",), ())
     assert not isomorphic(a, InstanceGraph(other, {"x": "User"}, {}))
 
@@ -463,3 +469,121 @@ def test_rule_documents_validated():
         rules_from_doc({"rules": [base, base]}, TG)
     with pytest.raises(GraphError):
         rules_from_doc({}, TG)
+
+
+# `explore` and `isomorphic` skip work that cannot change their answer: a
+# rule that creates and deletes nothing is never stepped, and equal node
+# and edge dicts prove isomorphism without a search.  The references below
+# do neither: every rule is stepped and the matcher alone decides.
+
+
+def _ref_isomorphic(a: InstanceGraph, b: InstanceGraph) -> bool:
+    if a.typegraph != b.typegraph:
+        return False
+    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
+        return False
+    return next(iter_matches(a, b), None) is not None
+
+
+def _ref_explore(rules, initial, depth):
+    yield initial, ()
+    ordered = sorted(rules, key=lambda r: r.name)
+    seen = {canonical_form(initial): [initial]}
+    frontier = [(initial, ())]
+    for _ in range(depth):
+        next_frontier = []
+        for host, trace in frontier:
+            for rule in ordered:
+                for t in transformations(rule, host):
+                    bucket = seen.setdefault(canonical_form(t.result), [])
+                    if not any(_ref_isomorphic(t.result, kept) for kept in bucket):
+                        bucket.append(t.result)
+                        reached = (t.result, trace + (t,))
+                        yield reached
+                        next_frontier.append(reached)
+        frontier = next_frontier
+
+
+def _walk(search) -> list:
+    """The yielded hosts as documents, each with its steps' rule names and
+    match maps."""
+    return [
+        (
+            host.to_doc(),
+            [(t.rule.name, t.match.node_map, t.match.edge_map) for t in trace],
+        )
+        for host, trace in search
+    ]
+
+
+TREE = TypeGraph(("N",), (EdgeType("E", "N", "N"),))
+
+
+def _tree_rule(name: str, nodes: dict, edges: dict, tags: dict) -> Rule:
+    return Rule(name=name, typegraph=TREE, nodes=nodes, edges=edges, tags=tags)
+
+
+def edge_rules_system() -> list[Rule]:
+    """Roots and children of one node type, with a query, a rule that only
+    creates an edge, one that only deletes an edge and one that deletes a
+    node."""
+    pair = {"x": "N", "y": "N"}
+    edge = {"e": Edge("E", "x", "y")}
+    return [
+        _tree_rule("addRoot", {"n": "N"}, {}, {"n": "create"}),
+        _tree_rule("addChild", pair, edge, {"x": "preserve", "y": "create", "e": "create"}),
+        _tree_rule("readNode", {"n": "N"}, {}, {"n": "preserve"}),
+        _tree_rule("link", pair, edge, {"x": "preserve", "y": "preserve", "e": "create"}),
+        _tree_rule("unlink", pair, edge, {"x": "preserve", "y": "preserve", "e": "delete"}),
+        _tree_rule("dropNode", {"n": "N"}, {}, {"n": "delete"}),
+    ]
+
+
+def test_explore_yields_what_stepping_every_rule_yields():
+    systems = []
+    for name in ("running-example", "github-issue", "incident-toy", "incident-chain-toy"):
+        project = Project.load(PROJECTS / name)
+        systems.append((project.rules(), project.initial(), 3))
+    systems += [(*wide_system(seed), 3) for seed in range(40)]
+    systems.append((edge_rules_system(), InstanceGraph.empty(TREE), 5))
+    for rules, initial, depth in systems:
+        assert _walk(explore(rules, initial, depth)) == _walk(
+            _ref_explore(rules, initial, depth)
+        )
+
+
+def test_explore_never_steps_a_rule_that_creates_and_deletes_nothing(monkeypatch):
+    project = Project.load(PROJECTS / "running-example")
+    stepped = []
+    original = rules_module.transformations
+
+    def recorded(rule, host):
+        stepped.append(rule)
+        return original(rule, host)
+
+    monkeypatch.setattr(rules_module, "transformations", recorded)
+    hosts = list(explore(project.rules(), project.initial(), 3))
+    queries = {
+        r.name for r in project.rules() if set(r.tags.values()) == {"preserve"}
+    }
+    assert queries and len(hosts) > 1
+    assert stepped and not queries & {r.name for r in stepped}
+
+
+def test_identical_elements_are_isomorphic_without_a_search(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the matcher was asked")
+
+    g = host_with_embedded_lhs(random.Random(3), create_repo_rule())
+    monkeypatch.setattr(rules_module, "iter_matches", refused)
+    assert isomorphic(g, InstanceGraph(g.typegraph, g.nodes, g.edges))
+
+
+def test_equal_nodes_with_other_edges_get_the_matchers_answer():
+    nodes = {"a": "N", "b": "N", "c": "N"}
+    chain = InstanceGraph(TREE, nodes, {"e1": Edge("E", "a", "b"), "e2": Edge("E", "b", "c")})
+    turned = InstanceGraph(TREE, nodes, {"e1": Edge("E", "b", "c"), "e2": Edge("E", "c", "a")})
+    cherry = InstanceGraph(TREE, nodes, {"e1": Edge("E", "a", "b"), "e2": Edge("E", "a", "c")})
+    for a, b, expected in ((chain, turned, True), (chain, cherry, False)):
+        assert a.nodes == b.nodes and a.edges != b.edges
+        assert isomorphic(a, b) == _ref_isomorphic(a, b) == expected

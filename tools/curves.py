@@ -36,6 +36,16 @@ state's nodes after the last round, and the last round's requests, its
 wall time and its time per request (median, minimum and maximum of
 REPEATS replays, each on a fresh mock).  If a new state's cost follows
 the change, not the state, the last round costs about what the first does.
+
+forest: `explore` to a growing depth on a system of one node type and one
+edge type, with a rule that creates a root and one that adds a child under
+any node, from the empty host.  Each host is a rooted forest, so a point
+reports as many hosts as there are forests of at most `depth` nodes.  It
+also reports the `isomorphic` checks that `explore` made (counted in one
+more run, by re-binding `graphbac.rules.isomorphic`), how many of them
+compared graphs with identical nodes and edges, and how many answered no.
+`canonical_form` cannot tell most forests of a size apart, so the
+negatives grow fast with the depth.
 """
 
 from __future__ import annotations
@@ -50,12 +60,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
+import graphbac.rules  # noqa: E402
 from graphbac.cli import Project  # noqa: E402
-from graphbac.core import EdgeType, TypeGraph  # noqa: E402
+from graphbac.core import EdgeType, InstanceGraph, TypeGraph  # noqa: E402
 from graphbac.dependency import dependency_reasons  # noqa: E402
 from graphbac.mockserver import target_from_doc  # noqa: E402
 from graphbac.oracle import run_oracle  # noqa: E402
-from graphbac.rules import CREATE, PRESERVE, Rule  # noqa: E402
+from graphbac.rules import CREATE, PRESERVE, Rule, explore  # noqa: E402
 from graphbac.runner import RunnerConfig, run_plan  # noqa: E402
 from randgen import wide_system  # noqa: E402
 
@@ -63,6 +74,7 @@ KSTAR_POINTS = (3, 4, 5, 6)
 ORACLE_POINTS = (3, 4, 5)
 SWEEP_SEEDS = (255, 66)
 MOCKSTATE_POINTS = (1, 6, 12, 20)
+FOREST_POINTS = (6, 7, 8)
 REPEATS = 5
 
 
@@ -180,6 +192,48 @@ def mockstate(rounds: int) -> dict:
     }
 
 
+def forest_rules() -> list[Rule]:
+    """Fresh rules that create a root and that add a child under any node."""
+    typegraph = TypeGraph(("Node",), (EdgeType("child", "Node", "Node"),))
+    return [
+        Rule(name="addRoot", typegraph=typegraph, nodes={"root": "Node"}, tags={"root": CREATE}),
+        Rule(
+            name="addChild",
+            typegraph=typegraph,
+            nodes={"parent": "Node", "kid": "Node"},
+            edges={"edge": ("child", "parent", "kid")},
+            tags={"parent": PRESERVE, "kid": CREATE, "edge": CREATE},
+        ),
+    ]
+
+
+def forest(depth: int) -> dict:
+    def inputs():
+        rules = forest_rules()
+        return rules, InstanceGraph.empty(rules[0].typegraph), depth
+
+    def explore_all(rules, initial, depth):
+        return list(explore(rules, initial, depth))
+
+    checks = {"isomorphic_calls": 0, "identical": 0, "negative": 0}
+    isomorphic = graphbac.rules.isomorphic
+
+    def counted(a, b):
+        checks["isomorphic_calls"] += 1
+        checks["identical"] += a.nodes == b.nodes and a.edges == b.edges
+        answer = isomorphic(a, b)
+        checks["negative"] += not answer
+        return answer
+
+    graphbac.rules.isomorphic = counted
+    try:
+        hosts = explore_all(*inputs())
+    finally:
+        graphbac.rules.isomorphic = isomorphic
+    _, walls = timed(inputs, explore_all)
+    return {"curve": "forest", "depth": depth, "hosts": len(hosts), **checks, **walls}
+
+
 def main() -> int:
     for k in KSTAR_POINTS:
         print(json.dumps(kstar(k)), flush=True)
@@ -189,6 +243,8 @@ def main() -> int:
         print(json.dumps(sweep(seed)), flush=True)
     for rounds in MOCKSTATE_POINTS:
         print(json.dumps(mockstate(rounds)), flush=True)
+    for depth in FOREST_POINTS:
+        print(json.dumps(forest(depth)), flush=True)
     return 0
 
 
