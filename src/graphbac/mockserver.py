@@ -11,9 +11,11 @@ dynamic analysis has something real to detect.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable
 
@@ -199,6 +201,11 @@ class MockTarget:
             return _error(
                 NOT_FOUND, f"no resource satisfies the bindings of {rule.name}"
             )
+        if rule.preserves_all():
+            # a query's step would only derive an equal state: answer from
+            # the match and keep the state
+            payload = {node: match.node_map[node] for node in rule.nodes}
+            return {"data": {rule.operation(): payload}}
         try:
             t = apply(rule, self.graph, match)
         except NotApplicableError as exc:
@@ -231,21 +238,136 @@ class MockTarget:
 # HTTP layer
 
 
+# A request's header block is read the way `http.client` reads it: lines of
+# at most _MAX_LINE bytes, and at most _MAX_LINES of them with the blank
+# line that ends the block.  Longer lines or more lines get a 431.
+_MAX_LINE = 65536
+_MAX_LINES = 100
+# a header line is `name: value`, the name being one or more visible
+# characters other than ":" (the names `email.parser` accepts)
+_FIELD = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)\r?\n?")
+# the fields the mock reads; a repeat is refused, since a proxy in front of
+# the mock might have read the other copy
+_READ = frozenset(
+    ("authorization", "connection", "content-length", "expect", "transfer-encoding")
+)
+
+
+class _Refusal(Exception):
+    """A header block the mock does not serve; its args are `send_error`'s."""
+
+
+def _read_fields(rfile) -> dict[str, str]:
+    """The fields of `_READ` in the header block at the head of `rfile`, by
+    lower-case name, each value without the whitespace after its colon.
+
+    Reads up to and including the blank line that ends the block, or to
+    the end of the stream.  A line too long, too many lines, a line that
+    is not `name: value` (an obsolete folded line included) or a repeated
+    field of `_READ` raises `_Refusal`.  Other fields are read and dropped.
+    """
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_LINES):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Refusal(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                "Line too long",
+                f"got more than {_MAX_LINE} bytes when reading header line",
+            )
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        field = _FIELD.fullmatch(line)
+        if field is None:
+            raise _Refusal(HTTPStatus.BAD_REQUEST, f"Bad header line ({line!r})")
+        name = field[1].decode("ascii").lower()
+        if name in _READ:
+            if name in fields:
+                raise _Refusal(HTTPStatus.BAD_REQUEST, f"Repeated {name} field")
+            fields[name] = field[2].decode("iso-8859-1")
+    raise _Refusal(
+        HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+        "Too many headers",
+        f"got more than {_MAX_LINES} headers",
+    )
+
+
+def _version(word: str) -> tuple[int, int] | None:
+    """`HTTP/major.minor` as numbers, on `http.server`'s terms, or None."""
+    if not word.startswith("HTTP/"):
+        return None
+    numbers = word[5:].split(".")
+    if len(numbers) != 2 or not all(n.isdecimal() and len(n) <= 10 for n in numbers):
+        return None
+    return int(numbers[0]), int(numbers[1])
+
+
 class _Handler(BaseHTTPRequestHandler):
     target: MockTarget  # set by serve()
     # keep-alive: one connection, and one server thread, serve a whole run
     protocol_version = "HTTP/1.1"
-    # headers and body go out in two sends; with Nagle's algorithm on, each
-    # kept-alive response would wait for the client's delayed ACK
+    # a response goes out in one send, but `send_error` and `100 Continue`
+    # send twice per request; with Nagle's algorithm on, the second send
+    # would wait for the client's delayed ACK
     disable_nagle_algorithm = True
+
+    def parse_request(self) -> bool:
+        """Check the request line, then read the header block with
+        `_read_fields` into `self.headers`.
+
+        `http.server` hands the header block to `email.parser`, which cost
+        about two thirds of the mock's time per request.  The request line
+        is checked as `http.server` checks it, except that only HTTP/1.x
+        is served: a line of fewer than three words (HTTP/0.9) gets a 400,
+        and a version below 1.0 a 505, as one of 2.0 or more does.  False
+        once an error response is sent, which closes the connection.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) < 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
+            return False
+        version = _version(words[-1])
+        if version is None:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({words[-1]!r})")
+            return False
+        if not (1, 0) <= version < (2, 0):
+            self.send_error(
+                HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({words[-1][5:]})"
+            )
+            return False
+        self.request_version = words[-1]
+        self.close_connection = version < (1, 1)
+        if len(words) > 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
+            return False
+        self.command, self.path = words[:2]
+        try:
+            self.headers = _read_fields(self.rfile)
+        except _Refusal as refusal:
+            self.send_error(*refusal.args)
+            return False
+        connection = self.headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if version >= (1, 1) and self.headers.get("expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
 
     def do_POST(self) -> None:  # noqa: N802  (http.server naming)
         # a body whose end is unknown ends the connection, or its bytes
         # would be read as the next request
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             self._refuse("a request body needs a Content-Length")
             return
-        length = self.headers.get("Content-Length", "0")
+        length = self.headers.get("content-length", "0")
         try:
             size = int(length)
         except ValueError:
@@ -260,21 +382,26 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as exc:  # JSONDecodeError and bad UTF-8 included
             self._respond(400, _error(BAD_REQUEST, f"malformed request: {exc}"))
             return
-        response = self.target.execute(self.headers.get("Authorization"), body)
+        response = self.target.execute(self.headers.get("authorization"), body)
         self._respond(200, response)
 
     def _refuse(self, problem: str) -> None:
         self._respond(400, _error(BAD_REQUEST, f"malformed request: {problem}"), close=True)
 
     def _respond(self, status: int, payload: dict, *, close: bool = False) -> None:
+        """Status line, headers and body in one write."""
         raw = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(raw)}\r\n"
+        )
         if close:
-            self.send_header("Connection", "close")  # sets close_connection
-        self.end_headers()
-        self.wfile.write(raw)
+            head += "Connection: close\r\n"
+            self.close_connection = True
+        self.wfile.write(head.encode("iso-8859-1") + b"\r\n" + raw)
 
     def log_message(self, fmt: str, *args) -> None:  # quiet by default
         pass

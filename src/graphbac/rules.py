@@ -164,6 +164,11 @@ class Rule:
     def operation(self) -> str:
         return self.call.operation if self.call else self.name
 
+    def preserves_all(self) -> bool:
+        """True when every node and edge is tagged preserve (a query): a step
+        removes and adds nothing."""
+        return all(tag == PRESERVE for tag in self.tags.values())
+
 
 @dataclass(frozen=True)
 class DirectTransformation:
@@ -312,7 +317,7 @@ def explore(
     """
     yield initial, ()
     ordered = sorted(
-        (r for r in rules if any(tag != PRESERVE for tag in r.tags.values())),
+        (r for r in rules if not r.preserves_all()),
         key=lambda r: r.name,
     )
     seen = {canonical_form(initial): [initial]}

@@ -67,6 +67,15 @@ def test_the_mockstate_curve_after_one_round_holds_45_nodes():
     assert point["ms_per_request"] > 0
 
 
+def test_the_http_curve_after_one_round_times_66_requests_each_way():
+    point = _curves().http(1)
+    assert (point["curve"], point["rounds"], point["nodes"], point["requests"]) == (
+        "http", 1, 45, 66,
+    )
+    assert point["detected"] == ["flow-neg:createIssue->updateIssue#0"]
+    assert point["in_process_ms_per_request"] > 0 and point["http_ms_per_request"] > 0
+
+
 def test_the_forest_curve_at_depth_6_explores_85_hosts():
     point = _curves().forest(6)
     assert (point["curve"], point["depth"], point["hosts"]) == ("forest", 6, 85)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import gc
+import http.client
+import http.server
+import io
 import json
 import random
+import re
 import socket
 import struct
 import threading
@@ -13,6 +17,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from fixtures import (
     collab_policy,
     collab_roles,
@@ -32,11 +38,16 @@ from graphbac.mockserver import (
     MockTarget,
     TokenEntry,
     _error,
+    _read_fields,
+    _Refusal,
+    serve,
     start_in_background,
     target_from_doc,
 )
+from graphbac.cli import Project
 from graphbac.planner import PolicyAnnotation, RoleSpec
 from graphbac.rules import CREATE, NotApplicableError, apply, rules_from_doc
+from graphbac.runner import RunnerConfig, run_plan
 from graphbac.schema import parse_sdl, to_type_graph
 
 TOKENS = {
@@ -436,6 +447,244 @@ def test_a_fault_of_the_mock_is_still_reported(capsys, monkeypatch):
     assert "Traceback" in err and "RuntimeError: the mock broke" in err
 
 
+def responses_in(received: bytes) -> list[int]:
+    """The status codes of the responses at the head of `received`, each
+    read to the end of its body by its Content-Length."""
+    statuses = []
+    while received.startswith(b"HTTP/1.1 "):
+        head, _, rest = received.partition(b"\r\n\r\n")
+        statuses.append(int(head[9:12]))
+        length = re.search(rb"\r\nContent-Length: (\d+)", head)
+        received = rest[int(length[1]) if length else 0 :]
+    return statuses
+
+
+@pytest.fixture(scope="module")
+def both():
+    """The mock as `serve` serves it, then the same but for `http.server`'s
+    own `parse_request`, each on its own target; `exchange_with` resets it."""
+    pairs = []
+    for own_reader in (True, False):
+        target = make_target()
+        server = serve(target)
+        if not own_reader:
+            server.RequestHandlerClass = type(
+                "StdlibParsed",
+                (server.RequestHandlerClass,),
+                {"parse_request": http.server.BaseHTTPRequestHandler.parse_request},
+            )
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        pairs.append((target, server))
+    yield pairs
+    for _, server in pairs:
+        server.shutdown()
+        server.server_close()
+
+
+def exchange_with(pair, data: bytes) -> bytes:
+    target, server = pair
+    target.reset()
+    return re.sub(rb"\r\nDate: [^\r]*", b"\r\nDate: -", exchange(server, data))
+
+
+LAST = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\nConnection: close\r\n")
+
+
+def fields(count: int) -> str:
+    """`count` header lines, with the Host, Authorization and Content-Length
+    lines of `post`."""
+    return "".join(f"X-Field-{i}: {i}\r\n" for i in range(count - 3))
+
+
+def request_line(line: str, headers: str = "") -> bytes:
+    return (
+        f"{line}\r\nHost: mock\r\nAuthorization: bearer tok-owner\r\n"
+        f"Content-Length: {len(CREATE_USER)}\r\n{headers}\r\n"
+    ).encode() + CREATE_USER
+
+
+SAME_AS_HTTP_SERVER = {
+    "lower-case-names": (
+        f"POST /graphql HTTP/1.1\r\nhost: mock\r\nauthorization: bearer tok-owner\r\n"
+        f"content-length: {len(CREATE_USER)}\r\n\r\n"
+    ).encode() + CREATE_USER,
+    "http-1.0-closes": request_line("POST /graphql HTTP/1.0"),
+    "http-1.0-keep-alive": request_line("POST /graphql HTTP/1.0", "Connection: keep-alive\r\n"),
+    "close": request_line("POST /graphql HTTP/1.1", "connection: CLOSE\r\n"),
+    "expect-100": request_line("POST /graphql HTTP/1.1", "Expect: 100-Continue\r\n"),
+    "http-1.2": request_line("POST /graphql HTTP/1.2"),
+    "leading-zeros": request_line("POST /graphql HTTP/01.01"),
+    "trailing-blanks": request_line("POST /graphql HTTP/1.1 \t "),
+    "http-2.0": request_line("POST /graphql HTTP/2.0"),
+    "version-of-one-number": request_line("POST /graphql HTTP/1"),
+    "version-of-three-numbers": request_line("POST /graphql HTTP/1.1.1"),
+    "version-not-a-number": request_line("POST /graphql HTTP/1.x"),
+    "version-lower-case": request_line("POST /graphql http/1.1"),
+    "version-too-long": request_line("POST /graphql HTTP/12345678901.1"),
+    "four-words": request_line("POST /a b HTTP/1.1"),
+    "one-word": request_line("POST"),
+    "blank": request_line("   "),
+    "get": request_line("GET /graphql HTTP/1.1"),
+    "99-fields": request_line("POST /graphql HTTP/1.1", fields(99)),  # 100 lines with the blank
+    "100-fields": request_line("POST /graphql HTTP/1.1", fields(100)),
+    "longest-line": request_line("POST /graphql HTTP/1.1", f"X-Long: {'a' * 65526}\r\n"),
+    "line-too-long": request_line("POST /graphql HTTP/1.1", f"X-Long: {'a' * 65527}\r\n"),
+}
+
+
+@pytest.mark.parametrize("data", SAME_AS_HTTP_SERVER.values(), ids=SAME_AS_HTTP_SERVER)
+def test_the_mock_answers_as_it_does_with_http_servers_parser(both, data):
+    """Followed by a request that closes the connection, so that keep-alive
+    shows as a second response; Date lines masked."""
+    mine, stdlib = (exchange_with(pair, data + LAST) for pair in both)
+    assert mine == stdlib
+    assert both[0][0].snapshot() == both[1][0].snapshot()
+
+
+@pytest.mark.parametrize(
+    "case, statuses",
+    [
+        ("lower-case-names", [200, 200]),
+        ("http-1.0-closes", [200]),
+        ("http-1.0-keep-alive", [200, 200]),
+        ("close", [200]),
+        ("expect-100", [100, 200, 200]),
+        ("get", [501]),
+        ("99-fields", [200, 200]),
+        ("100-fields", [431]),
+        ("longest-line", [200, 200]),
+        ("line-too-long", [431]),
+    ],
+)
+def test_the_mock_answers_each_request_as_http_1_1_asks(both, case, statuses):
+    received = exchange_with(both[0], SAME_AS_HTTP_SERVER[case] + LAST)
+    assert responses_in(received) == statuses
+    assert len(both[0][0].graph.nodes) == statuses.count(200)
+
+
+@pytest.mark.parametrize(
+    "data, status",
+    [
+        (request_line("POST /graphql HTTP/0.9"), b"505"),
+        (request_line("POST /graphql"), b"400"),
+        (request_line("GET /graphql"), b"400"),
+    ],
+    ids=["http-0.9-version", "http-0.9-post", "http-0.9-get"],
+)
+def test_a_request_below_http_1_0_is_refused(both, data, status):
+    received = exchange_with(both[0], data + LAST)
+    # like http.server's own refusals, an HTML page without a status line
+    assert b"Error code: " + status in received
+    assert responses_in(received) == [] and not both[0][0].graph.nodes
+
+
+@pytest.mark.parametrize(
+    "headers",
+    [
+        f"Content-Length: {len(CREATE_USER)}\r\nContent-Length: {len(CREATE_USER)}\r\n",
+        f"Content-Length: {len(CREATE_USER)}\r\ncontent-length: 0\r\n",
+        f"Content-Length: {len(CREATE_USER)}\r\nTransfer-Encoding: x\r\nTransfer-Encoding: x\r\n",
+        f"Content-Length: {len(CREATE_USER)}\r\nAuthorization: bearer tok-collab\r\n",
+        f"Content-Length: {len(CREATE_USER)}\r\nX-No-Colon\r\n",
+        f"Content-Length: {len(CREATE_USER)}\r\nX-Folded: a\r\n b\r\n",
+        f"Content-Length: {len(CREATE_USER)}\r\nX-Space : a\r\n",
+    ],
+    ids=["repeated-length", "repeated-length-other-case", "repeated-encoding",
+         "repeated-authorization", "no-colon", "folded", "space-before-colon"],
+)
+def test_a_header_block_the_mock_does_not_read_is_refused_and_the_connection_closed(both, headers):
+    target, _server = both[0]
+    received = exchange_with(both[0], post(CREATE_USER, headers) + LAST)
+    assert responses_in(received) == [400]
+    assert b"\r\nConnection: close\r\n" in received.partition(b"\r\n\r\n")[0]
+    assert not target.graph.nodes
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_sent(both):
+    target, server = both[0]
+    target.reset()
+    head = post(b"", f"Content-Length: {len(CREATE_USER)}\r\nExpect: 100-continue\r\n")
+    with socket.create_connection(server.server_address, timeout=3) as sock:
+        sock.sendall(head)
+        assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(CREATE_USER + LAST)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    assert responses_in(received) == [200, 200]
+    assert len(target.graph.nodes) == 2
+
+
+def test_a_request_sent_one_byte_at_a_time_is_served(both):
+    target, server = both[0]
+    target.reset()
+    with socket.create_connection(server.server_address, timeout=3) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        for byte in LAST:
+            sock.sendall(bytes([byte]))
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    assert responses_in(received) == [200]
+    assert sorted(target.graph.nodes) == ["u~1"]
+
+
+def test_the_mock_reads_headers_without_the_email_parser(both, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("the mock parsed headers with the email package")
+
+    monkeypatch.setattr(http.client, "parse_headers", unused)
+    monkeypatch.setattr("email.parser.Parser.parsestr", unused)
+    target, _server = both[0]
+    request = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\n")
+    assert responses_in(exchange_with(both[0], request + LAST)) == [200, 200]
+    assert len(target.graph.nodes) == 2
+
+
+# the fields the mock reads; a block that repeats one of them is refused
+READ = ("Content-Length", "Authorization", "Connection", "Transfer-Encoding", "Expect")
+TCHAR = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _recased(name: str, mask: int) -> str:
+    """`name` with the letters whose bit is set in `mask` in upper case."""
+    return "".join(c.upper() if mask >> i & 1 else c.lower() for i, c in enumerate(name))
+
+
+FIELD_NAMES = st.one_of(
+    st.builds(_recased, st.sampled_from(READ[:4] + ("Host", "Content-Type")), st.integers(0, 2**17)),
+    st.text(TCHAR, min_size=1, max_size=12),
+)
+# visible characters, obs-text, space and tab, often leading and trailing:
+# no CR, LF or other control
+BLANKS = st.text(" \t", max_size=2)
+FIELD_VALUES = st.builds(
+    "".join,
+    st.tuples(BLANKS, st.text(" \t" + "".join(map(chr, range(0x21, 0x100))), max_size=12), BLANKS),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(FIELD_NAMES, FIELD_VALUES, st.sampled_from(("\r\n", "\n"))), max_size=8),
+    st.sampled_from(("\r\n", "\n")),
+)
+def test_the_header_reader_agrees_with_http_client(lines, end):
+    block = "".join(f"{name}:{value}{eol}" for name, value, eol in lines).encode("latin-1")
+    block += end.encode() + b"BODY"
+    names = [name.lower() for name, _, _ in lines]
+    ours = io.BytesIO(block)
+    if any(names.count(name.lower()) > 1 for name in READ):
+        with pytest.raises(_Refusal):
+            _read_fields(ours)
+        return
+    got = _read_fields(ours)
+    theirs = io.BytesIO(block)
+    message = http.client.parse_headers(theirs)
+    assert {n: got.get(n.lower()) for n in READ[:4]} == {n: message.get(n) for n in READ[:4]}
+    assert ours.read() == theirs.read() == b"BODY"
+
+
 def test_concurrent_requests_are_serialized():
     target = make_target()
     call(target, "tok-owner", "createUser")
@@ -601,3 +850,51 @@ def test_anchored_transitions_equal_sort_then_filter(seed):
         want = call(reference, token, op, variables)
         assert got == want, (step, op, variables)
         assert target.snapshot() == reference.snapshot(), (step, op)
+
+
+def test_a_query_request_keeps_the_state(monkeypatch):
+    """A rule whose every element is tagged preserve answers from its match
+    and derives no state; over three replay rounds on a mock that is not
+    reset, responses, creators and state equal those of a mock that steps
+    every rule."""
+    derived = []
+    derive = InstanceGraph._derive
+
+    def counting(self, *args):
+        derived.append(self)
+        return derive(self, *args)
+
+    monkeypatch.setattr(InstanceGraph, "_derive", counting)
+    project = Project.load(RUNNING_EXAMPLE)
+    plan, rules = project.plan(), project.rules_by_name()
+    faults = (FaultInjection("drop_check", "updateIssue"),)
+    target = running_example_target(faults=faults)
+    reference = running_example_target(SortThenFilterTarget, faults=faults)
+    queries = {op for op, rule in target.rules.items() if rule.preserves_all()}
+    assert queries == {"getUser", "getProject", "updateRepo", "updateIssue"}
+
+    def recording(mock, log):
+        send = mock.transport()
+
+        def transport(request, headers, timeout):
+            before = len(derived)
+            response = send(request, headers, timeout)
+            log.append((request["operationName"], response, len(derived) - before))
+            return response
+
+        return transport
+
+    config = RunnerConfig(
+        endpoint="in-process",
+        tokens={entry.role: token for token, entry in target.tokens.items()},
+    )
+    for _ in range(3):
+        got, want = [], []
+        report = run_plan(plan, config, recording(target, got), rules=rules)
+        assert report.to_doc() == run_plan(plan, config, recording(reference, want), rules=rules).to_doc()
+        assert [(op, response) for op, response, _ in got] == [(op, r) for op, r, _ in want]
+        assert target.creators == reference.creators
+        assert target.snapshot() == reference.snapshot()
+        answered = [n for op, response, n in got if op in queries and not response.get("errors")]
+        assert len(answered) >= 5 and answered == [0] * len(answered)
+        assert all(n == 1 for op, r, n in got if op not in queries and not r.get("errors"))

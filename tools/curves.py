@@ -37,6 +37,14 @@ wall time and its time per request (median, minimum and maximum of
 REPEATS replays, each on a fresh mock).  If a new state's cost follows
 the change, not the state, the last round costs about what the first does.
 
+http: the same replay as mockstate, its last round timed once through
+`MockTarget.transport()` and once over HTTP, through the runner's
+kept-alive connection to the mock served on a local port.  A point reports
+the last round's requests and its time per request each way (medians of
+REPEATS replays, each on a fresh mock), and their difference, which is
+what HTTP adds per request: the runner's `http.client` and the mock's
+request handling.
+
 forest: `explore` to a growing depth on a system of one node type and one
 edge type, with a rule that creates a root and one that adds a child under
 any node, from the empty host.  Each host is a rooted forest, so a point
@@ -53,7 +61,9 @@ from __future__ import annotations
 import json
 import statistics
 import sys
+import threading
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,16 +74,17 @@ import graphbac.rules  # noqa: E402
 from graphbac.cli import Project  # noqa: E402
 from graphbac.core import EdgeType, InstanceGraph, TypeGraph  # noqa: E402
 from graphbac.dependency import dependency_reasons  # noqa: E402
-from graphbac.mockserver import target_from_doc  # noqa: E402
+from graphbac.mockserver import serve, target_from_doc  # noqa: E402
 from graphbac.oracle import run_oracle  # noqa: E402
 from graphbac.rules import CREATE, PRESERVE, Rule, explore  # noqa: E402
-from graphbac.runner import RunnerConfig, run_plan  # noqa: E402
+from graphbac.runner import RunnerConfig, http_transport, run_plan  # noqa: E402
 from randgen import wide_system  # noqa: E402
 
 KSTAR_POINTS = (3, 4, 5, 6)
 ORACLE_POINTS = (3, 4, 5)
 SWEEP_SEEDS = (255, 66)
 MOCKSTATE_POINTS = (1, 6, 12, 20)
+HTTP_POINTS = (1, 6)
 FOREST_POINTS = (6, 7, 8)
 REPEATS = 5
 
@@ -147,29 +158,42 @@ def sweep(seed: int) -> dict:
     }
 
 
-def replay_last_round(rounds: int) -> tuple:
-    """Replay the running-example plan `rounds` times on a fresh mock: the
-    last round's report, the mock's nodes after it, and the round's
-    requests and wall time."""
+def replay_last_round(rounds: int, over_http: bool = False) -> tuple:
+    """Replay the running-example plan `rounds` times on a fresh mock, in
+    process or over HTTP: the last round's report, the mock's nodes after
+    it, and the round's requests and wall time."""
     project = Project.load(ROOT / "projects" / "running-example")
     doc = json.loads(project.path("mock").read_text())
     doc["faults"] = [*doc.get("faults", []), {"kind": "drop_check", "rule": "updateIssue"}]
     target = target_from_doc(doc, project.rules(), project.roles(), project.initial())
     tokens = {entry["role"]: token for token, entry in doc["tokens"].items()}
     config = RunnerConfig(endpoint="in-process", tokens=tokens)
-    plan, rules, send = project.plan(), project.rules_by_name(), target.transport()
-    for _ in range(rounds - 1):
-        run_plan(plan, config, send, rules=rules)
-    requests = 0
+    plan, rules = project.plan(), project.rules_by_name()
+    with ExitStack() as stack:
+        if over_http:
+            server = serve(target)
+            # polled often, so that shutting it down does not wait 0.5 s
+            thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+            thread.start()
+            stack.callback(thread.join)
+            stack.callback(server.server_close)
+            stack.callback(server.shutdown)
+            send = http_transport(f"http://127.0.0.1:{server.server_address[1]}/graphql")
+            stack.callback(send.close)
+        else:
+            send = target.transport()
+        for _ in range(rounds - 1):
+            run_plan(plan, config, send, rules=rules)
+        requests = 0
 
-    def counted(request, headers, timeout):
-        nonlocal requests
-        requests += 1
-        return send(request, headers, timeout)
+        def counted(request, headers, timeout):
+            nonlocal requests
+            requests += 1
+            return send(request, headers, timeout)
 
-    start = time.perf_counter()
-    report = run_plan(plan, config, counted, rules=rules)
-    wall = time.perf_counter() - start
+        start = time.perf_counter()
+        report = run_plan(plan, config, counted, rules=rules)
+        wall = time.perf_counter() - start
     return report, len(target.graph.nodes), requests, wall
 
 
@@ -189,6 +213,25 @@ def mockstate(rounds: int) -> dict:
         "ms_per_request": round(statistics.median(per_request), 4),
         "min_ms_per_request": round(min(per_request), 4),
         "max_ms_per_request": round(max(per_request), 4),
+    }
+
+
+def http(rounds: int) -> dict:
+    per_request: dict[bool, list[float]] = {False: [], True: []}
+    for _ in range(REPEATS):
+        for over_http in (False, True):
+            report, nodes, requests, wall = replay_last_round(rounds, over_http)
+            per_request[over_http].append(1000 * wall / requests)
+    in_process_ms, http_ms = (statistics.median(per_request[x]) for x in (False, True))
+    return {
+        "curve": "http",
+        "rounds": rounds,
+        "nodes": nodes,
+        "requests": requests,
+        "detected": list(report.detected_vulnerabilities),
+        "in_process_ms_per_request": round(in_process_ms, 4),
+        "http_ms_per_request": round(http_ms, 4),
+        "http_cost_ms_per_request": round(http_ms - in_process_ms, 4),
     }
 
 
@@ -243,6 +286,8 @@ def main() -> int:
         print(json.dumps(sweep(seed)), flush=True)
     for rounds in MOCKSTATE_POINTS:
         print(json.dumps(mockstate(rounds)), flush=True)
+    for rounds in HTTP_POINTS:
+        print(json.dumps(http(rounds)), flush=True)
     for depth in FOREST_POINTS:
         print(json.dumps(forest(depth)), flush=True)
     return 0
