@@ -319,11 +319,15 @@ class _Handler(BaseHTTPRequestHandler):
         about two thirds of the mock's time per request.  The request line
         is checked as `http.server` checks it, except that only HTTP/1.x
         is served: a line of fewer than three words (HTTP/0.9) gets a 400,
-        and a version below 1.0 a 505, as one of 2.0 or more does.  False
-        once an error response is sent, which closes the connection.
+        and a version below 1.0 a 505, as one of 2.0 or more does.  Each
+        refusal gets an HTTP/1.1 status line, where `http.server` sends a
+        refused request line only its HTML page.  False once an error
+        response is sent, which closes the connection.
         """
         self.command = None
-        self.request_version = self.default_request_version
+        # `send_error` writes the status line and headers for any version
+        # but HTTP/0.9, the default until the line's own version is read
+        self.request_version = self.protocol_version
         self.close_connection = True
         self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 
@@ -26,6 +25,7 @@ from graphbac.core import (
 )
 from graphbac.rules import NotApplicableError, _fresh_ids, apply, transformations
 from randgen import random_graph, random_rule, random_typegraph
+import reference
 
 TG = TypeGraph(
     ("User", "Repository"),
@@ -46,22 +46,6 @@ def user_repo_host() -> InstanceGraph:
             "owner": Edge("Repository.owner", "r", "u"),
         },
     )
-
-
-def naive_matches(pattern: InstanceGraph, host: InstanceGraph) -> list[Morphism]:
-    """Independent oracle: try every injective assignment, keep the valid ones."""
-    found = []
-    pnodes = sorted(pattern.nodes)
-    pedges = sorted(pattern.edges)
-    for nimages in itertools.permutations(sorted(host.nodes), len(pnodes)):
-        nmap = dict(zip(pnodes, nimages))
-        for eimages in itertools.permutations(sorted(host.edges), len(pedges)):
-            emap = dict(zip(pedges, eimages))
-            try:
-                found.append(Morphism(pattern, host, nmap, emap))
-            except GraphError:
-                continue
-    return found
 
 
 def as_tuples(matches) -> set:
@@ -87,7 +71,7 @@ def test_single_node_pattern_counts_candidates():
     host = InstanceGraph(tg, {"a1": "A", "a2": "A"}, {})
     matches = enumerate_matches(pattern, host)
     assert len(matches) == 2
-    assert as_tuples(matches) == as_tuples(naive_matches(pattern, host))
+    assert as_tuples(matches) == as_tuples(reference.matches(pattern, host))
 
 
 def test_parallel_edges_give_distinct_matches():
@@ -121,20 +105,22 @@ def test_type_graph_mismatch_rejected():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_matches_equal_naive_enumeration(seed):
+    # core.enumerate_matches against reference.matches, order included
     rng = random.Random(seed)
     tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
     pattern = random_graph(rng, tg, max_nodes=3, max_edges=3, prefix="p")
     host = random_graph(rng, tg, max_nodes=5, max_edges=6, prefix="h")
-    assert as_tuples(enumerate_matches(pattern, host)) == as_tuples(
-        naive_matches(pattern, host)
-    )
+    assert [m.mapped_tuple() for m in enumerate_matches(pattern, host)] == [
+        m.mapped_tuple() for m in reference.matches(pattern, host)
+    ]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000))
 def test_anchored_matches_equal_filtered_naive_enumeration(seed):
-    # anchors on host nodes of any type, on absent ids, on values that are
-    # no id at all and on names outside the pattern
+    # core.iter_matches with anchors against reference.matches filtered by
+    # them: anchors on host nodes of any type, on absent ids, on values
+    # that are no id at all and on names outside the pattern
     rng = random.Random(seed)
     tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
     pattern = random_graph(rng, tg, max_nodes=3, max_edges=3, prefix="p")
@@ -146,7 +132,7 @@ def test_anchored_matches_equal_filtered_naive_enumeration(seed):
     assert len(found) == len(set(found))
     assert set(found) == as_tuples(
         m
-        for m in naive_matches(pattern, host)
+        for m in reference.matches(pattern, host)
         if all(m.node_map.get(n) == v for n, v in fixed.items())
     )
 
@@ -218,15 +204,10 @@ def test_dangling_equals_incident_edge_scan(seed):
     for m in enumerate_matches(pattern, host):
         deleted = {n for n in pattern.nodes if rng.random() < 0.5}
         images = {m.node_map[n] for n in deleted}
-        incident_outside = {
-            eid
-            for eid, e in host.edges.items()
-            if (e.src in images or e.tgt in images) and eid not in m.edge_image()
-        }
-        assert check_dangling(m, deleted) == (not incident_outside)
-        assert dangling_edge(host, images, m.edge_image()) == min(
-            incident_outside, default=None
-        )
+        # core.dangling_edge and check_dangling against reference.dangling_edge
+        expected = reference.dangling_edge(host, images, m.edge_image())
+        assert check_dangling(m, deleted) == (expected is None)
+        assert dangling_edge(host, images, m.edge_image()) == expected
 
 
 def assert_fully_valid(graph: InstanceGraph) -> None:
@@ -252,33 +233,9 @@ def test_matches_pass_full_validation(seed):
         assert_valid_morphism(m)
 
 
-# The graph methods before they validated only their change: each built its
-# result through the whole-graph constructor.  References for the
-# differential test below.
-
-
-def reference_add(g: InstanceGraph, nodes: dict, edges: dict) -> InstanceGraph:
-    clash = (set(nodes) | set(edges)) & (set(g.nodes) | set(g.edges))
-    if clash:
-        raise GraphError(f"ids already present: {sorted(clash)}")
-    return InstanceGraph(g.typegraph, {**g.nodes, **nodes}, {**g.edges, **edges})
-
-
-def reference_remove(g: InstanceGraph, node_ids: set, edge_ids: set) -> InstanceGraph:
-    return InstanceGraph(
-        g.typegraph,
-        {n: t for n, t in g.nodes.items() if n not in node_ids},
-        {e: d for e, d in g.edges.items() if e not in edge_ids},
-    )
-
-
-def reference_subgraph(g: InstanceGraph, node_ids: set, edge_ids: set) -> InstanceGraph:
-    missing = (node_ids - set(g.nodes)) | (edge_ids - set(g.edges))
-    if missing:
-        raise GraphError(f"subgraph references unknown ids: {sorted(missing)}")
-    return InstanceGraph(
-        g.typegraph, {n: g.nodes[n] for n in node_ids}, {e: g.edges[e] for e in edge_ids}
-    )
+# `InstanceGraph._derive` and `subgraph` validate only their change;
+# `reference.add`, `reference.remove` and `reference.subgraph` build each
+# result through the whole-graph constructor.
 
 
 def outcome(build):
@@ -322,20 +279,20 @@ def test_derived_graphs_raise_exactly_when_the_whole_graph_check_does(seed):
             etype = "Nope"
         src, tgt = (fresh_or_taken(rng.choice(ends), ["ghost"]) for _ in "st")
         new_edges[eid] = Edge(etype, src, tgt)
-    old = outcome(lambda: reference_add(g, new_nodes, new_edges))
+    old = outcome(lambda: reference.add(g, new_nodes, new_edges))
     assert outcome(lambda: g._derive((), (), new_nodes, new_edges)) == old
 
     strays = ["ghost"] + sorted(g.edges)[:1] + sorted(g.nodes)[:1]
     node_ids = some(rng, sorted(g.nodes), 0.4) | some(rng, strays, 0.2)
     edge_ids = some(rng, sorted(g.edges), 0.5) | some(rng, strays, 0.2)
-    old = outcome(lambda: reference_remove(g, node_ids, edge_ids))
+    old = outcome(lambda: reference.remove(g, node_ids, edge_ids))
     new = outcome(lambda: g._derive(node_ids, edge_ids, {}, {}))
     # the message may name another dangling edge than the whole-graph check
     assert new[0] == old[0] and (new[0] == "error" or new == old)
 
     node_ids = some(rng, sorted(g.nodes), 0.6) | some(rng, ["ghost"], 0.1)
     edge_ids = some(rng, sorted(g.edges), 0.5) | some(rng, ["ghost"], 0.1)
-    old = outcome(lambda: reference_subgraph(g, node_ids, edge_ids))
+    old = outcome(lambda: reference.subgraph(g, node_ids, edge_ids))
     assert outcome(lambda: g.subgraph(node_ids, edge_ids)) == old
 
 
@@ -450,6 +407,28 @@ def derive_and_compare(rng: random.Random) -> None:
     # a patch that changed a parent's cache in place shows here too
     for g in graphs:
         assert_caches_as_if_built_afresh(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_matches_on_derived_graphs_equal_the_reference(seed):
+    # core.enumerate_matches against reference.matches on graphs whose
+    # matcher caches were patched from their parent's, after removals too
+    rng = random.Random(seed)
+    tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
+    rules = [random_rule(rng, tg, name=f"r{i}", max_nodes=3, max_edges=3) for i in range(3)]
+    g = random_graph(rng, tg, max_nodes=6, max_edges=8, prefix="h")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_PATCH_FROM", 0)  # small graphs patch too
+        for _ in range(rng.randint(1, 8)):
+            g._index  # noqa: B018  (built, so that the next graph patches it)
+            g = random_derivation(rng, g, rules)
+            patterns = [r.lhs for r in rules]
+            patterns.append(random_graph(rng, tg, max_nodes=3, max_edges=3, prefix="p"))
+            for pattern in patterns:
+                assert [m.mapped_tuple() for m in enumerate_matches(pattern, g)] == [
+                    m.mapped_tuple() for m in reference.matches(pattern, g)
+                ]
 
 
 def test_a_matched_graph_lets_its_parent_go(monkeypatch):

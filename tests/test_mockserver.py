@@ -515,14 +515,7 @@ SAME_AS_HTTP_SERVER = {
     "http-1.2": request_line("POST /graphql HTTP/1.2"),
     "leading-zeros": request_line("POST /graphql HTTP/01.01"),
     "trailing-blanks": request_line("POST /graphql HTTP/1.1 \t "),
-    "http-2.0": request_line("POST /graphql HTTP/2.0"),
-    "version-of-one-number": request_line("POST /graphql HTTP/1"),
-    "version-of-three-numbers": request_line("POST /graphql HTTP/1.1.1"),
-    "version-not-a-number": request_line("POST /graphql HTTP/1.x"),
-    "version-lower-case": request_line("POST /graphql http/1.1"),
-    "version-too-long": request_line("POST /graphql HTTP/12345678901.1"),
     "four-words": request_line("POST /a b HTTP/1.1"),
-    "one-word": request_line("POST"),
     "blank": request_line("   "),
     "get": request_line("GET /graphql HTTP/1.1"),
     "99-fields": request_line("POST /graphql HTTP/1.1", fields(99)),  # 100 lines with the blank
@@ -562,20 +555,44 @@ def test_the_mock_answers_each_request_as_http_1_1_asks(both, case, statuses):
     assert len(both[0][0].graph.nodes) == statuses.count(200)
 
 
+def assert_refused_and_closed(received: bytes, status: int) -> None:
+    """One response, with the status and `Connection: close`."""
+    assert responses_in(received) == [status]
+    assert b"\r\nConnection: close\r\n" in received.partition(b"\r\n\r\n")[0]
+
+
+# request lines `http.server` answers with an HTML page and no status line
+REFUSED_REQUEST_LINES = {
+    "http-2.0": (request_line("POST /graphql HTTP/2.0"), 505),
+    "version-of-one-number": (request_line("POST /graphql HTTP/1"), 400),
+    "version-of-three-numbers": (request_line("POST /graphql HTTP/1.1.1"), 400),
+    "version-not-a-number": (request_line("POST /graphql HTTP/1.x"), 400),
+    "version-lower-case": (request_line("POST /graphql http/1.1"), 400),
+    "version-too-long": (request_line("POST /graphql HTTP/12345678901.1"), 400),
+    "one-word": (request_line("POST"), 400),
+}
+
+
+@pytest.mark.parametrize(
+    "data, status", REFUSED_REQUEST_LINES.values(), ids=REFUSED_REQUEST_LINES
+)
+def test_a_refused_request_line_gets_an_http_1_1_status_line(both, data, status):
+    assert_refused_and_closed(exchange_with(both[0], data + LAST), status)
+    assert not both[0][0].graph.nodes
+
+
 @pytest.mark.parametrize(
     "data, status",
     [
-        (request_line("POST /graphql HTTP/0.9"), b"505"),
-        (request_line("POST /graphql"), b"400"),
-        (request_line("GET /graphql"), b"400"),
+        (request_line("POST /graphql HTTP/0.9"), 505),
+        (request_line("POST /graphql"), 400),
+        (request_line("GET /graphql"), 400),
     ],
     ids=["http-0.9-version", "http-0.9-post", "http-0.9-get"],
 )
 def test_a_request_below_http_1_0_is_refused(both, data, status):
-    received = exchange_with(both[0], data + LAST)
-    # like http.server's own refusals, an HTML page without a status line
-    assert b"Error code: " + status in received
-    assert responses_in(received) == [] and not both[0][0].graph.nodes
+    assert_refused_and_closed(exchange_with(both[0], data + LAST), status)
+    assert not both[0][0].graph.nodes
 
 
 @pytest.mark.parametrize(

@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 import graphbac.rules
 from graphbac import dependency, oracle
 from graphbac.cli import Project
-from graphbac.core import GraphError, InstanceGraph, Morphism
+from graphbac.core import Edge, EdgeType, InstanceGraph, TypeGraph
 from graphbac.dependency import (
-    INDEPENDENT,
-    PRODUCE_USE,
     classify_transformation_pair,
     dependency_reasons,
     extract_reason,
@@ -31,7 +29,7 @@ from graphbac.oracle import (
     run_oracle,
     transformations,
 )
-from graphbac.rules import NotReversibleError, apply_inverse, isomorphic
+from graphbac.rules import Rule, isomorphic
 
 from fixtures import (
     analyzed_collab_rules,
@@ -43,6 +41,7 @@ from fixtures import (
     incident_rules,
 )
 from randgen import random_rule, random_typegraph, wide_system
+import reference
 
 PROJECTS = Path(__file__).resolve().parent.parent / "projects"
 
@@ -147,6 +146,7 @@ def test_no_two_step_flow_witness_on_toys():
 
 
 def test_collab_pairwise_agreement_at_shallow_depth():
+    # the program's two checks, given the reference's switched steps
     rules = analyzed_collab_rules()
     hosts = reachable_hosts(
         collab_rules().values(), InstanceGraph(collab_typegraph(), {}, {}), 3
@@ -172,7 +172,7 @@ def test_collab_pairwise_agreement_at_shallow_depth():
             )
             assert (
                 independence_disagreements(
-                    first, second, steps, realized, oracle._switched_steps
+                    first, second, steps, realized, reference.switched_steps
                 )
                 == []
             )
@@ -202,60 +202,11 @@ def test_switch_order_equivalence_concrete():
     (t1,) = transformations(rules["createRepo"], host)
     steps = transformations(rules["createProject"], t1.result)
     (t2,) = steps
-    t1p = oracle._switched_steps(t1, t2)[1]
+    t1p = reference.switched_steps(t1, t2)[1]
     assert isomorphic(t1p.result, t2.result)
 
 
-# ---- certified commutation ------------------------------------------------
-#
-# `_commutes` first checks the bijection local Church-Rosser predicts and
-# searches with `isomorphic` only when that check fails.  A wrong
-# certificate must cost only the search, never the verdict.
-
 TOYS = [(incident_rules, incident_initial), (chain_rules, chain_initial)]
-
-
-def _count_searches(mp) -> list:
-    """Count the oracle's `isomorphic` calls (only `_commutes` makes them)."""
-    calls = []
-    real = oracle.isomorphic
-
-    def counted(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    mp.setattr(oracle, "isomorphic", counted)
-    return calls
-
-
-def _wrong_certificate(t1, t2, t2p, t1p):
-    """A bijection onto ids the target does not have."""
-    return (
-        {n: f"{n}?" for n in t1p.result.nodes},
-        {e: f"{e}?" for e in t1p.result.edges},
-    )
-
-
-@pytest.mark.parametrize("toy", TOYS)
-def test_every_toy_commutation_is_certified(monkeypatch, toy):
-    make_rules, make_initial = toy
-    rules = list(make_rules().values())
-    searches = _count_searches(monkeypatch)
-    report = run_oracle(rules, rules, make_initial(), 3)
-    assert report.agreed, report.disagreements
-    assert searches == []
-
-
-@pytest.mark.parametrize("toy", TOYS)
-def test_a_wrong_certificate_falls_back_to_the_search(monkeypatch, toy):
-    make_rules, make_initial = toy
-    rules = list(make_rules().values())
-    expected = run_oracle(rules, rules, make_initial(), 3).disagreements
-    monkeypatch.setattr(oracle, "_certificate", _wrong_certificate)
-    searches = _count_searches(monkeypatch)
-    report = run_oracle(rules, rules, make_initial(), 3)
-    assert report.disagreements == expected == []
-    assert searches, "a wrong certificate must send the pair to `isomorphic`"
 
 
 def _planted(step):
@@ -264,7 +215,7 @@ def _planted(step):
     if "planted" in result.nodes:  # already planted further down the call
         return step
     extra = {"planted": result.typegraph.node_types[0]}
-    return dataclasses.replace(step, result=result._derive((), (), extra, {}))
+    return dataclasses.replace(step, result=reference.add(result, extra, {}))
 
 
 @pytest.mark.parametrize("toy", TOYS)
@@ -279,13 +230,12 @@ def test_a_switched_step_that_differs_is_reported(monkeypatch, toy):
 
         return planted
 
-    # the shared oracle switches through `_switch` (lookup or fallback), the
-    # reference through `_switched_steps`
+    # the program's oracle switches through `_switch` (lookup or fallback),
+    # the reference through `switched_steps`
     monkeypatch.setattr(oracle, "_switch", planting(oracle._switch))
-    monkeypatch.setattr(oracle, "_switched_steps", planting(oracle._switched_steps))
-    monkeypatch.setattr(oracle, "_certificate", _wrong_certificate)
-    shared, reference = _both_oracles(rules, make_initial(), 3)
-    assert shared == reference
+    monkeypatch.setattr(reference, "switched_steps", planting(reference.switched_steps))
+    shared, ref = _both_oracles(rules, make_initial(), 3)
+    assert shared == ref
     assert any("switched order yields a different result" in m for m in shared)
 
 
@@ -296,11 +246,11 @@ def _step_name(rule, host, match):
 
 
 def _independent_pairs(rules, initial, depth):
-    hosts = reachable_hosts(rules, initial, depth)
+    hosts = reference.reachable_hosts(rules, initial, depth)
     for first in sorted(rules, key=lambda r: r.name):
         for second in sorted(rules, key=lambda r: r.name):
-            for t1, t2 in _reference_pairs(first, second, hosts):
-                if classify_transformation_pair(t1, t2) == INDEPENDENT:
+            for t1, t2 in reference.pairs(first, second, hosts):
+                if reference.classify(t1, t2) == reference.INDEPENDENT:
                     yield t1, t2
 
 
@@ -311,7 +261,7 @@ def test_a_wrong_t2_prime_is_reported_for_every_pair_that_shares_it(monkeypatch)
     # steps that are no pair's t1'
     t2_primes, t1_primes = Counter(), set()
     for t1, t2 in _independent_pairs(rules, chain_initial(), 3):
-        t2p = oracle._switched_steps(t1, t2)[0]
+        t2p = reference.switched_steps(t1, t2)[0]
         t2_primes[_step_name(t2.rule, t1.host, t2.match)] += 1
         t1_primes.add(_step_name(t1.rule, t2p.result, t1.match))
     target, count = max(
@@ -327,11 +277,11 @@ def test_a_wrong_t2_prime_is_reported_for_every_pair_that_shares_it(monkeypatch)
 
         return planted
 
-    # the shared oracle looks t2' up in its walk, the reference applies it
+    # the program's oracle looks t2' up in its walk, the reference applies it
     monkeypatch.setattr(oracle, "_looked_up", planting(oracle._looked_up))
-    monkeypatch.setattr(oracle, "_step_at", planting(oracle._step_at))
-    shared, reference = _both_oracles(rules, chain_initial(), 3)
-    assert shared == reference
+    monkeypatch.setattr(reference, "step_at", planting(reference.step_at))
+    shared, ref = _both_oracles(rules, chain_initial(), 3)
+    assert shared == ref
     differs = [m for m in shared if "switched order yields a different result" in m]
     assert len(differs) == len(shared) == count, shared
 
@@ -348,8 +298,13 @@ def test_the_running_example_oracle_applies_no_rule_outside_its_walk(monkeypatch
     assert (report.hosts_explored, report.pairs_checked) == (29, 81)
 
 
+def _fields(step):
+    return step.rule, step.host, step.match, step.result, step.comatch
+
+
 @pytest.mark.parametrize("toy", TOYS)
 def test_every_looked_up_switch_is_the_applied_one(monkeypatch, toy):
+    # oracle._switch against reference.switched_steps
     make_rules, make_initial = toy
     rules = list(make_rules().values())
     real = oracle._switch
@@ -357,7 +312,8 @@ def test_every_looked_up_switch_is_the_applied_one(monkeypatch, toy):
 
     def compared(t1, t2, *args, **kwargs):
         switched = real(t1, t2, *args, **kwargs)
-        checked.append(switched == oracle._switched_steps(t1, t2))
+        applied = reference.switched_steps(t1, t2)
+        checked.append(list(map(_fields, switched)) == list(map(_fields, applied)))
         return switched
 
     monkeypatch.setattr(oracle, "_switch", compared)
@@ -372,112 +328,33 @@ def test_an_unrealizable_extracted_span_is_a_disagreement(monkeypatch):
     assert any("is not realizable by the analysis" in m for m in report.disagreements)
 
 
-# ---- planted faults: one shared walk against a walk per check ------------
+# ---- run_oracle against reference.oracle ----------------------------------
 #
-# The reference is the oracle as it was before its two checks shared one
-# walk: each check enumerates the consecutive step pairs itself and asks for
-# the pair's reasons itself.  It reads `dependency_reasons`,
-# `universally_sequentially_independent` and `delete_overlap_reasons` through
-# `graphbac.oracle`, so a fault planted there reaches both oracles.
+# The reference oracle walks the reachable hosts with the reference engine
+# and checks each ordered pair on its own.  It reads the analysis's
+# `dependency_reasons`, `universally_sequentially_independent` and
+# `delete_overlap_reasons` through `graphbac.oracle`, so a fault planted
+# there reaches both oracles.
 
 
-def _reference_pairs(first, second, hosts):
-    for host in hosts:
-        for t1 in transformations(first, host):
-            for t2 in transformations(second, t1.result):
-                yield t1, t2
-
-
-def _reference_witness_pairs(first, second, glued, comatch):
-    try:
-        before = apply_inverse(first, glued, comatch)
-    except NotReversibleError:
-        return
-    yield from _reference_pairs(first, second, [before])
-
-
-def _reference_realize(source, sink, reason):
-    return any(
-        classify_transformation_pair(t1, t2) == PRODUCE_USE
-        and extract_reason(t1, t2).same_span(reason)
-        for t1, t2 in _reference_witness_pairs(
-            source, sink, reason.glued, reason.source_comatch
-        )
+def _reports(analyzed, all_rules, initial, depth):
+    """(hosts, pairs, disagreements) of `run_oracle` and of `reference.oracle`."""
+    shared = run_oracle(analyzed, all_rules, initial, depth)
+    ref = reference.oracle(
+        analyzed,
+        all_rules,
+        initial,
+        depth,
+        dependency_reasons=oracle.dependency_reasons,
+        universally_sequentially_independent=oracle.universally_sequentially_independent,
+        delete_overlap_reasons=oracle.delete_overlap_reasons,
     )
+    return (shared.hosts_explored, shared.pairs_checked, shared.disagreements), tuple(ref)
 
 
-def _reference_produce_use(source, sink, hosts):
-    reported = oracle.dependency_reasons(source, sink)
-    out = []
-    for t1, t2 in _reference_pairs(source, sink, hosts):
-        if classify_transformation_pair(t1, t2) != PRODUCE_USE:
-            continue
-        extracted = extract_reason(t1, t2)
-        if not any(extracted.same_span(r) for r in reported):
-            out.append(
-                f"{source.name}->{sink.name}: concrete pair over span "
-                f"{sorted(extracted.span.nodes) + sorted(extracted.span.edges)} "
-                "matches no reported reason"
-            )
-    for reason in reported:
-        if not _reference_realize(source, sink, reason):
-            out.append(f"{reason.id}: reported reason has no concrete realization")
-    return out
-
-
-def _reference_dependent_pair_exists(first, second):
-    for reason in oracle.dependency_reasons(first, second):
-        if _reference_realize(first, second, reason):
-            return True
-    for witness in oracle.delete_overlap_reasons(first, second):
-        glued = witness["glued"]
-        comatch = Morphism.inclusion(first.rhs, glued)
-        if any(
-            classify_transformation_pair(t1, t2) != INDEPENDENT
-            for t1, t2 in _reference_witness_pairs(first, second, glued, comatch)
-        ):
-            return True
-    return False
-
-
-def _reference_independence(first, second, hosts):
-    verdict = oracle.universally_sequentially_independent(first, second)
-    pair = f"{first.name};{second.name}"
-    out = []
-    for t1, t2 in _reference_pairs(first, second, hosts):
-        cls = classify_transformation_pair(t1, t2)
-        if cls != INDEPENDENT:
-            if verdict:
-                out.append(
-                    f"{pair}: declared universally independent "
-                    f"but a concrete pair is {cls}"
-                )
-            continue
-        try:
-            t1p = oracle._switched_steps(t1, t2)[1]
-        except GraphError as exc:
-            out.append(f"{pair}: independent pair is not switchable ({exc})")
-            continue
-        if not isomorphic(t1p.result, t2.result):
-            out.append(f"{pair}: switched order yields a different result")
-    if not verdict and not _reference_dependent_pair_exists(first, second):
-        out.append(
-            f"{pair}: declared dependent but no concrete "
-            "dependent pair exists on any witness host"
-        )
-    return out
-
-
-def _reference_oracle(analyzed, all_rules, initial, depth):
-    analyzed = sorted(analyzed, key=lambda r: r.name)
-    hosts = reachable_hosts(all_rules, initial, depth)
-    return [
-        message
-        for a in analyzed
-        for b in analyzed
-        for check in (_reference_produce_use, _reference_independence)
-        for message in check(a, b, hosts)
-    ]
+def _both_oracles(rules, initial, depth):
+    shared, ref = _reports(rules, rules, initial, depth)
+    return shared[2], ref[2]
 
 
 # name -> (oracle attribute, which pairs it can be planted on, the fault);
@@ -521,22 +398,15 @@ def _plant(mp, fault, rules) -> bool:
     return True
 
 
-def _both_oracles(rules, initial, depth):
-    shared = run_oracle(rules, rules, initial, depth).disagreements
-    return shared, _reference_oracle(rules, rules, initial, depth)
-
-
 @pytest.mark.parametrize("fault", [None, *FAULTS])
-@pytest.mark.parametrize(
-    "toy", [(incident_rules, incident_initial), (chain_rules, chain_initial)]
-)
+@pytest.mark.parametrize("toy", TOYS)
 def test_planted_faults_on_the_toys(monkeypatch, toy, fault):
     make_rules, make_initial = toy
     rules = list(make_rules().values())
     if fault is not None:
         assert _plant(monkeypatch, fault, rules)
-    shared, reference = _both_oracles(rules, make_initial(), 3)
-    assert shared == reference
+    shared, ref = _both_oracles(rules, make_initial(), 3)
+    assert shared == ref
     # the static analysis is right on the toys: a planted fault, and only a
     # planted fault, makes the oracle disagree
     assert bool(shared) == (fault is not None), shared
@@ -555,17 +425,49 @@ def test_planted_faults_on_random_systems(seed):
     for fault in [None, *FAULTS]:
         with pytest.MonkeyPatch.context() as mp:
             planted = fault is not None and _plant(mp, fault, rules)
-            shared, reference = _both_oracles(rules, initial, 2)
-        assert shared == reference, (fault, seed)
+            shared, ref = _both_oracles(rules, initial, 2)
+        assert shared == ref, (fault, seed)
         if fault == "flip_an_independent_verdict" and planted:
             # no reason and no delete overlap can witness the claimed dependency
             assert any("declared dependent" in m for m in shared), shared
 
 
+@pytest.mark.parametrize(
+    "name", ["running-example", "github-issue", "incident-toy", "incident-chain-toy"]
+)
+def test_the_shipped_projects_agree_with_the_reference(name):
+    project = Project.load(PROJECTS / name)
+    shared, ref = _reports(
+        project.analyzed_rules(), project.rules(), project.initial(), 3
+    )
+    assert shared == ref
+    assert shared[2] == []
+
+
+def test_a_node_deleted_with_its_edge_agrees_with_the_reference():
+    # a state of 9 nodes patches its matcher caches from its parent's; the
+    # step deletes x with its edge from k, and k keeps another edge of that
+    # type, so a match along k's edges meets x's old neighbour entry
+    tg = TypeGraph(("N",), (EdgeType("E", "N", "N"),))
+    pair = {"a": "N", "b": "N"}
+    rules = [
+        Rule("dropTarget", tg, pair, {"e": Edge("E", "a", "b")},
+             {"a": "preserve", "b": "delete", "e": "delete"}),
+        Rule("follow", tg, pair, {"e": Edge("E", "a", "b")},
+             {"a": "preserve", "b": "preserve", "e": "preserve"}),
+    ]
+    nodes = {f"n{i}": "N" for i in range(7)} | {"k": "N", "x": "N"}
+    edges = {"e0": Edge("E", "k", "x"), "e1": Edge("E", "k", "n0")}
+    shared, ref = _reports(rules, rules, InstanceGraph(tg, nodes, edges), 2)
+    assert shared == ref
+
+
 def test_wide_random_systems_agree_with_the_reference():
     """The wide shape explores many more step pairs per system than the
-    2-rule systems above: both oracles must find no disagreement."""
+    2-rule systems above: both oracles must report the same hosts and pairs
+    and find no disagreement."""
     for seed in range(40):
         rules, initial = wide_system(seed)
-        shared, reference = _both_oracles(rules, initial, 3)
-        assert shared == reference == [], seed
+        shared, ref = _reports(rules, rules, initial, 3)
+        assert shared == ref, seed
+        assert shared[2] == [], seed

@@ -1,7 +1,8 @@
-"""Every public function and method of the package has a caller in the program.
+"""Every function and method of the package has a caller in the program.
 
-The check parses `src/graphbac/*.py` with `ast` and takes two kinds of
-names: public top-level functions, and public methods of public classes.
+The check parses `src/graphbac/*.py` with `ast` and takes three kinds of
+names: top-level functions, public and private; public methods of public
+classes; and private methods, other than dunder methods, of any class.
 Each must be referenced in some module of `src/graphbac` or `perfbench`
 (its self-tests excluded): a bare `name` counts for a function, an attribute
 `.name` for a method, and the definition itself does not count.  A name that
@@ -34,6 +35,14 @@ def _public(name: str) -> bool:
     return not name.startswith("_")
 
 
+def _checked_method(cls: str, name: str) -> bool:
+    """A public method of a public class, or a private method, other than a
+    dunder method, of any class."""
+    if _public(name):
+        return _public(cls)
+    return not (name.startswith("__") and name.endswith("__"))
+
+
 def _definitions() -> list[tuple[str, str, bool]]:
     """(qualified name, name, is a method) of each checked definition."""
     counts: Counter[str] = Counter()
@@ -45,13 +54,13 @@ def _definitions() -> list[tuple[str, str, bool]]:
                 counts[node.name] += 1
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _public(node.name):
-                    found.append((node.name, node.name, False))
-            elif isinstance(node, ast.ClassDef) and _public(node.name):
+                found.append((node.name, node.name, False))
+            elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        if _public(item.name):
-                            found.append((f"{node.name}.{item.name}", item.name, True))
+                    if isinstance(
+                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ) and _checked_method(node.name, item.name):
+                        found.append((f"{node.name}.{item.name}", item.name, True))
     return [d for d in found if counts[d[1]] == 1]
 
 

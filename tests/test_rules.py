@@ -36,10 +36,10 @@ from graphbac.rules import (
     rule_to_doc,
     rules_from_doc,
     rules_to_doc,
-    transformations,
 )
 from fixtures import PROJECTS
 from randgen import host_with_embedded_lhs, random_rule, random_typegraph, wide_system
+import reference
 
 TG = TypeGraph(
     ("User", "Repository"),
@@ -473,35 +473,9 @@ def test_rule_documents_validated():
 
 # `explore` and `isomorphic` skip work that cannot change their answer: a
 # rule that creates and deletes nothing is never stepped, and equal node
-# and edge dicts prove isomorphism without a search.  The references below
-# do neither: every rule is stepped and the matcher alone decides.
-
-
-def _ref_isomorphic(a: InstanceGraph, b: InstanceGraph) -> bool:
-    if a.typegraph != b.typegraph:
-        return False
-    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
-        return False
-    return next(iter_matches(a, b), None) is not None
-
-
-def _ref_explore(rules, initial, depth):
-    yield initial, ()
-    ordered = sorted(rules, key=lambda r: r.name)
-    seen = {canonical_form(initial): [initial]}
-    frontier = [(initial, ())]
-    for _ in range(depth):
-        next_frontier = []
-        for host, trace in frontier:
-            for rule in ordered:
-                for t in transformations(rule, host):
-                    bucket = seen.setdefault(canonical_form(t.result), [])
-                    if not any(_ref_isomorphic(t.result, kept) for kept in bucket):
-                        bucket.append(t.result)
-                        reached = (t.result, trace + (t,))
-                        yield reached
-                        next_frontier.append(reached)
-        frontier = next_frontier
+# and edge dicts prove isomorphism without a search.  `reference.explore`
+# and `reference.isomorphic` do neither: every rule is stepped and a match
+# alone decides.
 
 
 def _walk(search) -> list:
@@ -540,6 +514,7 @@ def edge_rules_system() -> list[Rule]:
 
 
 def test_explore_yields_what_stepping_every_rule_yields():
+    # rules.explore against reference.explore
     systems = []
     for name in ("running-example", "github-issue", "incident-toy", "incident-chain-toy"):
         project = Project.load(PROJECTS / name)
@@ -548,7 +523,7 @@ def test_explore_yields_what_stepping_every_rule_yields():
     systems.append((edge_rules_system(), InstanceGraph.empty(TREE), 5))
     for rules, initial, depth in systems:
         assert _walk(explore(rules, initial, depth)) == _walk(
-            _ref_explore(rules, initial, depth)
+            reference.explore(rules, initial, depth)
         )
 
 
@@ -580,10 +555,11 @@ def test_identical_elements_are_isomorphic_without_a_search(monkeypatch):
 
 
 def test_equal_nodes_with_other_edges_get_the_matchers_answer():
+    # rules.isomorphic against reference.isomorphic
     nodes = {"a": "N", "b": "N", "c": "N"}
     chain = InstanceGraph(TREE, nodes, {"e1": Edge("E", "a", "b"), "e2": Edge("E", "b", "c")})
     turned = InstanceGraph(TREE, nodes, {"e1": Edge("E", "b", "c"), "e2": Edge("E", "c", "a")})
     cherry = InstanceGraph(TREE, nodes, {"e1": Edge("E", "a", "b"), "e2": Edge("E", "a", "c")})
     for a, b, expected in ((chain, turned, True), (chain, cherry, False)):
         assert a.nodes == b.nodes and a.edges != b.edges
-        assert isomorphic(a, b) == _ref_isomorphic(a, b) == expected
+        assert isomorphic(a, b) == reference.isomorphic(a, b) == expected

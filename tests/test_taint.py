@@ -44,6 +44,7 @@ from fixtures import (
     synthetic_project,
 )
 from randgen import random_rule, random_typegraph
+import reference
 
 TAINTED = ("Repository", "Project", "Issue")
 
@@ -57,20 +58,6 @@ def api():
 @pytest.fixture(scope="module")
 def flow(api):
     return tainted_flow(api)
-
-
-def reference_verdicts(pairs) -> PairVerdicts:
-    """The matrix the overlap engine gives for the (first, second) rule
-    pairs, each question asked on its own."""
-    return PairVerdicts(
-        {
-            (first.name, second.name): (
-                universally_sequentially_independent(first, second),
-                len(dependency_reasons(first, second)),
-            )
-            for first, second in pairs
-        }
-    )
 
 
 def all_pairs(api) -> list:
@@ -204,7 +191,7 @@ def test_theorem_conditions_hold_on_reduced_rule_set():
     ttg = TaintedTypeGraph(collab_typegraph(), ("Repository",))
     api = classify_sources_sinks(subset, ttg)
     check = check_theorem_conditions(
-        "createRepo", "updateRepo", reference_verdicts(all_pairs(api))
+        "createRepo", "updateRepo", PairVerdicts(reference.verdicts(all_pairs(api)))
     )
     assert check.condition1_holds
     assert check.condition2_holds
@@ -217,7 +204,7 @@ def test_theorem_conditions_hold_on_reduced_rule_set():
 
 def test_theorem_conditions_fail_on_full_rule_set(api):
     check = check_theorem_conditions(
-        "createRepo", "updateRepo", reference_verdicts(all_pairs(api))
+        "createRepo", "updateRepo", PairVerdicts(reference.verdicts(all_pairs(api)))
     )
     # createRepo feeds createIssue, and createIssue feeds updateIssue/deleteIssue
     assert not check.condition1_holds
@@ -230,7 +217,7 @@ def test_theorem_vacuous_on_two_rule_set():
     ttg = TaintedTypeGraph(collab_typegraph(), ("Repository",))
     api = classify_sources_sinks([rules["createRepo"], rules["updateRepo"]], ttg)
     check = check_theorem_conditions(
-        "createRepo", "updateRepo", reference_verdicts(all_pairs(api))
+        "createRepo", "updateRepo", PairVerdicts(reference.verdicts(all_pairs(api)))
     )
     assert check.condition1_holds and check.condition2_holds
 
@@ -239,7 +226,7 @@ def test_theorem_flags_toy_blind_spot():
     ttg = TaintedTypeGraph(incident_typegraph(), ("T",))
     api = classify_sources_sinks(incident_rules().values(), ttg)
     check = check_theorem_conditions(
-        "createIncidentT", "deleteT", reference_verdicts(all_pairs(api))
+        "createIncidentT", "deleteT", PairVerdicts(reference.verdicts(all_pairs(api)))
     )
     assert check.verdict == "neither"
     assert check.reason_count == 0
@@ -247,15 +234,16 @@ def test_theorem_flags_toy_blind_spot():
 
 
 def test_stored_verdicts_answer_as_the_engine_does(api, flow):
+    # taint.pair_verdicts, through its document, against reference.verdicts
     stored = PairVerdicts.from_doc(pair_verdicts(flow).to_doc())
-    reference = reference_verdicts(all_pairs(api))
+    expected = PairVerdicts(reference.verdicts(all_pairs(api)))
     for first in api.rules:
         for second in api.rules:
             pair = (first.name, second.name)
-            assert stored.independent(*pair) == reference.independent(*pair)
-            assert stored.reason_count(*pair) == reference.reason_count(*pair)
+            assert stored.independent(*pair) == expected.independent(*pair)
+            assert stored.reason_count(*pair) == expected.reason_count(*pair)
             assert check_theorem_conditions(*pair, stored) == check_theorem_conditions(
-                *pair, reference
+                *pair, expected
             )
 
 
@@ -298,15 +286,17 @@ def test_the_matrix_answers_every_pair_of_the_synthetic_project(tmp_path):
         r.name for r in api.rules if r.name.startswith("create") and r.name.endswith("Star")
     )
     others = [r.name for r in api.rules if r.name != star][:3]
-    # the engine's verdicts of every pair these checks read
-    reference = reference_verdicts(
-        (first, second)
-        for first, second in all_pairs(api)
-        if {first.name, second.name} & {star, *others}
+    # the reference's verdicts of every pair these checks read
+    expected = PairVerdicts(
+        reference.verdicts(
+            (first, second)
+            for first, second in all_pairs(api)
+            if {first.name, second.name} & {star, *others}
+        )
     )
     for other in others:
         for pair in ((star, other), (other, star)):
-            assert by_pair[pair] == check_theorem_conditions(*pair, reference)
+            assert by_pair[pair] == check_theorem_conditions(*pair, expected)
 
 
 def test_flow_soundness_on_concrete_two_step_sequence(api, flow):
