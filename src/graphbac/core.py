@@ -3,15 +3,17 @@
 Graphs are typed over a fixed type graph.  Nodes and edges carry opaque string
 ids and parallel edges are allowed because every edge has its own identity.
 Node attributes are reporting metadata and never take part in matching.  All
-values are immutable after construction, so they can be shared freely.
+values are immutable after construction, so they can be shared freely, with
+one exception: an owned graph (`InstanceGraph._owned`), which its one owner
+steps in place.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Container, Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -118,9 +120,11 @@ class InstanceGraph:
     edge ids live in one namespace so rule element sets are unambiguous.
 
     The constructor copies and validates the whole graph.  `subgraph` and
-    `_derive` (through which rule steps go) validate only what they change,
-    and a derived graph patches its parent's matcher caches for the change
-    instead of building its own from the whole graph.
+    `_derive` (through which rule steps go) validate only what they change.
+    A graph is never changed once made, except an owned one (`_owned`):
+    a step from it changes its dicts and matcher caches in place and hands
+    them to the result, so that the step costs what it changes, not the
+    whole graph, and the graph stepped from is spent.
     """
 
     typegraph: TypeGraph
@@ -162,40 +166,12 @@ class InstanceGraph:
         return self._signatures
 
     # The caches below are made on first use, so a graph that is never
-    # matched or checked for dangling edges pays for none of them.  A graph
-    # made by `_derive` from one that is not small keeps its parent and the
-    # change until it builds `_index`: a cache the parent has built is
-    # patched from the parent's for the changed elements, any other is
-    # built from the whole graph.
-    # Parents are shared, so a patch copies each list or dict it changes
-    # and leaves the parent's as they were.
-
-    def _carried(self, cache: str) -> tuple[object, "_Origin"] | None:
-        """The parent's built `cache` and the change since the parent, if
-        this graph was derived and its parent has built that cache."""
-        origin = self.__dict__.get("_origin")
-        if origin is None:
-            return None
-        built = origin.parent.__dict__.get(cache)
-        return None if built is None else (built, origin)
+    # matched or checked for dangling edges pays for none of them.  Each is
+    # built from the whole graph, except on an owned graph (`_owned`), whose
+    # step changes the caches it has built in place and hands them on.
 
     @cached_property
     def _incidence(self) -> dict[str, list[str]]:
-        carried = self._carried("_incidence")
-        if carried is not None:
-            old, origin = carried
-            incidence = _patched(
-                old,
-                list(_by_end(origin.removed_edges, origin.parent.edges)),
-                _by_end(origin.added_edges, origin.added_edges),
-                insort,
-                keep_empty=True,
-            )
-            for n in origin.removed_nodes:
-                del incidence[n]
-            for n in origin.added_nodes:
-                incidence.setdefault(n, [])
-            return incidence
         incidence = {n: [] for n in self.nodes}
         for eid in sorted(self.edges):
             e = self.edges[eid]
@@ -206,60 +182,14 @@ class InstanceGraph:
 
     @cached_property
     def _signatures(self) -> dict[str, dict[tuple[str, str], int]]:
-        carried = self._carried("_signatures")
-        if carried is None:
-            sigs: dict[str, dict[tuple[str, str], int]] = {n: {} for n in self.nodes}
-            for e in self.edges.values():
-                out, into = sigs[e.src], sigs[e.tgt]
-                out[(e.type, "out")] = out.get((e.type, "out"), 0) + 1
-                into[(e.type, "in")] = into.get((e.type, "in"), 0) + 1
-            return sigs
-        old, origin = carried
-        sigs = dict(old)
-        for n in origin.removed_nodes:
-            del sigs[n]
-        owned = set(origin.added_nodes)  # the inner dicts made here
-        for n in owned:
-            sigs[n] = {}
-
-        def count(node: str, key: tuple[str, str], step: int) -> None:
-            if node not in owned:
-                if node not in sigs:  # a removed endpoint
-                    return
-                owned.add(node)
-                sigs[node] = dict(sigs[node])
-            sig = sigs[node]
-            total = sig.get(key, 0) + step
-            if total:
-                sig[key] = total
-            else:
-                del sig[key]
-
-        for eid in origin.removed_edges:
-            e = origin.parent.edges[eid]
-            count(e.src, (e.type, "out"), -1)
-            count(e.tgt, (e.type, "in"), -1)
-        for e in origin.added_edges.values():
-            count(e.src, (e.type, "out"), 1)
-            count(e.tgt, (e.type, "in"), 1)
-        return sigs
+        return _count_degrees({n: {} for n in self.nodes}, self.edges.values())
 
     @cached_property
     def _floors(self) -> dict[str, int]:
         """Base id -> a suffix n such that every `base~k` with k < n is an
         element of this graph (see `rules._fresh_ids`); each graph owns its
         copy, which grows as fresh ids are asked of it."""
-        carried = self._carried("_floors")
-        if carried is None:
-            return {}
-        old, origin = carried
-        floors = dict(old)
-        for i in (*origin.removed_nodes, *origin.removed_edges):
-            base, _, suffix = i.rpartition("~")
-            if suffix.isascii() and suffix.isdigit() and suffix[0] != "0":
-                if int(suffix) < floors.get(base, 0):
-                    floors[base] = int(suffix)
-        return floors
+        return {}
 
     @cached_property
     def _plans(self) -> dict[frozenset[str], "_Plan"]:
@@ -269,52 +199,17 @@ class InstanceGraph:
 
     @cached_property
     def _index(self) -> "_HostIndex":
-        carried = self._carried("_index")
-        if carried is None:
-            by_type: dict[str, list[str]] = {}
-            for nid in sorted(self.nodes):
-                by_type.setdefault(self.nodes[nid], []).append(nid)
-            by_edge: dict[Edge, list[str]] = {}
-            for eid, e in self.edges.items():
-                by_edge.setdefault(e, []).append(eid)
-            # one entry per distinct triple keeps the lists free of duplicates
-            neighbours: dict[tuple[str, str, str], list[str]] = {}
-            for key, node in _links(by_edge):
-                neighbours.setdefault(key, []).append(node)
-        else:
-            old, origin = carried
-            parent = origin.parent
-            by_type = _patched(
-                old.by_type,
-                [(parent.nodes[n], n) for n in origin.removed_nodes],
-                [(t, n) for n, t in origin.added_nodes.items()],
-                insort,
-            )
-            by_edge = _patched(
-                old.by_edge,
-                [(parent.edges[e], e) for e in origin.removed_edges],
-                [(e, i) for i, e in origin.added_edges.items()],
-                list.append,
-            )
-            # a neighbour goes with the last edge of its triple and comes
-            # with the first
-            gone = dict.fromkeys(parent.edges[e] for e in origin.removed_edges)
-            new = dict.fromkeys(origin.added_edges.values())
-            neighbours = _patched(
-                old.neighbours,
-                list(_links(t for t in gone if t not in by_edge)),
-                _links(t for t in new if t not in old.by_edge),
-                list.append,
-            )
-        index = _HostIndex(by_type, by_edge, neighbours, self._signatures)
-        origin = self.__dict__.get("_origin")
-        if origin is not None:
-            # let the parent go, carrying first what else it has built
-            for cache in ("_incidence", "_floors"):
-                if cache in origin.parent.__dict__:
-                    getattr(self, cache)
-            del self.__dict__["_origin"]
-        return index
+        by_type: dict[str, list[str]] = {}
+        for nid in sorted(self.nodes):
+            by_type.setdefault(self.nodes[nid], []).append(nid)
+        by_edge: dict[Edge, list[str]] = {}
+        for eid, e in self.edges.items():
+            by_edge.setdefault(e, []).append(eid)
+        # one entry per distinct triple keeps the lists free of duplicates
+        neighbours: dict[tuple[str, str, str], list[str]] = {}
+        for key, node in _links(by_edge):
+            neighbours.setdefault(key, []).append(node)
+        return _HostIndex(by_type, by_edge, neighbours, self._signatures)
 
     def subgraph(self, node_ids: Iterable[str], edge_ids: Iterable[str]) -> "InstanceGraph":
         """The induced subgraph on the given ids; endpoints must be included."""
@@ -344,10 +239,11 @@ class InstanceGraph:
 
         Ids that name no element of their kind are ignored.  No kept edge
         may touch a removed node, and the new elements need ids fresh
-        against the kept ones and must fit the type graph.  Unless this
-        graph is small, the result records it and the change, to patch its
-        caches when it first needs its own (see `_carried`).
+        against the kept ones and must fit the type graph.  The result
+        builds its own caches, unless this graph is owned (see `_owned`).
         """
+        if "_live" in self.__dict__:
+            return self._hand_on(node_ids, edge_ids, nodes, edges)
         kept_nodes, kept_edges = dict(self.nodes), dict(self.edges)
         # a stray id, or one given twice, pops nothing and goes unrecorded
         removed_nodes = tuple(n for n in node_ids if kept_nodes.pop(n, None) is not None)
@@ -364,11 +260,131 @@ class InstanceGraph:
         kept_nodes.update(nodes)
         _check_elements(self.typegraph, kept_nodes, nodes, edges)
         kept_edges.update(edges)
-        graph = InstanceGraph._trusted(self.typegraph, kept_nodes, kept_edges)
-        if len(self.nodes) >= _PATCH_FROM:
-            graph.__dict__["_origin"] = _Origin(
-                self, removed_nodes, removed_edges, nodes, edges
-            )
+        return InstanceGraph._trusted(self.typegraph, kept_nodes, kept_edges)
+
+    def _owned(self) -> "InstanceGraph":
+        """A copy of this graph for an owner that steps from each graph once
+        and never goes back to it, as the mock steps its state.
+
+        Its `_derive` makes the same checks, all before anything changes,
+        then changes the graph's dicts and the caches it has built in place
+        and hands them to the result, which is owned in turn; the graph it
+        stepped from is spent, and another step from it raises GraphError.
+        """
+        graph = InstanceGraph._trusted(self.typegraph, dict(self.nodes), dict(self.edges))
+        graph.__dict__["_live"] = True
+        return graph
+
+    def _hand_on(
+        self,
+        node_ids: Iterable[str],
+        edge_ids: Iterable[str],
+        nodes: dict[str, str],
+        edges: dict[str, Edge],
+    ) -> "InstanceGraph":
+        """`_derive` on an owned graph (see `_owned`).  Each cache it has
+        built is changed to equal what the result would build afresh:
+        incidence and `by_type` lists stay sorted, `by_edge` lists in edge
+        order, and neighbour lists distinct."""
+        if not self.__dict__["_live"]:
+            raise GraphError("graph already stepped from; step from its result")
+        own_nodes, own_edges = self.nodes, self.edges
+        # a stray id, or one given twice, goes unrecorded
+        removed_nodes = tuple(dict.fromkeys(n for n in node_ids if n in own_nodes))
+        removed_edges = tuple(dict.fromkeys(e for e in edge_ids if e in own_edges))
+        if removed_nodes:
+            edge = dangling_edge(self, removed_nodes, set(removed_edges))
+            if edge is not None:
+                raise GraphError(f"edge {edge} has a missing endpoint")
+        gone = {*removed_nodes, *removed_edges}
+        clash = {
+            i for i in (*nodes, *edges) if (i in own_nodes or i in own_edges) and i not in gone
+        }
+        if clash:
+            raise GraphError(f"ids already present: {sorted(clash)}")
+        nodes = dict(nodes)
+        edges = {i: Edge(*e) for i, e in edges.items()}
+        ends = {}  # the new edges' endpoints that are nodes after the change
+        for e in edges.values():
+            for n in (e.src, e.tgt):
+                if n in nodes:
+                    ends[n] = nodes[n]
+                elif n in own_nodes and n not in gone:
+                    ends[n] = own_nodes[n]
+        _check_elements(self.typegraph, ends, nodes, edges)
+
+        # every check made: change the dicts, then each built cache
+        dropped = [(n, own_nodes.pop(n)) for n in removed_nodes]
+        cut = [(e, own_edges.pop(e)) for e in removed_edges]
+        own_nodes.update(nodes)
+        own_edges.update(edges)
+        built = self.__dict__
+        incidence = built.get("_incidence")
+        if incidence is not None:
+            for eid, (_, src, tgt) in cut:
+                for n in {src, tgt}:
+                    ids = incidence[n]
+                    del ids[bisect_left(ids, eid)]
+            for n, _ in dropped:
+                del incidence[n]
+            for n in nodes:
+                incidence[n] = []
+            for eid, (_, src, tgt) in edges.items():
+                for n in {src, tgt}:
+                    insort(incidence[n], eid)
+        sigs = built.get("_signatures")
+        if sigs is not None:
+            _count_degrees(sigs, (e for _, e in cut), -1)
+            for n, _ in dropped:
+                del sigs[n]
+            for n in nodes:
+                sigs[n] = {}
+            _count_degrees(sigs, edges.values())
+        floors = built.get("_floors")
+        if floors is not None:
+            for i in gone:
+                base, _, suffix = i.rpartition("~")
+                if suffix.isascii() and suffix.isdigit() and suffix[0] != "0":
+                    if int(suffix) < floors.get(base, 0):
+                        floors[base] = int(suffix)
+        index = built.get("_index")
+        if index is not None:
+            by_type, by_edge, neighbours, _ = index
+            for n, ntype in dropped:
+                ids = by_type[ntype]
+                del ids[bisect_left(ids, n)]
+                if not ids:
+                    del by_type[ntype]
+            for n, ntype in nodes.items():
+                insort(by_type.setdefault(ntype, []), n)
+            # a neighbour goes with the last edge of its triple and comes
+            # with the first
+            for eid, triple in cut:
+                ids = by_edge[triple]
+                ids.remove(eid)
+                if not ids:
+                    del by_edge[triple]
+                    for key, node in _links((triple,)):
+                        near = neighbours[key]
+                        near.remove(node)
+                        if not near:
+                            del neighbours[key]
+            for eid, triple in edges.items():
+                ids = by_edge.get(triple)
+                if ids is None:
+                    by_edge[triple] = [eid]
+                    for key, node in _links((triple,)):
+                        neighbours.setdefault(key, []).append(node)
+                else:
+                    ids.append(eid)
+
+        graph = InstanceGraph._trusted(self.typegraph, own_nodes, own_edges)
+        for cache in ("_incidence", "_signatures", "_floors", "_index"):
+            if cache in built:
+                graph.__dict__[cache] = built.pop(cache)
+        built.pop("_plans", None)  # plans of the pattern it was
+        built["_live"] = False
+        graph.__dict__["_live"] = True
         return graph
 
     def is_subgraph_of(self, other: "InstanceGraph") -> bool:
@@ -398,65 +414,25 @@ class InstanceGraph:
         return cls(typegraph, nodes, edges)
 
 
-# A graph derived from one of fewer nodes builds its caches from the whole
-# graph: below 8 nodes that is as cheap as patching the parent's (CPython
-# 3.11 on a 2-vCPU VM, `_index` of a running-example state: 8.6 us built
-# against 13.0 us patched at 4 nodes, 14.0 us either way at 8, 27 against
-# 14 us at 18).
-_PATCH_FROM = 8
-
-
-class _Origin(NamedTuple):
-    """The graph a derived graph was made from, and what changed."""
-
-    parent: InstanceGraph
-    removed_nodes: tuple[str, ...]
-    removed_edges: tuple[str, ...]
-    added_nodes: dict[str, str]
-    added_edges: dict[str, Edge]
-
-
-def _patched(
-    table: dict,
-    removed: list[tuple],
-    added: Iterable[tuple],
-    insert: Callable[[list, object], None],
-    *,
-    keep_empty: bool = False,
-) -> dict:
-    """A copy of `table` (key -> list) with the value of each (key, value)
-    in `removed` taken out of the key's list, then each in `added` put in
-    with `insert`.  Only the lists that change are copied; a list left
-    empty is dropped, as a fresh build has no entry for it, unless
-    `keep_empty`."""
-    out = dict(table)
-    owned = set()  # keys whose list is this copy's own
-    if removed:
-        drop: dict = {}
-        for key, value in removed:
-            drop.setdefault(key, set()).add(value)
-        for key, values in drop.items():
-            kept = [v for v in out[key] if v not in values]
-            if kept or keep_empty:
-                out[key] = kept
-                owned.add(key)
-            else:
-                del out[key]
-    for key, value in added:
-        if key not in owned:
-            owned.add(key)
-            out[key] = list(out.get(key, ()))
-        insert(out[key], value)
-    return out
-
-
-def _by_end(edge_ids: Iterable[str], edges: dict[str, Edge]) -> Iterator[tuple[str, str]]:
-    """(endpoint, edge id) for each end of each edge; a loop's end once."""
-    for eid in edge_ids:
-        e = edges[eid]
-        yield e.src, eid
-        if e.tgt != e.src:
-            yield e.tgt, eid
+def _count_degrees(
+    sigs: dict[str, dict[tuple[str, str], int]], edges: Iterable[Edge], step: int = 1
+) -> dict[str, dict[tuple[str, str], int]]:
+    """Add `step` for each edge to the degree signatures in `sigs`, each
+    node's count of its edges by (edge type, "out" | "in"), and return
+    `sigs`.  A count taken to 0 is dropped, as a fresh count has none."""
+    for etype, src, tgt in edges:
+        out, into = sigs[src], sigs[tgt]
+        key = (etype, "out")
+        if count := out.get(key, 0) + step:
+            out[key] = count
+        else:
+            del out[key]
+        key = (etype, "in")
+        if count := into.get(key, 0) + step:
+            into[key] = count
+        else:
+            del into[key]
+    return sigs
 
 
 def _links(triples: Iterable[Edge]) -> Iterator[tuple[tuple[str, str, str], str]]:
@@ -606,8 +582,8 @@ class Morphism:
 
 
 class _HostIndex(NamedTuple):
-    """What the matcher looks up in a host: built once per graph, or
-    patched from the parent's for a derived one (`InstanceGraph._index`)."""
+    """What the matcher looks up in a host: built once per graph, or handed
+    on from the graph an owned one was stepped from (`InstanceGraph._index`)."""
 
     by_type: dict[str, list[str]]  # node type -> node ids, sorted
     by_edge: dict[Edge, list[str]]  # (type, src, tgt) -> edge ids
@@ -655,13 +631,10 @@ def _build_plan(pattern: InstanceGraph, anchored: frozenset[str]) -> _Plan:
     for e in pattern.edges.values():
         counts[e] = counts.get(e, 0) + 1
     adjacent: dict[str, set[str]] = {n: set() for n in nodes}
-    sigs: dict[str, dict[tuple[str, str], int]] = {n: {} for n in nodes}
-    for (t, src, tgt), c in counts.items():
+    for _, src, tgt in counts:
         adjacent[src].add(tgt)
         adjacent[tgt].add(src)
-        out, into = sigs[src], sigs[tgt]
-        out[(t, "out")] = out.get((t, "out"), 0) + c
-        into[(t, "in")] = into.get((t, "in"), 0) + c
+    sigs = _count_degrees({n: {} for n in nodes}, pattern.edges.values())
     order = sorted(anchored)
     reached: set[str] = set()  # nodes adjacent to a placed one
     for n in order:

@@ -23,6 +23,7 @@ from .core import (
     GraphError,
     InstanceGraph,
     Morphism,
+    _count_degrees,
     check_dangling,
     enumerate_matches,
 )
@@ -195,11 +196,7 @@ def _signature_keys(graph: InstanceGraph) -> dict[str, tuple]:
     `InstanceGraph.degree_signatures` it caches nothing on the graph, since
     a rule keeps its spans; a rule does keep one key per distinct signature
     of a created node in its spans, and a sorted tuple is the smaller key."""
-    sigs: dict[str, dict[tuple[str, str], int]] = {n: {} for n in graph.nodes}
-    for e in graph.edges.values():
-        out, into = sigs[e.src], sigs[e.tgt]
-        out[(e.type, "out")] = out.get((e.type, "out"), 0) + 1
-        into[(e.type, "in")] = into.get((e.type, "in"), 0) + 1
+    sigs = _count_degrees({n: {} for n in graph.nodes}, graph.edges.values())
     return {n: tuple(sorted(sig.items())) for n, sig in sigs.items()}
 
 

@@ -48,13 +48,26 @@ class FaultInjection:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FaultInjection":
-        return cls(kind=doc["kind"], rule=doc["rule"], role=doc.get("role"))
+        role = doc.get("role")
+        return cls(
+            kind=_text(doc["kind"], "fault kind"),
+            rule=_text(doc["rule"], "fault rule"),
+            role=None if role is None else _text(role, "fault role"),
+        )
 
 
 @dataclass(frozen=True)
 class TokenEntry:
     role: str
     scheme: str = "bearer"
+
+
+def _text(value: object, what: str) -> str:
+    """A mock config value that must be a string: the target looks it up
+    in dicts and sets, where a list or an object cannot be a key."""
+    if not isinstance(value, str):
+        raise GraphError(f"malformed mock config: {what} must be a string, got {value!r}")
+    return value
 
 
 def _error(code: str, message: str) -> dict:
@@ -112,7 +125,7 @@ class MockTarget:
 
     def _restart(self) -> None:
         """Back to the initial state; callers other than `__init__` hold the lock."""
-        self.graph = self._initial
+        self.graph = self._initial._owned()
         self.creators: dict[str, str] = {}  # node id -> creating token
         self.identities: dict[str, str] = {}  # token -> principal node id
 
@@ -446,7 +459,8 @@ def target_from_doc(
     try:
         tokens = {
             token: TokenEntry(
-                role=entry["role"], scheme=entry.get("scheme", "bearer")
+                role=_text(entry["role"], f"token {token!r} role"),
+                scheme=_text(entry.get("scheme", "bearer"), f"token {token!r} scheme"),
             )
             for token, entry in doc["tokens"].items()
         }

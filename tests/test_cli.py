@@ -1203,6 +1203,44 @@ def test_mock_serve_rejects_fault_for_unknown_rule(running_example, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def _token_scheme(value):
+    def damage(doc):
+        doc["tokens"]["owner-token"]["scheme"] = value
+        return doc
+
+    return damage
+
+
+def _fault_rule(value):
+    def damage(doc):
+        doc["faults"] = [{"kind": "drop_check", "rule": value}]
+        return doc
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, what",
+    [
+        (_token_scheme(["bearer"]), "token 'owner-token' scheme must be a string"),
+        (_fault_rule(["updateIssue"]), "fault rule must be a string"),
+        (_token_scheme({"bearer": 1}), "token 'owner-token' scheme must be a string"),
+        (_fault_rule({"updateIssue": 1}), "fault rule must be a string"),
+    ],
+)
+def test_mock_serve_rejects_a_config_value_that_is_not_a_string(
+    running_example, capsys, damage, what
+):
+    # each value is looked up in a dict or a set, where it once raised
+    # TypeError: unhashable type
+    path = running_example / "mock.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    assert main(["mock-serve", "--project", str(running_example)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed mock config: {what}"), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("port", ["70000", "-5"])
 def test_mock_serve_rejects_a_port_out_of_range(running_example, capsys, port):
     assert main(["mock-serve", "--project", str(running_example), "--port", port]) == 2

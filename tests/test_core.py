@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphbac.core as core
 from graphbac.core import (
     Edge,
     EdgeType,
@@ -20,10 +19,11 @@ from graphbac.core import (
     check_dangling,
     dangling_edge,
     enumerate_matches,
+    first_match,
     graph_to_doc,
     iter_matches,
 )
-from graphbac.rules import NotApplicableError, _fresh_ids, apply, transformations
+from graphbac.rules import NotApplicableError, Rule, _fresh_ids, apply
 from randgen import random_graph, random_rule, random_typegraph
 import reference
 
@@ -248,6 +248,14 @@ def outcome(build):
     return "graph", graph
 
 
+def derived(g: InstanceGraph, *change):
+    """The outcome of `g._derive(*change)`, which a step from an owned copy
+    of g must give too: the same graph, or the same error."""
+    got = outcome(lambda: g._derive(*change))
+    assert outcome(lambda: g._owned()._derive(*change)) == got
+    return got
+
+
 def some(rng: random.Random, ids, p: float) -> set:
     return {i for i in ids if rng.random() < p}
 
@@ -280,14 +288,21 @@ def test_derived_graphs_raise_exactly_when_the_whole_graph_check_does(seed):
         src, tgt = (fresh_or_taken(rng.choice(ends), ["ghost"]) for _ in "st")
         new_edges[eid] = Edge(etype, src, tgt)
     old = outcome(lambda: reference.add(g, new_nodes, new_edges))
-    assert outcome(lambda: g._derive((), (), new_nodes, new_edges)) == old
+    assert derived(g, (), (), new_nodes, new_edges) == old
 
     strays = ["ghost"] + sorted(g.edges)[:1] + sorted(g.nodes)[:1]
     node_ids = some(rng, sorted(g.nodes), 0.4) | some(rng, strays, 0.2)
     edge_ids = some(rng, sorted(g.edges), 0.5) | some(rng, strays, 0.2)
     old = outcome(lambda: reference.remove(g, node_ids, edge_ids))
-    new = outcome(lambda: g._derive(node_ids, edge_ids, {}, {}))
+    new = derived(g, node_ids, edge_ids, {}, {})
     # the message may name another dangling edge than the whole-graph check
+    assert new[0] == old[0] and (new[0] == "error" or new == old)
+
+    # both at once: a new element may take the id of a removed one
+    old = outcome(
+        lambda: reference.add(reference.remove(g, node_ids, edge_ids), new_nodes, new_edges)
+    )
+    new = derived(g, node_ids, edge_ids, new_nodes, new_edges)
     assert new[0] == old[0] and (new[0] == "error" or new == old)
 
     node_ids = some(rng, sorted(g.nodes), 0.6) | some(rng, ["ghost"], 0.1)
@@ -308,7 +323,8 @@ def test_a_derivation_refuses_to_leave_an_edge_dangling():
     assert host._derive(["u"], ["repos", "owner"], {}, {}).nodes == {"r": "Repository"}
 
 
-# The matcher's caches, as `_derive` carries them from graph to graph.
+# The matcher's caches: built by each graph, or handed on in place along
+# an owned chain (`InstanceGraph._owned`).
 
 CACHES = ("_signatures", "_incidence", "_index", "_floors")
 
@@ -327,7 +343,7 @@ def assert_caches_as_if_built_afresh(graph: InstanceGraph) -> None:
         index, want = made["_index"], fresh._index
         assert index.by_type == want.by_type
         assert index.by_edge == want.by_edge
-        assert index.signatures == want.signatures
+        assert index.signatures is made["_signatures"]
         assert index.neighbours.keys() == want.neighbours.keys()
         for key, found in index.neighbours.items():
             assert len(set(found)) == len(found)
@@ -338,15 +354,18 @@ def assert_caches_as_if_built_afresh(graph: InstanceGraph) -> None:
 
 
 def random_derivation(rng: random.Random, g: InstanceGraph, rules) -> InstanceGraph:
-    """One `add`, removal or rule step on g, with some stray and clashing
-    ids; a derivation that raises is tried again."""
+    """One `add`, removal or rule step (one `apply` at one match) on g,
+    with some stray and clashing ids; a derivation that raises is tried
+    again, and must have left g as it was."""
     while True:
         kind = rng.choice(("add", "remove", "step", "step"))
+        before = (list(g.nodes.items()), list(g.edges.items()))
         try:
             if kind == "step":
-                steps = transformations(rng.choice(rules), g)
-                if steps:
-                    return rng.choice(steps).result
+                rule = rng.choice(rules)
+                matches = enumerate_matches(rule.lhs, g)
+                if matches:
+                    return apply(rule, g, rng.choice(matches)).result
             elif kind == "add":
                 nodes = {}
                 for _ in range(rng.randint(0, 2)):
@@ -374,73 +393,126 @@ def random_derivation(rng: random.Random, g: InstanceGraph, rules) -> InstanceGr
                     {},
                 )
         except (GraphError, NotApplicableError):
-            continue
+            pass
+        assert (list(g.nodes.items()), list(g.edges.items())) == before
+        assert_caches_as_if_built_afresh(g)
+
+
+def ask_for_caches(rng: random.Random, g: InstanceGraph) -> None:
+    """Build some of g's caches and ask it for fresh ids, at random."""
+    for cache in CACHES:
+        if rng.random() < 0.3:
+            getattr(g, cache)
+    if rng.random() < 0.3:
+        bases = sorted(rng.sample(["a", "b", "r0_n0", "r0_e1", "r1_n2"], 2))
+        fresh = InstanceGraph(g.typegraph, g.nodes, g.edges)
+        assert _fresh_ids(bases, g) == _fresh_ids(bases, fresh)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10_000))
 def test_carried_caches_equal_caches_built_afresh(seed):
-    # random adds, removals and rule steps, each from some graph made
-    # before, so parents are shared as the oracle shares its hosts; caches
-    # and fresh ids are asked for at random points in between
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_PATCH_FROM", 0)  # small graphs patch too
-        derive_and_compare(random.Random(seed))
-
-
-def derive_and_compare(rng: random.Random) -> None:
+    # random adds, removals and rule steps, with caches and fresh ids asked
+    # for at random points in between, first from shared graphs, as the
+    # oracle shares its hosts, then along an owned chain
+    rng = random.Random(seed)
     tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
     rules = [random_rule(rng, tg, name=f"r{i}", max_nodes=3, max_edges=3) for i in range(3)]
-    graphs = [random_graph(rng, tg, max_nodes=5, max_edges=6, prefix="h")]
+    start = random_graph(rng, tg, max_nodes=5, max_edges=6, prefix="h")
+
+    # each derivation from some graph made before: no graph changes
+    graphs = [start]
+    made = [(dict(start.nodes), dict(start.edges))]
     for _ in range(rng.randint(1, 12)):
         parent = graphs[-1] if rng.random() < 0.6 else rng.choice(graphs)
         child = random_derivation(rng, parent, rules)
         graphs.append(child)
+        made.append((dict(child.nodes), dict(child.edges)))
         for g in (parent, child):
-            for cache in CACHES:
-                if rng.random() < 0.3:
-                    getattr(g, cache)
-            if rng.random() < 0.3:
-                bases = sorted(rng.sample(["a", "b", "r0_n0", "r0_e1", "r1_n2"], 2))
-                fresh = InstanceGraph(tg, g.nodes, g.edges)
-                assert _fresh_ids(bases, g) == _fresh_ids(bases, fresh)
-    # a patch that changed a parent's cache in place shows here too
-    for g in graphs:
+            ask_for_caches(rng, g)
+    for g, (nodes, edges) in zip(graphs, made):
+        assert (g.nodes, g.edges) == (nodes, edges)
         assert_caches_as_if_built_afresh(g)
+
+    # each derivation from the last: the caches handed on equal fresh ones
+    g = start._owned()
+    for _ in range(rng.randint(1, 12)):
+        ask_for_caches(rng, g)
+        parent, g = g, random_derivation(rng, g, rules)
+        assert_caches_as_if_built_afresh(g)
+        with pytest.raises(GraphError, match="already stepped from"):
+            parent._derive((), (), {}, {})
+    assert (start.nodes, start.edges) == made[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_matches_on_derived_graphs_equal_the_reference(seed):
-    # core.enumerate_matches against reference.matches on graphs whose
-    # matcher caches were patched from their parent's, after removals too
+    # core.enumerate_matches against reference.matches along an owned
+    # chain, whose matcher caches are changed in place, after removals too
     rng = random.Random(seed)
     tg = random_typegraph(rng, max_node_types=3, max_edge_types=3)
     rules = [random_rule(rng, tg, name=f"r{i}", max_nodes=3, max_edges=3) for i in range(3)]
-    g = random_graph(rng, tg, max_nodes=6, max_edges=8, prefix="h")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(core, "_PATCH_FROM", 0)  # small graphs patch too
-        for _ in range(rng.randint(1, 8)):
-            g._index  # noqa: B018  (built, so that the next graph patches it)
-            g = random_derivation(rng, g, rules)
-            patterns = [r.lhs for r in rules]
-            patterns.append(random_graph(rng, tg, max_nodes=3, max_edges=3, prefix="p"))
-            for pattern in patterns:
-                assert [m.mapped_tuple() for m in enumerate_matches(pattern, g)] == [
-                    m.mapped_tuple() for m in reference.matches(pattern, g)
-                ]
+    g = random_graph(rng, tg, max_nodes=6, max_edges=8, prefix="h")._owned()
+    for _ in range(rng.randint(1, 8)):
+        g._index  # noqa: B018  (built, so that the step hands it on)
+        g = random_derivation(rng, g, rules)
+        patterns = [r.lhs for r in rules]
+        patterns.append(random_graph(rng, tg, max_nodes=3, max_edges=3, prefix="p"))
+        for pattern in patterns:
+            assert [m.mapped_tuple() for m in enumerate_matches(pattern, g)] == [
+                m.mapped_tuple() for m in reference.matches(pattern, g)
+            ]
 
 
-def test_a_matched_graph_lets_its_parent_go(monkeypatch):
-    host = user_repo_host()
-    host._index  # noqa: B018  (cached_property evaluation)
-    assert "_origin" not in host._derive((), (), {"u2": "User"}, {}).__dict__  # too small
-    monkeypatch.setattr(core, "_PATCH_FROM", 2)
-    child = host._derive((), (), {"u2": "User"}, {})
-    assert child.__dict__["_origin"].parent is host
-    child._index  # noqa: B018
-    assert "_origin" not in child.__dict__
-    assert child._index.by_type["User"] == ["u", "u2"]
+def test_a_node_deleted_with_its_edge_on_an_owned_graph_matches_like_the_reference():
+    # x goes with its edge from k, and k keeps another edge of that type,
+    # so a match along k's edges meets whatever neighbour entry x left
+    tg = TypeGraph(("N",), (EdgeType("E", "N", "N"),))
+    pair = {"a": "N", "b": "N"}
+    drop = Rule("dropTarget", tg, pair, {"e": Edge("E", "a", "b")},
+                {"a": "preserve", "b": "delete", "e": "delete"})
+    follow = InstanceGraph(tg, pair, {"e": Edge("E", "a", "b")})
+    nodes = {f"n{i}": "N" for i in range(7)} | {"k": "N", "x": "N"}
+    edges = {"e0": Edge("E", "k", "x"), "e1": Edge("E", "k", "n0")}
+    host = InstanceGraph(tg, nodes, edges)._owned()
+    assert [m.mapped_tuple() for m in enumerate_matches(follow, host)] == [
+        m.mapped_tuple() for m in reference.matches(follow, host)
+    ]
+    step = apply(drop, host, first_match(drop.lhs, host, {"a": "k", "b": "x"}))
+    want = reference.apply(drop, step.host, step.match)
+    assert (step.result.nodes, step.result.edges) == (want.result.nodes, want.result.edges)
+    for fixed in ({}, {"a": "k"}):
+        assert [m.mapped_tuple() for m in iter_matches(follow, step.result, fixed)] == [
+            m.mapped_tuple()
+            for m in reference.matches(follow, step.result)
+            if all(m.node_map[p] == h for p, h in fixed.items())
+        ]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ((["u"], ["repos"], {}, {}), "edge owner has a missing endpoint"),
+        (((), (), {"r": "User"}, {}), r"ids already present: \['r'\]"),
+        (((), (), {"u2": "User"}, {"repos": ("User.repos", "u2", "r")}), "ids already present"),
+        (((), ["repos"], {}, {"e": ("User.repos", "u", "ghost")}), "edge e has a missing endpoint"),
+        (((), ["owner"], {"x": "Nope"}, {}), "node x has unknown type Nope"),
+        (((), ["owner"], {}, {"e": ("User.repos", "r", "u")}), "endpoint types do not match"),
+        ((["u"], ["repos", "owner"], {}, {"e": ("User.repos", "u", "r")}), "edge e has a missing"),
+    ],
+)
+def test_a_refused_step_leaves_an_owned_graph_as_it_was(change, message):
+    owned = user_repo_host()._owned()
+    for cache in CACHES:
+        getattr(owned, cache)
+    _fresh_ids(["repos"], owned)  # raises a floor
+    before = {k: repr(v) for k, v in owned.__dict__.items()}
+    with pytest.raises(GraphError, match=message):
+        owned._derive(*change)
+    assert {k: repr(v) for k, v in owned.__dict__.items()} == before
+    # still live: the next step goes through
+    assert owned._derive(["u"], ["repos", "owner"], {}, {}).nodes == {"r": "Repository"}
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,7 +27,6 @@ from fixtures import (
     policy_to_doc,
 )
 
-import graphbac.core
 from graphbac.core import GraphError, InstanceGraph, enumerate_matches
 from graphbac.mockserver import (
     BAD_REQUEST,
@@ -269,11 +268,9 @@ def test_a_token_scheme_matches_whatever_its_case():
     assert code_of(response) == UNAUTHENTICATED
 
 
-def test_the_states_the_mock_has_left_are_collected(monkeypatch):
-    # a state derived from another holds it only until it is first
-    # matched, so the mock keeps its current state and at most that
-    # state's parent, besides the initial state it resets to
-    monkeypatch.setattr(graphbac.core, "_PATCH_FROM", 0)  # small states too
+def test_the_states_the_mock_has_left_are_collected():
+    # no state holds the one it was stepped from, so the mock keeps only
+    # its current state, besides the initial state it resets to
     target = make_target()
     states = []
 
@@ -291,7 +288,7 @@ def test_the_states_the_mock_has_left_are_collected(monkeypatch):
     request("deleteIssue", {"issue": issue})
     request("createProject")
     gc.collect()
-    assert [state() for state in states[:-2]] == [None] * (len(states) - 2)
+    assert [state() for state in states[:-1]] == [None] * (len(states) - 1)
     assert states[-1]() is target.graph
 
 
@@ -915,3 +912,54 @@ def test_a_query_request_keeps_the_state(monkeypatch):
         answered = [n for op, response, n in got if op in queries and not response.get("errors")]
         assert len(answered) >= 5 and answered == [0] * len(answered)
         assert all(n == 1 for op, r, n in got if op not in queries and not r.get("errors"))
+
+
+def test_twenty_replay_rounds_on_owned_states_equal_the_persistent_path(monkeypatch):
+    """The mock steps its state in place (`InstanceGraph._owned`); over 20
+    in-process replay rounds on a mock that is not reset, reports, creators,
+    identities and state equal those of a mock whose states are plain
+    graphs, each step building a new one."""
+    project = Project.load(RUNNING_EXAMPLE)
+    plan, rules = project.plan(), project.rules_by_name()
+    faults = (FaultInjection("drop_check", "updateIssue"),)
+
+    def replay(target) -> list:
+        config = RunnerConfig(
+            endpoint="in-process",
+            tokens={entry.role: token for token, entry in target.tokens.items()},
+        )
+        send = target.transport()
+        return [run_plan(plan, config, send, rules=rules).to_doc() for _ in range(20)]
+
+    owned = running_example_target(faults=faults)
+    assert owned.graph.__dict__["_live"]
+    owned_reports = replay(owned)
+    monkeypatch.setattr(
+        InstanceGraph, "_owned", lambda g: InstanceGraph(g.typegraph, g.nodes, g.edges)
+    )
+    plain = running_example_target(faults=faults)
+    assert "_live" not in plain.graph.__dict__
+    assert replay(plain) == owned_reports
+    assert owned.creators == plain.creators
+    assert owned.identities == plain.identities
+    assert owned.snapshot() == plain.snapshot()
+    assert len(owned.graph.nodes) == 20 * 45
+    assert owned_reports[-1]["detected_vulnerabilities"] == [
+        "flow-neg:createIssue->updateIssue#0"
+    ]
+
+
+def test_a_state_the_mock_has_left_cannot_be_stepped_again():
+    target = make_target()
+    call(target, "tok-owner", "createUser")
+    left = target.graph
+    call(target, "tok-owner", "createRepo")
+    assert target.graph is not left
+    rule = target.rules["createRepo"]
+    with pytest.raises(GraphError, match="already stepped from"):
+        apply(rule, left, enumerate_matches(rule.lhs, left)[0])
+    # a reset starts from a fresh copy of the initial state
+    target.reset()
+    assert target.graph.nodes == {} and target._initial.nodes == {}
+    assert call(target, "tok-owner", "createUser").get("errors") is None
+    assert target._initial.nodes == {}

@@ -445,9 +445,10 @@ def test_the_shipped_projects_agree_with_the_reference(name):
 
 
 def test_a_node_deleted_with_its_edge_agrees_with_the_reference():
-    # a state of 9 nodes patches its matcher caches from its parent's; the
-    # step deletes x with its edge from k, and k keeps another edge of that
-    # type, so a match along k's edges meets x's old neighbour entry
+    # the step deletes x with its edge from k, and k keeps another edge of
+    # that type, so a match along k's edges would meet a neighbour entry
+    # that x left behind (an owned graph's steps, which change the caches
+    # in place, are tested on this input in test_core.py)
     tg = TypeGraph(("N",), (EdgeType("E", "N", "N"),))
     pair = {"a": "N", "b": "N"}
     rules = [

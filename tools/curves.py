@@ -83,7 +83,7 @@ from randgen import wide_system  # noqa: E402
 KSTAR_POINTS = (3, 4, 5, 6)
 ORACLE_POINTS = (3, 4, 5)
 SWEEP_SEEDS = (255, 66)
-MOCKSTATE_POINTS = (1, 6, 12, 20)
+MOCKSTATE_POINTS = (1, 6, 12, 20, 60, 120)
 HTTP_POINTS = (1, 6)
 FOREST_POINTS = (6, 7, 8)
 REPEATS = 5
