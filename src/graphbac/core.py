@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import AbstractSet, Container, Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -670,6 +670,63 @@ def enumerate_matches(pattern: InstanceGraph, host: InstanceGraph) -> list[Morph
     """All injective typed morphisms pattern -> host: every match
     `iter_matches` yields, sorted by mapped ids."""
     return sorted(iter_matches(pattern, host), key=Morphism.mapped_tuple)
+
+
+def matches_after(
+    pattern: InstanceGraph,
+    before: list[Morphism],
+    result: InstanceGraph,
+    removed: AbstractSet[str],
+    added: AbstractSet[str],
+) -> list[Morphism]:
+    """`enumerate_matches(pattern, result)`, carried from `before`, the
+    pattern's matches on a host that `result` was derived from by removing
+    the `removed` ids and adding the `added` ones, every other id kept.
+
+    A match of the result that uses no added element is a host match that
+    touches no removed one, so it is taken from `before` with its maps.
+    Every other match uses an added element, and is found by a search
+    anchored on it: an added node on each pattern node of its type, an
+    added edge between kept nodes on the endpoints of each pattern edge of
+    its type.  An added edge with an added endpoint is found through that
+    endpoint.  The few new matches are inserted into the kept ones, which
+    are in order already.
+    """
+    kept = [
+        Morphism._trusted(pattern, result, m.node_map, m.edge_map)
+        for m in before
+        if not _touches(m, removed)
+    ]
+    nodes, edges = result.nodes, result.edges
+    added_nodes = [i for i in added if i in nodes]
+    anchors: list[dict[str, object]] = []
+    for pn, ptype in pattern.nodes.items():
+        anchors.extend({pn: n} for n in added_nodes if nodes[n] == ptype)
+    for i in added:
+        edge = edges.get(i)
+        if edge is None or edge.src in added or edge.tgt in added:
+            continue
+        anchors.extend(
+            {pe.src: edge.src, pe.tgt: edge.tgt}
+            for pe in pattern.edges.values()
+            if pe.type == edge.type and (pe.src == pe.tgt) == (edge.src == edge.tgt)
+        )
+    new: dict[tuple, Morphism] = {}
+    for fixed in anchors:
+        for m in iter_matches(pattern, result, fixed):
+            # an edge anchor's endpoints may be joined by a kept edge too
+            if _touches(m, added):
+                new.setdefault(m.mapped_tuple(), m)
+    for key in sorted(new):
+        insort(kept, new[key], key=Morphism.mapped_tuple)
+    return kept
+
+
+def _touches(match: Morphism, ids: AbstractSet[str]) -> bool:
+    """True iff the match sends some node or edge onto one of the ids."""
+    return not (
+        ids.isdisjoint(match.node_map.values()) and ids.isdisjoint(match.edge_map.values())
+    )
 
 
 def first_match(

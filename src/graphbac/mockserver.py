@@ -10,11 +10,14 @@ dynamic analysis has something real to detect.
 
 from __future__ import annotations
 
+import email.utils
 import json
 import re
 import sys
 import threading
+import time
 from dataclasses import dataclass
+from functools import lru_cache
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable
@@ -411,7 +414,7 @@ class _Handler(BaseHTTPRequestHandler):
         head = (
             f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
             f"Server: {self.version_string()}\r\n"
-            f"Date: {self.date_time_string()}\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(raw)}\r\n"
         )
@@ -422,6 +425,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, fmt: str, *args) -> None:  # quiet by default
         pass
+
+
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The `Date` header of responses sent in a wall-clock second, as
+    `BaseHTTPRequestHandler.date_time_string` gives it: formatted once per
+    second, not once per response."""
+    return email.utils.formatdate(second, usegmt=True)
 
 
 class _Server(ThreadingHTTPServer):

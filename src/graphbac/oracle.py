@@ -11,12 +11,18 @@ the planner uses for setup steps.
 
 Each ordered rule pair is checked against one concrete walk: the first
 rule's steps from every reachable host, each followed by every step of the
-second rule, each step pair classified once.  Every analyzed rule's first
-steps are computed once per run and kept for the whole run; the walks of
-(a, b) and (b, a) are made and held together, and dropped when both pairs
-are done.  Both checks read the walk, the pair's reported reasons and
-whether each reason is concretely realizable, all computed once, and each
-span a concrete produce-use pair extracts is realized once per run.
+second rule, each step pair classified once.  Every analyzed rule's
+matches are enumerated once on each reachable host, and its first steps
+are taken at them; both are kept for the whole run.  A second step's
+matches are not searched for on the first step's result: they are carried
+from the second rule's matches on the first step's host
+(`core.matches_after`), which keeps each host match that touches nothing
+the first step deleted and searches only around what it created.  Every
+step still goes through `transformations`.  The walks of (a, b) and
+(b, a) are made and held together, and dropped when both pairs are done.
+Both checks read the walk, the pair's reported reasons and whether each
+reason is concretely realizable, all computed once, and each span a
+concrete produce-use pair extracts is realized once per run.
 
 An independent pair commutes when its switched result is isomorphic to the
 original one.  By the local Church-Rosser theorem the switched steps use
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import GraphError, InstanceGraph, Morphism
+from .core import GraphError, InstanceGraph, Morphism, enumerate_matches, matches_after
 from .dependency import (
     INDEPENDENT,
     PRODUCE_USE,
@@ -83,11 +89,23 @@ StepIndex = dict[tuple, DirectTransformation]
 
 
 def _step_pairs(
-    firsts: Iterable[DirectTransformation], second: Rule
+    firsts: Iterable[DirectTransformation],
+    second: Rule,
+    before: dict[int, list[Morphism]] | None = None,
 ) -> Iterator[StepPair]:
-    """Every second-rule step after each first step, with the pair's class."""
+    """Every second-rule step after each first step, with the pair's class.
+
+    `before`, when given, holds the second rule's matches on each first
+    step's host, by host identity, and the matches on each first step's
+    result are carried from them (`matches_after`), not searched again.
+    """
     for t1 in firsts:
-        for t2 in transformations(second, t1.result):
+        matches = None
+        if before is not None:
+            matches = matches_after(
+                second.lhs, before[id(t1.host)], t1.result, t1.deleted_ids(), t1.created_ids()
+            )
+        for t2 in transformations(second, t1.result, matches):
             yield t1, t2, classify_transformation_pair(t1, t2)
 
 
@@ -356,9 +374,13 @@ def run_oracle(
     start = time.monotonic()
     analyzed = sorted(analyzed, key=lambda r: r.name)
     hosts = reachable_hosts(all_rules, initial, depth)
-    # `hosts` keeps every host alive while these indexes name them
+    # `hosts` keeps every host alive while these lists and indexes name them
+    matches = [
+        {id(host): enumerate_matches(a.lhs, host) for host in hosts} for a in analyzed
+    ]
     firsts = [
-        _index(t for host in hosts for t in transformations(a, host)) for a in analyzed
+        _index(t for host in hosts for t in transformations(a, host, found[id(host)]))
+        for a, found in zip(analyzed, matches)
     ]
     extract = _extractor()
     messages: dict[tuple[int, int], list[str]] = {}
@@ -367,9 +389,9 @@ def run_oracle(
             b = analyzed[j]
             # each walk's second steps are the reversed pair's switched t1';
             # the self-pair is its own reversed pair
-            walks = {(i, j): list(_step_pairs(firsts[i].values(), b))}
+            walks = {(i, j): list(_step_pairs(firsts[i].values(), b, matches[j]))}
             if j != i:
-                walks[j, i] = list(_step_pairs(firsts[j].values(), a))
+                walks[j, i] = list(_step_pairs(firsts[j].values(), a, matches[i]))
             for x, y in walks:
                 switch = partial(
                     _switch,

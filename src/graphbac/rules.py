@@ -181,18 +181,31 @@ class DirectTransformation:
     result: InstanceGraph
     comatch: Morphism
 
-    def created_node_ids(self) -> set[str]:
-        return {self.comatch.node_map[n] for n in self.rule.created_nodes()}
+    def created_node_ids(self) -> frozenset[str]:
+        return frozenset(self.comatch.node_map[n] for n in self.rule.created_nodes())
 
-    def created_ids(self) -> set[str]:
-        edges = self.comatch.edge_map
-        return self.created_node_ids() | {edges[e] for e in self.rule.created_edges()}
+    # The two id sets below are computed on first use and kept on the step,
+    # which the oracle asks for them again and again.  They are kept by
+    # hand: `cached_property` takes a lock on first use (before Python
+    # 3.12), and most steps are asked once.
 
-    def deleted_ids(self) -> set[str]:
-        nodes, edges = self.match.node_map, self.match.edge_map
-        return {nodes[n] for n in self.rule.deleted_nodes()} | {
-            edges[e] for e in self.rule.deleted_edges()
-        }
+    def created_ids(self) -> frozenset[str]:
+        ids = self.__dict__.get("_created")
+        if ids is None:
+            edges = self.comatch.edge_map
+            ids = self.created_node_ids().union(edges[e] for e in self.rule.created_edges())
+            self.__dict__["_created"] = ids
+        return ids
+
+    def deleted_ids(self) -> frozenset[str]:
+        ids = self.__dict__.get("_deleted")
+        if ids is None:
+            nodes, edges = self.match.node_map, self.match.edge_map
+            ids = frozenset(nodes[n] for n in self.rule.deleted_nodes()).union(
+                edges[e] for e in self.rule.deleted_edges()
+            )
+            self.__dict__["_deleted"] = ids
+        return ids
 
 
 def _fresh_ids(bases: Iterable[str], host: InstanceGraph) -> dict[str, str]:
@@ -285,10 +298,19 @@ def apply_inverse(rule: Rule, host: InstanceGraph, comatch: Morphism) -> Instanc
     return _rewrite(rule, comatch, CREATE, DELETE)[0]
 
 
-def transformations(rule: Rule, host: InstanceGraph) -> list[DirectTransformation]:
-    """Every way the rule can fire on the host, in match order."""
+def transformations(
+    rule: Rule, host: InstanceGraph, matches: Iterable[Morphism] | None = None
+) -> list[DirectTransformation]:
+    """Every way the rule can fire on the host, in match order.
+
+    `matches`, when given, are the rule's matches on the host in
+    `enumerate_matches` order, as `core.matches_after` carries them from
+    a graph the host was derived from; otherwise they are enumerated.
+    """
+    if matches is None:
+        matches = enumerate_matches(rule.lhs, host)
     out = []
-    for match in enumerate_matches(rule.lhs, host):
+    for match in matches:
         try:
             out.append(apply(rule, host, match))
         except NotApplicableError:

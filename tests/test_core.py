@@ -22,8 +22,9 @@ from graphbac.core import (
     first_match,
     graph_to_doc,
     iter_matches,
+    matches_after,
 )
-from graphbac.rules import NotApplicableError, Rule, _fresh_ids, apply
+from graphbac.rules import NotApplicableError, Rule, _fresh_ids, apply, transformations
 from randgen import random_graph, random_rule, random_typegraph
 import reference
 
@@ -488,6 +489,93 @@ def test_a_node_deleted_with_its_edge_on_an_owned_graph_matches_like_the_referen
             for m in reference.matches(follow, step.result)
             if all(m.node_map[p] == h for p, h in fixed.items())
         ]
+
+
+# `matches_after` carries a pattern's matches from a host to a graph
+# derived from it; `reference.matches` enumerates them afresh.
+
+LOOPS = TypeGraph(("M", "N"), (EdgeType("E", "N", "N"), EdgeType("F", "N", "M")))
+P, D, C = "preserve", "delete", "create"
+
+
+def carrying_rules() -> list[Rule]:
+    """Rules whose steps make each change that carrying must get right."""
+    pair = {"a": "N", "b": "N"}
+    return [
+        # an empty left-hand side, whose one match every step keeps
+        Rule("spawn", LOOPS, {"n": "N"}, tags={"n": C}),
+        # an edge created between two kept nodes, parallel to any they have
+        Rule("link", LOOPS, pair, {"e": Edge("E", "a", "b")}, {"a": P, "b": P, "e": C}),
+        Rule("loop", LOOPS, {"a": "N"}, {"e": Edge("E", "a", "a")}, {"a": P, "e": C}),
+        # a node deleted on its own, which any edge of the node blocks ...
+        Rule("drop", LOOPS, {"a": "N"}, tags={"a": D}),
+        # ... until this deletes it
+        Rule("cut", LOOPS, pair, {"e": Edge("E", "a", "b")}, {"a": P, "b": P, "e": D}),
+        Rule("tag", LOOPS, {"a": "N", "m": "M"}, {"f": Edge("F", "a", "m")},
+             {"a": P, "m": C, "f": C}),
+    ]
+
+
+# a loop, two parallel edges, and no element at all
+CARRIED_PATTERNS = (
+    InstanceGraph(LOOPS, {"x": "N"}, {"l": Edge("E", "x", "x")}),
+    InstanceGraph(
+        LOOPS, {"x": "N", "y": "N"}, {"p": Edge("E", "x", "y"), "q": Edge("E", "x", "y")}
+    ),
+    InstanceGraph.empty(LOOPS),
+)
+
+
+def step_view(t) -> tuple:
+    return t.match.mapped_tuple(), t.result.nodes, t.result.edges
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_carried_matches_equal_the_reference(seed):
+    # a random derivation chain; each pattern's matches are carried from
+    # step to step, never enumerated again
+    rng = random.Random(seed)
+    rules = carrying_rules()
+    rules += [random_rule(rng, LOOPS, name=f"r{i}", max_nodes=3, max_edges=3) for i in (0, 1)]
+    patterns = [r.lhs for r in rules] + list(CARRIED_PATTERNS)
+    patterns.append(random_graph(rng, LOOPS, max_nodes=3, max_edges=3, prefix="p"))
+    host = random_graph(rng, LOOPS, max_nodes=4, max_edges=6, prefix="h")
+    carried = [enumerate_matches(p, host) for p in patterns]
+    for _ in range(rng.randint(1, 6)):
+        # `spawn` always fires, so there is always a step
+        t = rng.choice([t for r in rules for t in transformations(r, host)])
+        removed, added = t.deleted_ids(), t.created_ids()
+        carried = [
+            matches_after(p, before, t.result, removed, added)
+            for p, before in zip(patterns, carried)
+        ]
+        for p, found in zip(patterns, carried):
+            assert [m.mapped_tuple() for m in found] == [
+                m.mapped_tuple() for m in reference.matches(p, t.result)
+            ]
+            assert all(m.source is p and m.target is t.result for m in found)
+        # a rule steps at its carried matches as at its enumerated ones
+        for r, found in zip(rules, carried):
+            assert list(map(step_view, transformations(r, t.result, found))) == list(
+                map(step_view, transformations(r, t.result))
+            )
+        host = t.result
+
+
+def test_a_carried_match_that_a_dangling_edge_blocked_fires_once_the_edge_is_cut():
+    rules = {r.name: r for r in carrying_rules()}
+    drop, cut = rules["drop"], rules["cut"]
+    host = InstanceGraph(LOOPS, {"x": "N", "y": "N"}, {"e": Edge("E", "x", "y")})
+    before = enumerate_matches(drop.lhs, host)
+    assert len(before) == 2 and transformations(drop, host, before) == []
+    (t,) = transformations(cut, host)
+    carried = matches_after(drop.lhs, before, t.result, t.deleted_ids(), t.created_ids())
+    steps = transformations(drop, t.result, carried)
+    assert [s.result.nodes for s in steps] == [{"y": "N"}, {"x": "N"}]
+    assert list(map(step_view, steps)) == list(
+        map(step_view, transformations(drop, t.result))
+    )
 
 
 @pytest.mark.parametrize(

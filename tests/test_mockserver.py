@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import email.utils
 import gc
 import http.client
 import http.server
@@ -12,6 +13,7 @@ import re
 import socket
 import struct
 import threading
+import time
 import urllib.request
 import weakref
 from pathlib import Path
@@ -380,6 +382,27 @@ def test_keep_alive_serves_requests_in_turn_on_one_connection():
         server.server_close()
     assert received.count(b"HTTP/1.1 200 ") == 2
     assert sorted(target.graph.nodes) == ["u~1", "u~2"]  # both requests ran
+
+
+def test_the_date_header_is_the_time_of_the_response():
+    target = make_target()
+    server, _done = served(target)
+    try:
+        request = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\n")
+        last = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\nConnection: close\r\n")
+        sent = time.time()
+        received = exchange(server, request + last)
+        done = time.time()
+    finally:
+        server.shutdown()
+        server.server_close()
+    dates = re.findall(rb"\r\nDate: ([^\r]*)\r\n", received)
+    assert len(dates) == 2
+    for date in dates:
+        # HTTP's IMF-fixdate (RFC 9110, 5.6.7), as `http.server` writes it
+        assert re.fullmatch(rb"[A-Z][a-z]{2}, \d\d [A-Z][a-z]{2} \d{4} \d\d:\d\d:\d\d GMT", date)
+        when = email.utils.parsedate_to_datetime(date.decode()).timestamp()
+        assert int(sent) <= when <= done  # the header holds whole seconds
 
 
 @pytest.mark.parametrize(

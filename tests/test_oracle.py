@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphbac.rules
-from graphbac import dependency, oracle
+from graphbac import core, dependency, oracle
 from graphbac.cli import Project
 from graphbac.core import Edge, EdgeType, InstanceGraph, TypeGraph
 from graphbac.dependency import (
@@ -296,6 +297,41 @@ def test_the_running_example_oracle_applies_no_rule_outside_its_walk(monkeypatch
     report = run_oracle(project.analyzed_rules(), project.rules(), project.initial(), 4)
     assert report.agreed, report.disagreements
     assert (report.hosts_explored, report.pairs_checked) == (29, 81)
+
+
+def test_the_oracle_searches_no_first_step_result_for_matches(monkeypatch):
+    # every graphbac module that binds `enumerate_matches` gets the wrapped
+    # one, as the benchmark's tracer re-binds it; the walk's second steps
+    # must take their matches from the first step's host's list
+    project = Project.load(PROJECTS / "running-example")
+    real_enumerate = core.enumerate_matches
+    real_hosts, real_steps = oracle.reachable_hosts, oracle.transformations
+    hosts, firsts, searched = [], [], []  # held, so that no id is reused
+
+    def reachable(*args):
+        hosts.extend(real_hosts(*args))
+        return list(hosts)
+
+    def stepped(rule, host, *args):
+        steps = real_steps(rule, host, *args)
+        if any(host is h for h in hosts):
+            firsts.extend(steps)
+        return steps
+
+    def enumerated(pattern, host):
+        searched.append(host)
+        return real_enumerate(pattern, host)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("graphbac") and vars(module).get("enumerate_matches") is real_enumerate:
+            monkeypatch.setattr(module, "enumerate_matches", enumerated)
+    monkeypatch.setattr(oracle, "reachable_hosts", reachable)
+    monkeypatch.setattr(oracle, "transformations", stepped)
+    report = run_oracle(project.analyzed_rules(), project.rules(), project.initial(), 4)
+    assert report.agreed and report.hosts_explored == len(hosts) == 29
+    results = {id(t.result) for t in firsts}
+    assert firsts and searched
+    assert not [h for h in searched if id(h) in results]
 
 
 def _fields(step):
