@@ -107,6 +107,8 @@ def _read(path: Path) -> str:
         raise GraphError(f"{path}: file not found") from None
     except OSError as exc:
         raise GraphError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: byte {exc.start} is not UTF-8 text") from exc
 
 
 def _load_json(path: Path) -> object:
@@ -195,11 +197,12 @@ def _analysis_doc(flow: TaintedFlow) -> dict:
 
 
 def _flow_from_doc(
-    doc: object, api: TaintedGraphAPI, verdicts: PairVerdicts
+    doc: object, api: TaintedGraphAPI, verdicts: PairVerdicts, sidecar: Path
 ) -> TaintedFlow:
     """The flow an `analysis.json` document holds, each reason re-certified
     by `reason_from_doc`.  In order, it must hold as many reasons for each
-    pair of the API as the verdicts count, with their positional ids."""
+    pair of the API as the verdicts of the `sidecar` count, with their
+    positional ids."""
     if not isinstance(doc, dict) or not isinstance(doc.get("pairs"), list):
         raise GraphError("analysis document must have a pairs array")
     rules = {r.name: r for r in api.rules}
@@ -215,7 +218,7 @@ def _flow_from_doc(
     ]
     if [(r.id, r.source_rule, r.sink_rule) for r in reasons] != expected:
         raise GraphError(
-            "its reasons are not those of the analysis sidecar's verdicts; " + _RERUN
+            f"its reasons are not those that {sidecar.name} counts; " + _RERUN
         )
     for r in reasons:
         if not isinstance(r.tainted, bool):
@@ -409,7 +412,7 @@ class Project:
         def load_flow(api: TaintedGraphAPI) -> TaintedFlow:
             with _file_context(analysis_path):
                 doc = _parse_json(analysis_path, analysis_text)
-                return _flow_from_doc(doc, api, verdicts)
+                return _flow_from_doc(doc, api, verdicts, lock_path)
 
         return Analysis(verdicts, build_api, load_flow)
 
@@ -441,7 +444,7 @@ class Project:
                     f"written; {_RERUN}"
                 )
             try:
-                return PairVerdicts.from_doc(lock.get("pairs")), text
+                return PairVerdicts.from_doc(lock.get("verdicts")), text
             except GraphError as exc:
                 raise GraphError(f"{exc}; {_RERUN}") from exc
 
@@ -556,7 +559,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         {
             "inputs_sha256": project.analysis_inputs_sha256(),
             "analysis_sha256": _sha256(text),
-            "pairs": analysis.verdicts.to_doc(),
+            "verdicts": analysis.verdicts.to_doc(),
         },
     )
     return 0
@@ -607,12 +610,15 @@ def cmd_review_apply(args: argparse.Namespace) -> int:
 
 def cmd_check_theorem(args: argparse.Namespace) -> int:
     project = Project.load(args.project)
-    verdicts = project.analysis().verdicts
+    analysis = project.analysis()
+    verdicts = analysis.verdicts
     for name in (args.source, args.sink):
-        # the setup rules are looked at only for a name the verdicts lack
-        if name not in verdicts.names and name in {
-            r.name for r in project.setup_rules()
-        }:
+        if name in verdicts.names:
+            continue
+        # the analyzed and setup rules are read only for a name the verdicts
+        # lack; the API's check names a sidecar of other rules
+        analysis.api
+        if name in {r.name for r in project.setup_rules()}:
             raise GraphError(
                 f"rule {name} is setup-only: the analysis skips setup-only "
                 "rules, so they have no verdicts"

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain, product
+from operator import mul
 from typing import Iterable, Sequence
 
 from .core import GraphError, TypeGraph, _boolean
@@ -270,7 +272,9 @@ class PairVerdicts:
     reasons lead from first to second (0 for an independent pair).
 
     `entries` maps (first name, second name) to (independent, reason
-    count).
+    count).  Its document is a table: the rules' names, sorted, and two
+    square matrices, `independent` and `reasons`, with a row per first
+    rule and a column per second rule, in the order of the names.
     """
 
     entries: dict[tuple[str, str], tuple[bool, int]]
@@ -281,16 +285,14 @@ class PairVerdicts:
     def reason_count(self, source: str, sink: str) -> int:
         return self.entries[source, sink][1]
 
-    def to_doc(self) -> list[dict]:
-        return [
-            {
-                "first": first,
-                "second": second,
-                "independent": independent,
-                "reasons": count,
-            }
-            for (first, second), (independent, count) in sorted(self.entries.items())
-        ]
+    def to_doc(self) -> dict:
+        names = self.names
+        rows = [[self.entries[first, second] for second in names] for first in names]
+        return {
+            "rules": list(names),
+            "independent": [[independent for independent, _ in row] for row in rows],
+            "reasons": [[count for _, count in row] for row in rows],
+        }
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -302,38 +304,62 @@ class PairVerdicts:
     def from_doc(cls, doc: object) -> "PairVerdicts":
         """Stored verdicts, which must cover every ordered pair of the rules
         they name, self-pairs included."""
-        if not isinstance(doc, list):
-            raise GraphError("pairs must be a list of pair verdicts")
-        entries: dict[tuple[str, str], tuple[bool, int]] = {}
-        for item in doc:
-            if (
-                not isinstance(item, dict)
-                or type(item.get("first")) is not str
-                or type(item.get("second")) is not str
+        if not isinstance(doc, dict):
+            raise GraphError(
+                "verdicts must be a table of rules, independent and reasons"
+            )
+        names = doc.get("rules")
+        if not isinstance(names, list):
+            raise GraphError("verdicts: rules must be a list of rule names")
+        for name in names:
+            if type(name) is not str:
+                raise GraphError(f"verdicts: rule name {name!r} must be a string")
+        for before, name in zip(names, names[1:]):
+            if before >= name:
+                raise GraphError(
+                    f"verdicts: rule {name} is named twice"
+                    if before == name
+                    else f"verdicts: rules must be sorted by name, but {name} "
+                    f"follows {before}"
+                )
+        matrices = (doc.get("independent"), doc.get("reasons"))
+        for key, matrix in zip(("independent", "reasons"), matrices):
+            if not isinstance(matrix, list) or len(matrix) != len(names):
+                raise GraphError(
+                    f"verdicts: {key} must be a list of one row per rule, "
+                    f"{len(names)} in all"
+                )
+            for first, row in zip(names, matrix):
+                if not isinstance(row, list) or len(row) != len(names):
+                    raise GraphError(
+                        f"verdicts: {key} row of {first} must hold one cell per "
+                        f"rule, {len(names)} in all"
+                    )
+        verdicts = list(chain.from_iterable(matrices[0]))
+        counts = list(chain.from_iterable(matrices[1]))
+        # JSON gives exact types: a bool is no count, and 1 is no verdict; a
+        # verdict times its count is nonzero only for an independent pair
+        # with reasons.  The cells are checked one by one only to name the
+        # first bad one.
+        if not (
+            set(map(type, verdicts)) <= {bool}
+            and set(map(type, counts)) <= {int}
+            and min(counts, default=0) >= 0
+            and not any(map(mul, verdicts, counts))
+        ):
+            for (first, second), independent, count in zip(
+                product(names, repeat=2), verdicts, counts
             ):
-                raise GraphError(
-                    f"pair verdict {item!r} must name its first and second rule"
-                )
-            pair = (item["first"], item["second"])
-            independent, count = item.get("independent"), item.get("reasons")
-            # JSON gives exact types: a bool is no count, and 1 is no verdict
-            if type(independent) is not bool:
-                raise GraphError(
-                    f"pair {' -> '.join(pair)}: independent must be true or false"
-                )
-            if type(count) is not int or count < 0 or (independent and count):
-                raise GraphError(
-                    f"pair {' -> '.join(pair)}: reasons must be a count of reasons, "
-                    "0 for an independent pair"
-                )
-            if pair in entries:
-                raise GraphError(f"pair {' -> '.join(pair)} has two verdicts")
-            entries[pair] = (independent, count)
-        names = {name for pair in entries for name in pair}
-        if len(entries) != len(names) ** 2:
-            missing = min((a, b) for a in names for b in names if (a, b) not in entries)
-            raise GraphError(f"no verdict for pair {' -> '.join(missing)}")
-        return cls(entries)
+                if type(independent) is not bool:
+                    raise GraphError(
+                        f"pair {first} -> {second}: independent must be true or false"
+                    )
+                if type(count) is not int or count < 0 or (independent and count):
+                    raise GraphError(
+                        f"pair {first} -> {second}: reasons must be a count of "
+                        "reasons, 0 for an independent pair"
+                    )
+        return cls(dict(zip(product(names, repeat=2), zip(verdicts, counts))))
 
 
 def pair_verdicts(flow: TaintedFlow) -> PairVerdicts:

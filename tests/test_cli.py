@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import shutil
 import socket
 import subprocess
@@ -558,13 +559,19 @@ def test_analyze_writes_a_sidecar_and_keeps_analysis_json(running_example, capsy
     analysis = (running_example / "analysis.json").read_text()
     assert doc["analysis_sha256"] == hashlib.sha256(analysis.encode()).hexdigest()
     names = [r.name for r in Project.load(running_example).analyzed_rules()]
-    assert len(doc["pairs"]) == len(names) ** 2
-    verdicts = {
-        (p["first"], p["second"]): (p["independent"], p["reasons"]) for p in doc["pairs"]
-    }
-    assert verdicts["createRepo", "updateRepo"] == (False, 1)
-    assert verdicts["createProject", "updateRepo"] == (True, 0)
-    assert verdicts["getProject", "deleteProject"] == (False, 0)  # a delete overlap
+    table = doc["verdicts"]
+    assert table["rules"] == sorted(names)
+    for matrix in (table["independent"], table["reasons"]):
+        assert [len(row) for row in matrix] == [len(names)] * len(names)
+    index = {name: i for i, name in enumerate(table["rules"])}
+
+    def verdict(first: str, second: str) -> tuple[bool, int]:
+        i, j = index[first], index[second]
+        return table["independent"][i][j], table["reasons"][i][j]
+
+    assert verdict("createRepo", "updateRepo") == (False, 1)
+    assert verdict("createProject", "updateRepo") == (True, 0)
+    assert verdict("getProject", "deleteProject") == (False, 0)  # a delete overlap
     # a second analysis over the same inputs writes the same bytes
     first = lock.read_bytes()
     _analyzed(running_example, capsys)
@@ -771,34 +778,79 @@ def _truncated(text: str) -> str:
     return text[: len(text) // 2]
 
 
-def _pairs(damage):
+def _table(damage):
     def edit(text: str) -> str:
         doc = json.loads(text)
-        damage(doc["pairs"])
+        damage(doc["verdicts"])
         return json.dumps(doc)
 
     edit.__name__ = damage.__name__
     return edit
 
 
-def _drop_entry(pairs):
-    del pairs[5]
+def _independent_cell(table) -> tuple[int, int]:
+    """The first cell of a pair the table calls independent."""
+    n = len(table["rules"])
+    return next(
+        (i, j) for i in range(n) for j in range(n) if table["independent"][i][j]
+    )
+
+
+def _drop_cell(table):
+    del table["independent"][1][5]
 
 
 def _verdict(value):
-    def damage(pairs):
-        pairs[0]["independent"] = value
+    def damage(table):
+        i, j = _independent_cell(table)
+        table["independent"][i][j] = value
 
     damage.__name__ = f"independent={json.dumps(value)}"
     return damage
 
 
 def _count(value):
-    def damage(pairs):
-        pairs[0]["reasons"] = value
+    def damage(table):
+        i, j = _independent_cell(table)
+        table["reasons"][i][j] = value
 
     damage.__name__ = f"reasons={json.dumps(value)}"
     return damage
+
+
+def _non_square(table):
+    del table["reasons"][-1]
+
+
+def _duplicated_name(table):
+    table["rules"][1] = table["rules"][0]
+
+
+def _unsorted_names(table):
+    rules = table["rules"]
+    rules[0], rules[1] = rules[1], rules[0]
+
+
+def _non_string_name(table):
+    table["rules"][0] = 5
+
+
+def _old_pairs_list(text: str) -> str:
+    """The sidecar as it was written before the table: a list of one object
+    per ordered pair, under `pairs`, with its digests still matching."""
+    doc = json.loads(text)
+    table = doc.pop("verdicts")
+    doc["pairs"] = [
+        {
+            "first": first,
+            "second": second,
+            "independent": table["independent"][i][j],
+            "reasons": table["reasons"][i][j],
+        }
+        for i, first in enumerate(table["rules"])
+        for j, second in enumerate(table["rules"])
+    ]
+    return json.dumps(doc)
 
 
 @pytest.mark.parametrize("command", sorted(LATER))
@@ -806,14 +858,19 @@ def _count(value):
     "damage",
     [
         _truncated,
-        _pairs(_drop_entry),
-        _pairs(_verdict("true")),
-        _pairs(_verdict(1)),
-        _pairs(_verdict(None)),
-        _pairs(_count(-1)),
-        _pairs(_count(True)),
-        _pairs(_count(2)),  # reasons for a pair the sidecar calls independent
+        _table(_drop_cell),
+        _table(_verdict("true")),
+        _table(_verdict(1)),
+        _table(_verdict(None)),
+        _table(_count(-1)),
+        _table(_count(True)),
+        _table(_count(2)),  # reasons for a pair the sidecar calls independent
         lambda text: "[]",
+        _table(_non_square),
+        _table(_duplicated_name),
+        _table(_unsorted_names),
+        _table(_non_string_name),
+        _old_pairs_list,
     ],
     ids=lambda damage: damage.__name__,
 )
@@ -826,6 +883,38 @@ def test_a_damaged_sidecar_exits_2_naming_it(running_example, capsys, command, d
     assert err.count(str(running_example)) == 1, err
 
 
+def _byte_edit(data: bytes, rng: random.Random) -> bytes:
+    """`data` with one byte replaced, deleted or inserted: mostly a
+    printable one, at times a byte that is not UTF-8 text on its own."""
+    at = rng.randrange(len(data))
+    byte = bytes([rng.choice([*range(32, 127), 10, 0, 0xFF])])
+    kind = rng.choice(("replace", "delete", "insert"))
+    if kind == "replace":
+        return data[:at] + byte + data[at + 1 :]
+    if kind == "delete":
+        return data[:at] + data[at + 1 :]
+    return data[:at] + byte + data[at:]
+
+
+def test_byte_edits_of_the_sidecar_never_crash_a_command(running_example, capsys):
+    lock = _analyzed(running_example, capsys)
+    files = {path: path.read_bytes() for path in running_example.iterdir()}
+    rng = random.Random(29)
+    codes: Counter = Counter()
+    for _ in range(60):
+        lock.write_bytes(_byte_edit(files[lock], rng))
+        for command in LATER:
+            code = _later(running_example, command)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (command, lock.read_bytes(), err)
+            assert code != 2 or "analysis.lock.json" in err, (command, err)
+            codes[code] += 1
+        for path, data in files.items():  # what a command wrote, as analyze left it
+            if path.read_bytes() != data:
+                path.write_bytes(data)
+    assert codes[2] > 0 and codes[0] > 0, codes
+
+
 @pytest.mark.parametrize("command", ["review apply", "plan-tests", "check-coverage"])
 def test_verdicts_of_other_rules_exit_2_naming_the_sidecar(
     running_example, capsys, command
@@ -833,14 +922,49 @@ def test_verdicts_of_other_rules_exit_2_naming_the_sidecar(
     lock = _analyzed(running_example, capsys)
     doc = json.loads(lock.read_text())
     # a complete matrix, but without one analyzed rule
-    doc["pairs"] = [
-        p for p in doc["pairs"] if "getProject" not in (p["first"], p["second"])
-    ]
+    table = doc["verdicts"]
+    gone = table["rules"].index("getProject")
+    for matrix in (table["rules"], table["independent"], table["reasons"]):
+        del matrix[gone]
+    for row in table["independent"] + table["reasons"]:
+        del row[gone]
     lock.write_text(json.dumps(doc))
     assert _later(running_example, command) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {lock}: its verdicts are not those of the analyzed rules")
     assert err.count(str(running_example)) == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--source", "--sink"])
+def test_check_theorem_on_a_rule_the_sidecar_lacks_names_it(
+    running_example, capsys, flag
+):
+    lock = _analyzed(running_example, capsys)
+    doc = json.loads(lock.read_text())
+    # a complete table whose one name is not that of an analyzed rule
+    doc["verdicts"]["rules"][0] += "X"
+    lock.write_text(json.dumps(doc))
+    names = {"--source": "createRepo", "--sink": "updateRepo", flag: "createIssue"}
+    argv = ["check-theorem", *(item for pair in names.items() for item in pair)]
+    assert main([*argv, "--project", str(running_example)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lock}: its verdicts are not those of the analyzed rules")
+
+
+@pytest.mark.parametrize("command", ["review apply", "plan-tests", "check-coverage"])
+def test_a_sidecar_counting_other_reasons_exits_2_naming_both_files(
+    running_example, capsys, command
+):
+    lock = _analyzed(running_example, capsys)
+    doc = json.loads(lock.read_text())
+    table = doc["verdicts"]
+    i, j = (table["rules"].index(name) for name in ("createRepo", "updateRepo"))
+    table["reasons"][i][j] += 1
+    lock.write_text(json.dumps(doc))
+    assert _later(running_example, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {running_example / 'analysis.json'}: "), err
+    assert "not those that analysis.lock.json counts" in err, err
 
 
 @pytest.mark.parametrize("command", ["review apply", "plan-tests", "check-coverage"])

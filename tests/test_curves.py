@@ -82,3 +82,11 @@ def test_the_forest_curve_at_depth_6_explores_85_hosts():
     assert (point["isomorphic_calls"], point["negative"]) == (140, 34)
     assert 0 < point["identical"] <= point["isomorphic_calls"] - point["negative"]
     assert point["wall_s"] >= 0
+
+
+def test_the_verdicts_curve_at_17_rules_round_trips_its_table():
+    point = _curves().verdicts(17)
+    assert (point["curve"], point["rules"], point["round_trip"]) == ("verdicts", 17, True)
+    # the rules' names and two 17 x 17 matrices, one cell a line
+    assert point["bytes"] == 6822
+    assert point["write_ms"] > 0 and point["load_ms"] > 0

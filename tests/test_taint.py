@@ -247,6 +247,60 @@ def test_stored_verdicts_answer_as_the_engine_does(api, flow):
             )
 
 
+@st.composite
+def verdict_tables(draw) -> PairVerdicts:
+    """Verdicts of 1-12 rules: an independent pair has no reasons."""
+    names = draw(
+        st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=12, unique=True)
+    )
+    entries = {}
+    for first in names:
+        for second in names:
+            independent = draw(st.booleans())
+            count = 0 if independent else draw(st.integers(min_value=0, max_value=40))
+            entries[first, second] = (independent, count)
+    return PairVerdicts(entries)
+
+
+# one bad cell each: a verdict that is not a bool, a count that is not a
+# non-negative int, an independent pair with reasons, or a missing cell
+CELL_DAMAGES = [
+    ("independent", "true"),
+    ("independent", 1),
+    ("independent", 0),
+    ("independent", None),
+    ("independent", []),
+    ("reasons", -1),
+    ("reasons", True),
+    ("reasons", False),
+    ("reasons", 1.0),
+    ("reasons", "0"),
+    ("reasons", None),
+    ("independent with reasons", 1),
+    ("drop", "independent"),
+    ("drop", "reasons"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(verdict_tables(), st.sampled_from(CELL_DAMAGES), st.data())
+def test_the_verdict_table_round_trips_and_rejects_any_bad_cell(verdicts, damage, data):
+    doc = json.loads(json.dumps(verdicts.to_doc()))
+    assert PairVerdicts.from_doc(doc) == verdicts
+    n = len(verdicts.names)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    kind, value = damage
+    if kind == "drop":
+        del doc[value][i][j]
+    elif kind == "independent with reasons":
+        doc["independent"][i][j] = True
+        doc["reasons"][i][j] = max(doc["reasons"][i][j], value)
+    else:
+        doc[kind][i][j] = value
+    with pytest.raises(GraphError):
+        PairVerdicts.from_doc(doc)
+
+
 @pytest.mark.parametrize("name", ["running-example", "github-issue", "synthetic"])
 def test_the_sidecar_answers_as_the_engine_does(tmp_path, capsys, name):
     project = tmp_path / name
@@ -256,15 +310,17 @@ def test_the_sidecar_answers_as_the_engine_does(tmp_path, capsys, name):
         shutil.copytree(PROJECTS / name, project)
     assert main(["analyze", "--project", str(project)]) == 0
     capsys.readouterr()
-    records = json.loads((project / "analysis.lock.json").read_text())["pairs"]
+    table = json.loads((project / "analysis.lock.json").read_text())["verdicts"]
     rules = {r.name: r for r in Project.load(project).analyzed_rules()}
-    assert len(records) == len(rules) ** 2
-    for record in records:
-        first, second = rules[record["first"]], rules[record["second"]]
-        assert record["independent"] == universally_sequentially_independent(
-            first, second
-        ), record
-        assert record["reasons"] == len(dependency_reasons(first, second)), record
+    assert table["rules"] == sorted(rules)
+    for first, verdicts, counts in zip(
+        table["rules"], table["independent"], table["reasons"]
+    ):
+        assert len(verdicts) == len(counts) == len(rules)
+        for second, independent, count in zip(table["rules"], verdicts, counts):
+            pair = (rules[first], rules[second])
+            assert independent == universally_sequentially_independent(*pair), pair
+            assert count == len(dependency_reasons(*pair)), pair
 
 
 def test_the_matrix_answers_every_pair_of_the_synthetic_project(tmp_path):

@@ -54,11 +54,21 @@ more run, by re-binding `graphbac.rules.isomorphic`), how many of them
 compared graphs with identical nodes and edges, and how many answered no.
 `canonical_form` cannot tell most forests of a size apart, so the
 negatives grow fast with the depth.
+
+verdicts: the analysis sidecar's verdict table for n rules, seeded with
+n: nine pairs in ten independent, the rest with 0-2 reasons.  A point
+reports the bytes of the table as `analyze` writes it (`to_doc`, then
+`json.dumps` with `indent=2, sort_keys=True`), the median write time
+(the same two calls) and load time (`json.loads`, then
+`PairVerdicts.from_doc`), and whether the loaded verdicts equal the
+written ones.  The table has n * n cells, so both times grow with n
+squared; what a cell costs is the format's.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import statistics
 import sys
 import threading
@@ -78,6 +88,7 @@ from graphbac.mockserver import serve, target_from_doc  # noqa: E402
 from graphbac.oracle import run_oracle  # noqa: E402
 from graphbac.rules import CREATE, PRESERVE, Rule, explore  # noqa: E402
 from graphbac.runner import RunnerConfig, http_transport, run_plan  # noqa: E402
+from graphbac.taint import PairVerdicts  # noqa: E402
 from randgen import wide_system  # noqa: E402
 
 KSTAR_POINTS = (3, 4, 5, 6)
@@ -86,6 +97,7 @@ SWEEP_SEEDS = (255, 66)
 MOCKSTATE_POINTS = (1, 6, 12, 20, 60, 120)
 HTTP_POINTS = (1, 6)
 FOREST_POINTS = (6, 7, 8)
+VERDICTS_POINTS = (17, 34, 68, 136)
 REPEATS = 5
 
 
@@ -277,6 +289,35 @@ def forest(depth: int) -> dict:
     return {"curve": "forest", "depth": depth, "hosts": len(hosts), **checks, **walls}
 
 
+def verdicts(n: int) -> dict:
+    rng = random.Random(n)
+    names = [f"rule{i:03d}" for i in range(n)]
+    entries = {}
+    for first in names:
+        for second in names:
+            independent = rng.random() < 0.9  # an independent pair has no reasons
+            entries[first, second] = (independent, 0 if independent else rng.randint(0, 2))
+    table = PairVerdicts(entries)
+    write_ms, load_ms = [], []
+    for _ in range(REPEATS):
+        fresh = PairVerdicts(dict(table.entries))  # no names cached
+        start = time.perf_counter()
+        text = json.dumps(fresh.to_doc(), indent=2, sort_keys=True)
+        middle = time.perf_counter()
+        loaded = PairVerdicts.from_doc(json.loads(text))
+        end = time.perf_counter()
+        write_ms.append(1000 * (middle - start))
+        load_ms.append(1000 * (end - middle))
+    return {
+        "curve": "verdicts",
+        "rules": n,
+        "bytes": len(text.encode()),
+        "round_trip": loaded == table,
+        "write_ms": round(statistics.median(write_ms), 3),
+        "load_ms": round(statistics.median(load_ms), 3),
+    }
+
+
 def main() -> int:
     for k in KSTAR_POINTS:
         print(json.dumps(kstar(k)), flush=True)
@@ -290,6 +331,8 @@ def main() -> int:
         print(json.dumps(http(rounds)), flush=True)
     for depth in FOREST_POINTS:
         print(json.dumps(forest(depth)), flush=True)
+    for n in VERDICTS_POINTS:
+        print(json.dumps(verdicts(n)), flush=True)
     return 0
 
 
