@@ -126,6 +126,15 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _table_sha256(table: object) -> str:
+    """sha256 of the sidecar's verdicts table, over its compact JSON form
+    with sorted keys, so that it does not depend on the file's layout.  A
+    table parsed from JSON or built by `PairVerdicts.to_doc` has no cycle
+    to check for, and the check takes a fifth of the time."""
+    text = json.dumps(table, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return _sha256(text)
+
+
 @cache
 def _analysis_code_sha256() -> str:
     """sha256 over the source of the modules that run the analysis."""
@@ -383,12 +392,13 @@ class Project:
         """The analysis the stages after `analyze` read, once per command.
 
         Without a sidecar it is computed now, as `analyze` computes it.
-        With one whose digests match the input bytes and `analysis.json`,
-        the verdicts come from the sidecar, and the API and the flow are
-        built on first use, so a stage that needs only the verdicts parses
-        no input.  A sidecar that is damaged or no longer matches is an
-        error that asks for `analyze`; the input documents are parsed
-        before it is raised, so that a damaged one names its own file.
+        With one whose digests match the input bytes, `analysis.json` and
+        the sidecar's own verdicts table, the verdicts come from the
+        sidecar, and the API and the flow are built on first use, so a
+        stage that needs only the verdicts parses no input.  A sidecar that
+        is damaged or no longer matches is an error that asks for
+        `analyze`; the input documents are parsed before it is raised, so
+        that a damaged one names its own file.
         """
         lock_path = self.analysis_lock_path()
         if not lock_path.exists():
@@ -418,17 +428,17 @@ class Project:
 
     def _checked_sidecar(self, lock_path: Path) -> tuple[PairVerdicts, str]:
         """The sidecar's verdicts and the text of the `analysis.json` it
-        vouches for, once both digests match."""
+        vouches for, once its three digests match."""
         lock = _load_json(lock_path)
         analysis_path = self.path("analysis")
         with _file_context(lock_path):
-            digests = ("inputs_sha256", "analysis_sha256")
+            digests = ("inputs_sha256", "analysis_sha256", "verdicts_sha256")
             if not isinstance(lock, dict) or not all(
                 isinstance(lock.get(key), str) for key in digests
             ):
                 raise GraphError(
-                    "analysis sidecar must hold the inputs_sha256 and "
-                    f"analysis_sha256 digests; {_RERUN}"
+                    "analysis sidecar must hold the inputs_sha256, analysis_sha256 "
+                    f"and verdicts_sha256 digests; {_RERUN}"
                 )
             if lock["inputs_sha256"] != self.analysis_inputs_sha256():
                 raise GraphError(
@@ -443,8 +453,13 @@ class Project:
                     f"out of date: {analysis_path.name} changed since it was "
                     f"written; {_RERUN}"
                 )
+            table = lock.get("verdicts")
+            if lock["verdicts_sha256"] != _table_sha256(table):
+                raise GraphError(
+                    f"its verdicts table changed since analyze wrote it; {_RERUN}"
+                )
             try:
-                return PairVerdicts.from_doc(lock.get("verdicts")), text
+                return PairVerdicts.from_doc(table), text
             except GraphError as exc:
                 raise GraphError(f"{exc}; {_RERUN}") from exc
 
@@ -554,12 +569,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         label = "reason" if count == 1 else "reasons"
         print(f"  {source} -> {sink}  ({count} {label})")
     text = _write_doc(project.path("analysis"), _analysis_doc(flow))
+    table = analysis.verdicts.to_doc()
     _write_doc(
         project.analysis_lock_path(),
         {
             "inputs_sha256": project.analysis_inputs_sha256(),
             "analysis_sha256": _sha256(text),
-            "verdicts": analysis.verdicts.to_doc(),
+            "verdicts": table,
+            "verdicts_sha256": _table_sha256(table),
         },
     )
     return 0

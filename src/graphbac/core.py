@@ -5,7 +5,9 @@ ids and parallel edges are allowed because every edge has its own identity.
 Node attributes are reporting metadata and never take part in matching.  All
 values are immutable after construction, so they can be shared freely, with
 one exception: an owned graph (`InstanceGraph._owned`), which its one owner
-steps in place.
+steps in place.  Every rule step, from a shared graph or an owned one, is one
+derivation through `InstanceGraph._derive`, which makes all its checks before
+it changes anything.
 """
 
 from __future__ import annotations
@@ -120,11 +122,12 @@ class InstanceGraph:
     edge ids live in one namespace so rule element sets are unambiguous.
 
     The constructor copies and validates the whole graph.  `subgraph` and
-    `_derive` (through which rule steps go) validate only what they change.
-    A graph is never changed once made, except an owned one (`_owned`):
-    a step from it changes its dicts and matcher caches in place and hands
-    them to the result, so that the step costs what it changes, not the
-    whole graph, and the graph stepped from is spent.
+    `_derive` (through which every rule step goes) validate only what they
+    change.  A graph is never changed once made, except an owned one
+    (`_owned`): `_derive` makes the same checks on it, then changes its
+    dicts and matcher caches in place and hands them to the result, so that
+    the step costs what it changes, not the whole graph, and the graph
+    stepped from is spent.
     """
 
     typegraph: TypeGraph
@@ -239,64 +242,27 @@ class InstanceGraph:
 
         Ids that name no element of their kind are ignored.  No kept edge
         may touch a removed node, and the new elements need ids fresh
-        against the kept ones and must fit the type graph.  The result
-        builds its own caches, unless this graph is owned (see `_owned`).
+        against the kept ones and must fit the type graph.  Every check is
+        made against this graph before anything changes.  The result gets
+        copies of this graph's dicts and builds its own caches, unless this
+        graph is owned (see `_owned`): then it gets the dicts themselves and
+        each cache built so far, changed to equal what it would build
+        afresh (incidence and `by_type` lists sorted, `by_edge` lists in
+        edge order, neighbour lists distinct).
         """
-        if "_live" in self.__dict__:
-            return self._hand_on(node_ids, edge_ids, nodes, edges)
-        kept_nodes, kept_edges = dict(self.nodes), dict(self.edges)
-        # a stray id, or one given twice, pops nothing and goes unrecorded
-        removed_nodes = tuple(n for n in node_ids if kept_nodes.pop(n, None) is not None)
-        removed_edges = tuple(e for e in edge_ids if kept_edges.pop(e, None) is not None)
-        if removed_nodes:
-            edge = dangling_edge(self, removed_nodes, set(removed_edges))
-            if edge is not None:
-                raise GraphError(f"edge {edge} has a missing endpoint")
-        clash = {i for i in (*nodes, *edges) if i in kept_nodes or i in kept_edges}
-        if clash:
-            raise GraphError(f"ids already present: {sorted(clash)}")
-        nodes = dict(nodes)
-        edges = {i: Edge(*e) for i, e in edges.items()}
-        kept_nodes.update(nodes)
-        _check_elements(self.typegraph, kept_nodes, nodes, edges)
-        kept_edges.update(edges)
-        return InstanceGraph._trusted(self.typegraph, kept_nodes, kept_edges)
-
-    def _owned(self) -> "InstanceGraph":
-        """A copy of this graph for an owner that steps from each graph once
-        and never goes back to it, as the mock steps its state.
-
-        Its `_derive` makes the same checks, all before anything changes,
-        then changes the graph's dicts and the caches it has built in place
-        and hands them to the result, which is owned in turn; the graph it
-        stepped from is spent, and another step from it raises GraphError.
-        """
-        graph = InstanceGraph._trusted(self.typegraph, dict(self.nodes), dict(self.edges))
-        graph.__dict__["_live"] = True
-        return graph
-
-    def _hand_on(
-        self,
-        node_ids: Iterable[str],
-        edge_ids: Iterable[str],
-        nodes: dict[str, str],
-        edges: dict[str, Edge],
-    ) -> "InstanceGraph":
-        """`_derive` on an owned graph (see `_owned`).  Each cache it has
-        built is changed to equal what the result would build afresh:
-        incidence and `by_type` lists stay sorted, `by_edge` lists in edge
-        order, and neighbour lists distinct."""
-        if not self.__dict__["_live"]:
+        built = self.__dict__
+        owned = "_live" in built
+        if owned and not built["_live"]:
             raise GraphError("graph already stepped from; step from its result")
         own_nodes, own_edges = self.nodes, self.edges
         # a stray id, or one given twice, goes unrecorded
-        removed_nodes = tuple(dict.fromkeys(n for n in node_ids if n in own_nodes))
-        removed_edges = tuple(dict.fromkeys(e for e in edge_ids if e in own_edges))
+        removed_nodes = own_nodes.keys() & node_ids
+        removed_edges = own_edges.keys() & edge_ids
         if removed_nodes:
-            edge = dangling_edge(self, removed_nodes, set(removed_edges))
+            edge = dangling_edge(self, removed_nodes, removed_edges)
             if edge is not None:
                 raise GraphError(f"edge {edge} has a missing endpoint")
-        gone = {*removed_nodes, *removed_edges}
+        gone = removed_nodes | removed_edges
         clash = {
             i for i in (*nodes, *edges) if (i in own_nodes or i in own_edges) and i not in gone
         }
@@ -304,21 +270,25 @@ class InstanceGraph:
             raise GraphError(f"ids already present: {sorted(clash)}")
         nodes = dict(nodes)
         edges = {i: Edge(*e) for i, e in edges.items()}
-        ends = {}  # the new edges' endpoints that are nodes after the change
+        ends = dict(nodes)  # and the new edges' endpoints that are kept nodes
         for e in edges.values():
-            for n in (e.src, e.tgt):
-                if n in nodes:
-                    ends[n] = nodes[n]
-                elif n in own_nodes and n not in gone:
+            for n in e[1:]:
+                if n in own_nodes and n not in gone:
                     ends[n] = own_nodes[n]
         _check_elements(self.typegraph, ends, nodes, edges)
 
-        # every check made: change the dicts, then each built cache
-        dropped = [(n, own_nodes.pop(n)) for n in removed_nodes]
-        cut = [(e, own_edges.pop(e)) for e in removed_edges]
-        own_nodes.update(nodes)
-        own_edges.update(edges)
-        built = self.__dict__
+        # every check made: the result's dicts, then each built cache
+        if owned:
+            kept_nodes, kept_edges = own_nodes, own_edges
+        else:
+            kept_nodes, kept_edges = dict(own_nodes), dict(own_edges)
+        dropped = [(n, kept_nodes.pop(n)) for n in removed_nodes]
+        cut = [(e, kept_edges.pop(e)) for e in removed_edges]
+        kept_nodes.update(nodes)
+        kept_edges.update(edges)
+        graph = InstanceGraph._trusted(self.typegraph, kept_nodes, kept_edges)
+        if not owned:
+            return graph
         incidence = built.get("_incidence")
         if incidence is not None:
             for eid, (_, src, tgt) in cut:
@@ -378,12 +348,24 @@ class InstanceGraph:
                 else:
                     ids.append(eid)
 
-        graph = InstanceGraph._trusted(self.typegraph, own_nodes, own_edges)
         for cache in ("_incidence", "_signatures", "_floors", "_index"):
             if cache in built:
                 graph.__dict__[cache] = built.pop(cache)
         built.pop("_plans", None)  # plans of the pattern it was
         built["_live"] = False
+        graph.__dict__["_live"] = True
+        return graph
+
+    def _owned(self) -> "InstanceGraph":
+        """A copy of this graph for an owner that steps from each graph once
+        and never goes back to it, as the mock steps its state.
+
+        A step from it (`_derive`) hands its dicts and the caches it has
+        built, changed in place, to the result, which is owned in turn; the
+        graph it stepped from is spent, and another step from it raises
+        GraphError.
+        """
+        graph = InstanceGraph._trusted(self.typegraph, dict(self.nodes), dict(self.edges))
         graph.__dict__["_live"] = True
         return graph
 

@@ -15,7 +15,9 @@ deterministic, so sharing it changes no planned step.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
+from itertools import tee
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -268,6 +270,15 @@ class TestStep:
         rule, role = doc["rule"], doc["role"]
         if not (isinstance(rule, str) and isinstance(role, str)):
             raise GraphError(f"step {rule!r}: rule and role must be strings")
+        for var, hint in bindings.items():
+            # a step index is an int that is not a bool: `true` would read as 1
+            if "value" not in hint and not (
+                type(hint.get("step")) is int and isinstance(hint.get("node"), str)
+            ):
+                raise GraphError(
+                    f"step {rule}: binding {var} must hold a value, or an integer "
+                    "step and a string node"
+                )
         return cls(
             rule=rule,
             role=role,
@@ -361,28 +372,6 @@ class TestPlan:
 _Explored = tuple[InstanceGraph, tuple[DirectTransformation, ...]]
 
 
-class _Exploration:
-    """One `explore` from a start host, grown only as far as a search needs,
-    and everything it has yielded so far."""
-
-    def __init__(self, hosts: Iterator[_Explored]) -> None:
-        self._hosts = hosts
-        self._yielded: list[_Explored] = []
-
-    def __iter__(self) -> Iterator[_Explored]:
-        """What `explore` yields, in its order: first what it yielded
-        before, then what it goes on to yield."""
-        index = 0
-        while True:
-            if index == len(self._yielded):
-                step = next(self._hosts, None)
-                if step is None:
-                    return
-                self._yielded.append(step)
-            yield self._yielded[index]
-            index += 1
-
-
 def _host_key(host: InstanceGraph) -> tuple:
     """The host's exact elements: equal keys mean equal node and edge ids."""
     return tuple(sorted(host.nodes.items())), tuple(sorted(host.edges.items()))
@@ -393,19 +382,21 @@ def _search_embedding(
     initial: InstanceGraph,
     rules: Iterable[Rule],
     depth: int,
-    explorations: dict[tuple, _Exploration],
+    explorations: dict[tuple, Iterator[_Explored]],
 ) -> list[DirectTransformation] | None:
     """The steps to the first explored host the pattern embeds in, else None.
 
-    `explorations` holds, by start host, the explorations of earlier
-    searches with the same rules and depth.  A search from one of those
-    hosts goes on with its exploration rather than starting another.
-    `explore` is deterministic, so the steps are the same either way.
+    `explorations` holds, by start host, an unadvanced `tee` of the
+    exploration of earlier searches with the same rules and depth.  A
+    search from one of those hosts iterates a copy of it, which yields
+    first what the exploration has yielded before, then goes on with it,
+    rather than starting another.  `explore` is deterministic, so the steps
+    are the same either way.
     """
     key = _host_key(initial)
     if key not in explorations:
-        explorations[key] = _Exploration(explore(rules, initial, depth))
-    for host, trace in explorations[key]:
+        explorations[key] = tee(explore(rules, initial, depth), 1)[0]
+    for host, trace in copy(explorations[key]):
         if next(iter_matches(pattern, host), None) is not None:
             return list(trace)
     return None
@@ -522,7 +513,7 @@ class _Planner:
         self.notes: list[str] = []
         self.infeasible: list[str] = []
         # the explorations the run's setup searches share, by start host
-        self.explorations: dict[tuple, _Exploration] = {}
+        self.explorations: dict[tuple, Iterator[_Explored]] = {}
 
     # -- helpers
 

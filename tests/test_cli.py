@@ -553,6 +553,14 @@ def _later(project: Path, command: str) -> int:
     return main([*LATER[command], "--project", str(project)])
 
 
+def _signed(lock: Path, doc: dict) -> None:
+    """Write `doc` to the sidecar with a verdicts digest that fits its
+    table, as an `analyze` that got the table wrong would write it."""
+    table = json.dumps(doc["verdicts"], sort_keys=True, separators=(",", ":"))
+    doc["verdicts_sha256"] = hashlib.sha256(table.encode()).hexdigest()
+    lock.write_text(json.dumps(doc))
+
+
 def test_analyze_writes_a_sidecar_and_keeps_analysis_json(running_example, capsys):
     lock = _analyzed(running_example, capsys)
     doc = json.loads(lock.read_text())
@@ -560,6 +568,8 @@ def test_analyze_writes_a_sidecar_and_keeps_analysis_json(running_example, capsy
     assert doc["analysis_sha256"] == hashlib.sha256(analysis.encode()).hexdigest()
     names = [r.name for r in Project.load(running_example).analyzed_rules()]
     table = doc["verdicts"]
+    compact = json.dumps(table, sort_keys=True, separators=(",", ":"))
+    assert doc["verdicts_sha256"] == hashlib.sha256(compact.encode()).hexdigest()
     assert table["rules"] == sorted(names)
     for matrix in (table["independent"], table["reasons"]):
         assert [len(row) for row in matrix] == [len(names)] * len(names)
@@ -915,6 +925,45 @@ def test_byte_edits_of_the_sidecar_never_crash_a_command(running_example, capsys
     assert codes[2] > 0 and codes[0] > 0, codes
 
 
+def _renamed_rule(table, api_pairs):
+    names = table["rules"]
+    names[names.index("getUser")] = "getUsex"  # still in sorted order
+
+
+def _count_outside_the_api(table, api_pairs):
+    names = table["rules"]
+    i, j = next(
+        (i, j)
+        for i, first in enumerate(names)
+        for j, second in enumerate(names)
+        if not table["independent"][i][j] and (first, second) not in api_pairs
+    )
+    table["reasons"][i][j] += 1
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        ("check-theorem", _renamed_rule),
+        *((command, _count_outside_the_api) for command in sorted(LATER)),
+    ],
+)
+def test_a_well_formed_edit_of_the_verdicts_asks_for_analyze(
+    running_example, capsys, command, edit
+):
+    # the table is still one `PairVerdicts.from_doc` accepts, but not the
+    # one `analyze` wrote: its digest in the sidecar tells
+    lock = _analyzed(running_example, capsys)
+    doc = json.loads(lock.read_text())
+    edit(doc["verdicts"], set(Project.load(running_example).api().pairs()))
+    lock.write_text(json.dumps(doc))
+    assert _later(running_example, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {lock}: its verdicts table changed since analyze wrote it")
+    assert err.rstrip().endswith("run `graphbac analyze`"), err
+    assert err.count(str(running_example)) == 1, err
+
+
 @pytest.mark.parametrize("command", ["review apply", "plan-tests", "check-coverage"])
 def test_verdicts_of_other_rules_exit_2_naming_the_sidecar(
     running_example, capsys, command
@@ -928,7 +977,7 @@ def test_verdicts_of_other_rules_exit_2_naming_the_sidecar(
         del matrix[gone]
     for row in table["independent"] + table["reasons"]:
         del row[gone]
-    lock.write_text(json.dumps(doc))
+    _signed(lock, doc)
     assert _later(running_example, command) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {lock}: its verdicts are not those of the analyzed rules")
@@ -943,7 +992,7 @@ def test_check_theorem_on_a_rule_the_sidecar_lacks_names_it(
     doc = json.loads(lock.read_text())
     # a complete table whose one name is not that of an analyzed rule
     doc["verdicts"]["rules"][0] += "X"
-    lock.write_text(json.dumps(doc))
+    _signed(lock, doc)
     names = {"--source": "createRepo", "--sink": "updateRepo", flag: "createIssue"}
     argv = ["check-theorem", *(item for pair in names.items() for item in pair)]
     assert main([*argv, "--project", str(running_example)]) == 2
@@ -960,7 +1009,7 @@ def test_a_sidecar_counting_other_reasons_exits_2_naming_both_files(
     table = doc["verdicts"]
     i, j = (table["rules"].index(name) for name in ("createRepo", "updateRepo"))
     table["reasons"][i][j] += 1
-    lock.write_text(json.dumps(doc))
+    _signed(lock, doc)
     assert _later(running_example, command) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {running_example / 'analysis.json'}: "), err
@@ -1109,26 +1158,60 @@ def test_plan_outside_the_role_spec_is_rejected(running_example, capsys):
     assert "Ghost" in err
 
 
+def _refused_plan(
+    project: Path, capsys, monkeypatch, command: str, doc: dict
+) -> tuple[Path, str]:
+    """Run `command` on `doc` as its plan, which must exit 2 and write no
+    report; return the plan's path and what went to stderr."""
+    for var, token in RUNNING_TOKENS.items():
+        monkeypatch.setenv(var, token)
+    if command == "check-coverage":
+        plan = project / "plan.json"
+        argv = ["check-coverage"]
+    else:
+        plan = project / "elsewhere.json"
+        # the port is never contacted: the plan is refused before any request
+        argv = ["run-tests", "--plan", str(plan), "--endpoint", "http://127.0.0.1:1/graphql"]
+    plan.write_text(json.dumps(doc))
+    assert main([*argv, "--project", str(project)]) == 2
+    assert not (project / "report.json").exists()
+    return plan, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["check-coverage", "run-tests"])
 def test_a_plan_step_with_an_unknown_rule_exits_2_naming_the_plan(
     running_example, capsys, monkeypatch, command
 ):
-    for var, token in RUNNING_TOKENS.items():
-        monkeypatch.setenv(var, token)
     doc = json.loads((running_example / "plan.json").read_text())
     doc["tests"][0]["steps"][-1]["rule"] = "noSuchRule"
-    if command == "check-coverage":
-        plan = running_example / "plan.json"
-        argv = ["check-coverage"]
-    else:
-        plan = running_example / "elsewhere.json"
-        # the port is never contacted: the plan is refused before any request
-        argv = ["run-tests", "--plan", str(plan), "--endpoint", "http://127.0.0.1:1/graphql"]
-    plan.write_text(json.dumps(doc))
-    assert main([*argv, "--project", str(running_example)]) == 2
-    err = capsys.readouterr().err
+    plan, err = _refused_plan(running_example, capsys, monkeypatch, command, doc)
     assert err == f"error: {plan}: plan uses rule(s) not in rules.json: noSuchRule\n"
-    assert not (running_example / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["check-coverage", "run-tests"])
+@pytest.mark.parametrize(
+    "hint",
+    [
+        {"step": 0, "node": ["x"]},  # once a TypeError in the runner: exit 4
+        {"step": True, "node": "repo"},  # once read as step 1
+        {"step": 0.0, "node": "repo"},
+        {"step": "0", "node": "repo"},
+        {"step": 0, "node": 5},
+        {"step": 0},
+        {"node": "repo"},
+        {},
+    ],
+    ids=json.dumps,
+)
+def test_a_malformed_binding_hint_exits_2_naming_the_plan(
+    running_example, capsys, monkeypatch, command, hint
+):
+    doc = json.loads((running_example / "plan.json").read_text())
+    step = next(s for t in doc["tests"] for s in t["steps"] if s["bindings"])
+    var = min(step["bindings"])
+    step["bindings"][var] = hint
+    plan, err = _refused_plan(running_example, capsys, monkeypatch, command, doc)
+    assert err.startswith(f"error: {plan}: step {step['rule']}: binding {var} "), err
 
 
 @pytest.mark.parametrize(

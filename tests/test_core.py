@@ -590,17 +590,24 @@ def test_a_carried_match_that_a_dangling_edge_blocked_fires_once_the_edge_is_cut
         ((["u"], ["repos", "owner"], {}, {"e": ("User.repos", "u", "r")}), "edge e has a missing"),
     ],
 )
-def test_a_refused_step_leaves_an_owned_graph_as_it_was(change, message):
-    owned = user_repo_host()._owned()
+@pytest.mark.parametrize("owned", [True, False], ids=["owned", "shared"])
+def test_a_refused_step_leaves_an_owned_graph_as_it_was(change, message, owned):
+    # one derivation for both kinds of graph: its checks come before any change
+    graph = user_repo_host()._owned() if owned else user_repo_host()
     for cache in CACHES:
-        getattr(owned, cache)
-    _fresh_ids(["repos"], owned)  # raises a floor
-    before = {k: repr(v) for k, v in owned.__dict__.items()}
+        getattr(graph, cache)
+    _fresh_ids(["repos"], graph)  # raises a floor
+    before = {k: repr(v) for k, v in graph.__dict__.items()}
     with pytest.raises(GraphError, match=message):
-        owned._derive(*change)
-    assert {k: repr(v) for k, v in owned.__dict__.items()} == before
-    # still live: the next step goes through
-    assert owned._derive(["u"], ["repos", "owner"], {}, {}).nodes == {"r": "Repository"}
+        graph._derive(*change)
+    assert {k: repr(v) for k, v in graph.__dict__.items()} == before
+    # an owned graph is still live: the next step goes through
+    result = graph._derive(["u"], ["repos", "owner"], {}, {})
+    assert result.nodes == {"r": "Repository"}
+    if not owned:
+        # a shared graph keeps its own nodes, edges and caches
+        assert {k: repr(v) for k, v in graph.__dict__.items()} == before
+        assert result.nodes is not graph.nodes and result.edges is not graph.edges
 
 
 @settings(max_examples=60, deadline=None)

@@ -39,6 +39,7 @@ from graphbac.planner import (
     RoleSpec,
     TaintTest,
     TestPlan,
+    TestStep,
     check_flow_coverage,
     check_role_coverage,
     _host_key,
@@ -343,6 +344,17 @@ def test_fully_allowed_sink_is_negative_infeasible(reviewed_flow):
 def test_plan_document_roundtrip(plan):
     doc = json.loads(json.dumps(plan.to_doc()))
     assert TestPlan.from_doc(doc) == plan
+
+
+def test_a_plan_step_takes_value_hints_and_step_hints():
+    # a hint with a value is a value hint, whatever else it holds
+    bindings = {
+        "a": {"value": ["any", 1]},
+        "b": {"step": 0, "node": "n"},
+        "c": {"value": None, "step": True},
+    }
+    step = TestStep.from_doc({"rule": "r", "role": "Owner", "bindings": bindings})
+    assert step.bindings == bindings
 
 
 RANKED = (NOPE, COLLAB, OWNER)
