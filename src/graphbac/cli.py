@@ -120,6 +120,8 @@ def _parse_json(path: Path, text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise GraphError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def _sha256(text: str) -> str:

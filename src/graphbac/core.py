@@ -5,9 +5,9 @@ ids and parallel edges are allowed because every edge has its own identity.
 Node attributes are reporting metadata and never take part in matching.  All
 values are immutable after construction, so they can be shared freely, with
 one exception: an owned graph (`InstanceGraph._owned`), which its one owner
-steps in place.  Every rule step, from a shared graph or an owned one, is one
-derivation through `InstanceGraph._derive`, which makes all its checks before
-it changes anything.
+steps in place.  Every rule step but a query's (which gives back its host) is
+one derivation through `InstanceGraph._derive`, from a shared graph or an
+owned one, which makes all its checks before it changes anything.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class InstanceGraph:
     edge ids live in one namespace so rule element sets are unambiguous.
 
     The constructor copies and validates the whole graph.  `subgraph` and
-    `_derive` (through which every rule step goes) validate only what they
+    `_derive` (every rule step but a query's) validate only what they
     change.  A graph is never changed once made, except an owned one
     (`_owned`): `_derive` makes the same checks on it, then changes its
     dicts and matcher caches in place and hands them to the result, so that

@@ -217,11 +217,6 @@ class MockTarget:
             return _error(
                 NOT_FOUND, f"no resource satisfies the bindings of {rule.name}"
             )
-        if rule.preserves_all():
-            # a query's step would only derive an equal state: answer from
-            # the match and keep the state
-            payload = {node: match.node_map[node] for node in rule.nodes}
-            return {"data": {rule.operation(): payload}}
         try:
             t = apply(rule, self.graph, match)
         except NotApplicableError as exc:
@@ -399,7 +394,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = json.loads(self.rfile.read(size) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
-        except ValueError as exc:  # JSONDecodeError and bad UTF-8 included
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
             self._respond(400, _error(BAD_REQUEST, f"malformed request: {exc}"))
             return
         response = self.target.execute(self.headers.get("authorization"), body)

@@ -10,9 +10,9 @@ left, undoing a step from its comatch, and is the engine primitive used to
 certify that glued overlap graphs are actually reachable.
 `transformations` lists every way a rule fires on a host, and `explore` is
 the one breadth-first search over them: the planner looks in it for setup
-steps and the oracle enumerates the reachable states with it.  `explore`
-steps no rule that creates and deletes nothing, since such a step only
-gives back the host it started from.  Two hosts are the same state when
+steps and the oracle enumerates the reachable states with it.  A query, a
+rule that creates and deletes nothing, steps to its very host in `apply`,
+and `explore` never steps one.  Two hosts are the same state when
 `isomorphic`: equal node and edge dicts decide it at once, and otherwise
 it asks the matcher for one injective match; `canonical_form` is only a
 cheap invariant that buckets hosts before that check.
@@ -166,7 +166,7 @@ class Rule:
 
     def preserves_all(self) -> bool:
         """True when every node and edge is tagged preserve (a query): a step
-        removes and adds nothing."""
+        removes and adds nothing, so `apply` returns the host as its result."""
         return all(tag == PRESERVE for tag in self.tags.values())
 
 
@@ -263,10 +263,14 @@ def _rewrite(
 def apply(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformation:
     """Apply the rule at an injective match of its left-hand side.
 
-    The match is valid, so the comatch is too and skips its checks.
+    The match is valid, so the comatch is too and skips its checks.  A
+    query's step is its host: the result is the host itself.
     """
     if match.source != rule.lhs or match.target != host:
         raise GraphError(f"match does not connect {rule.name}'s pattern to the host")
+    if rule.preserves_all():
+        comatch = Morphism._trusted(rule.rhs, host, match.node_map, match.edge_map)
+        return DirectTransformation(rule, host, match, host, comatch)
     edge = dangling_edge(
         host, [match.node_map[n] for n in rule.deleted_nodes()], match.edge_image()
     )
@@ -328,14 +332,9 @@ def explore(
     Hosts are bucketed by `canonical_form`, and a result is new when no
     host in its bucket is `isomorphic` to it.
 
-    A rule whose every node and edge is tagged preserve (a query) is never
-    stepped: its step removes and adds nothing, so it gives a graph with
-    the host's own nodes and edges.  Every host a step starts from, the
-    initial host or a frontier host, is already kept in its bucket, so
-    that result is `isomorphic` to a kept host and would never be yielded.
-    Leaving such rules out therefore changes no yielded host, trace or
-    order.  A rule that only creates or deletes an edge changes the host
-    and is stepped.
+    A query is never stepped: its step is its host (see `apply`), which
+    is kept already, so leaving it out changes no yielded host, trace or
+    order.
     """
     yield initial, ()
     ordered = sorted(

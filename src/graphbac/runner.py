@@ -315,7 +315,7 @@ class _HttpTransport:
             self._idle.append(conn)
         try:
             return json.loads(body)
-        except ValueError as exc:  # not JSON, or not even text
+        except (ValueError, RecursionError) as exc:  # not JSON, not text, too deep
             raise OSError(f"HTTP {status}: {body[:200]!r}") from exc
 
     def _connection(self, timeout: float) -> http.client.HTTPConnection:

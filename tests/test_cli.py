@@ -193,6 +193,17 @@ def test_malformed_json_error_carries_position(running_example, capsys):
     assert "rules.json:1:" in err
 
 
+@pytest.mark.parametrize("name", ["rules.json", "taint.json"])
+def test_json_nested_too_deeply_exits_2_naming_the_file(running_example, capsys, name):
+    # json.loads raises RecursionError, not JSONDecodeError, on such a document
+    path = running_example / name
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["analyze", "--project", str(running_example)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "nested too deeply" in err, err
+    assert "Traceback" not in err
+
+
 def test_unknown_project_setting_is_rejected(running_example, capsys):
     config = json.loads((running_example / "project.json").read_text())
     config["endpont"] = "typo"

@@ -430,6 +430,28 @@ def test_a_body_of_unknown_length_is_refused_and_the_connection_closed(headers, 
     assert not target.graph.nodes
 
 
+def test_a_body_nested_too_deeply_gets_a_400_and_the_connection_serves_on(capsys):
+    # json.loads raises RecursionError, not ValueError, on such a body
+    deep = b"[" * 200_000 + b"]" * 200_000
+    target = make_target()
+    server, done = served(target)
+    try:
+        request = post(deep, f"Content-Length: {len(deep)}\r\n")
+        last = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\nConnection: close\r\n")
+        received = exchange(server, request + last)
+        assert done.acquire(timeout=5)
+    finally:
+        server.shutdown()
+        server.server_close()
+    refused, _, served_next = received.partition(b"HTTP/1.1 200 ")
+    head, _, payload = refused.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert code_of(json.loads(payload)) == BAD_REQUEST
+    assert b"malformed request" in payload
+    assert served_next and sorted(target.graph.nodes) == ["u~1"]
+    assert capsys.readouterr().err == ""
+
+
 def test_a_client_that_goes_away_prints_nothing(capsys):
     server, done = served(make_target())
     request = post(CREATE_USER, f"Content-Length: {len(CREATE_USER)}\r\n")
@@ -976,6 +998,9 @@ def test_a_state_the_mock_has_left_cannot_be_stepped_again():
     target = make_target()
     call(target, "tok-owner", "createUser")
     left = target.graph
+    # a query's step is the state itself, which stays live
+    assert call(target, "tok-owner", "getUser", {"user": "u~1"}).get("errors") is None
+    assert target.graph is left and left.__dict__["_live"]
     call(target, "tok-owner", "createRepo")
     assert target.graph is not left
     rule = target.rules["createRepo"]

@@ -167,10 +167,18 @@ def test_apply_read_rule_is_identity():
     )
     (match,) = enumerate_matches(rule.lhs, host)
     step = apply(rule, host, match)
-    assert step.result == host
+    assert step.result is host
     assert not step.created_ids() and not step.deleted_ids()
+    assert step.comatch.source == rule.rhs and step.comatch.target is host
     assert step.comatch.node_map == match.node_map
     assert step.comatch.edge_map == match.edge_map
+    # an owned graph's query step leaves it live, so it can still be stepped
+    owned = host._owned()
+    (match,) = enumerate_matches(rule.lhs, owned)
+    assert apply(rule, owned, match).result is owned and owned.__dict__["_live"]
+    create = create_repo_rule()
+    (match,) = enumerate_matches(create.lhs, owned)
+    assert set(apply(create, owned, match).result.nodes) == {"hu", "hr", "r~1"}
 
 
 def test_apply_creates_fresh_elements():

@@ -480,6 +480,29 @@ def test_a_reply_that_is_not_http_is_inconclusive(plan):
     assert all("malformed HTTP response" in r.detail for r in report.results)
 
 
+def test_a_reply_nested_too_deeply_is_inconclusive(plan):
+    # json.loads raises RecursionError, not ValueError, on such a body
+    class Deep(Recording):
+        def do_POST(self):  # noqa: N802  (http.server naming)
+            self.rfile.read(int(self.headers["Content-Length"]))
+            raw = b'{"data": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+
+    server, _closed = stub_server(Deep)
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/graphql"
+    try:
+        with pytest.raises(OSError, match="HTTP 200"):
+            http_transport(endpoint)({}, {}, 5.0)
+        report = run_plan(plan, make_config(endpoint=endpoint), rules=collab_rules())
+    finally:
+        stop(server)
+    assert all(r.verdict == INCONCLUSIVE for r in report.results)
+    assert all("transport failure" in r.detail for r in report.results)
+
+
 @pytest.mark.parametrize("bypassed", [False, True])
 def test_an_http_proxy_in_the_environment_is_used(monkeypatch, bypassed):
     handler = recording()
