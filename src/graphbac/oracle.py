@@ -9,29 +9,35 @@ consecutive pair (and independent pairs must commute up to isomorphism).
 The reachable states come from `rules.explore`, the same breadth-first search
 the planner uses for setup steps.
 
-Each ordered rule pair is checked against one concrete walk: the first
-rule's steps from every reachable host, each followed by every step of the
-second rule, each step pair classified once.  Every analyzed rule's
-matches are enumerated once on each reachable host, and its first steps
-are taken at them; both are kept for the whole run.  A second step's
-matches are not searched for on the first step's result: they are carried
-from the second rule's matches on the first step's host
-(`core.matches_after`), which keeps each host match that touches nothing
-the first step deleted and searches only around what it created.  Every
-step still goes through `transformations`.  The walks of (a, b) and
-(b, a) are made and held together, and dropped when both pairs are done.
-Both checks read the walk, the pair's reported reasons and whether each
-reason is concretely realizable, all computed once, and each span a
-concrete produce-use pair extracts is realized once per run.
+The oracle walks the reachable hosts one at a time.  On each host it
+enumerates every analyzed rule's matches once and takes the rule's first
+steps at them.  The walk of an ordered rule pair on the host is each first
+step of the first rule, followed by every step of the second rule, each
+step pair classified once.  A second step's matches are not searched for
+on the first step's result: they are carried from the second rule's
+matches on the host (`core.matches_after`), which keeps each host match
+that touches nothing the first step deleted and searches only around what
+it created.  Every step still goes through `transformations`.  Both step
+checks run on each walk, and their messages are kept per pair.  The
+host's matches, steps and walks are dropped before the next host, so the
+oracle holds one host's steps, not the whole depth's.
+
+A pair's reported reasons and its independence verdict are read once,
+before the first host.  After the last host come the checks that need no
+host: each reported reason must be realized by a concrete pair from its
+own witness, and a pair declared dependent must show a dependent pair
+there, through a realized reason or delete overlap.  Each span a concrete
+produce-use pair extracts is realized once per run.
 
 An independent pair commutes when its switched result is isomorphic to the
 original one.  By the local Church-Rosser theorem the switched steps use
-the original matches, so the walk already holds them: t2' is a first step
-of the second rule on t1's host, and t1' a step of the first rule after
-t2', in the walk of the reversed pair.  The oracle looks both up there and
-applies a rule only for a step the walk lacks.  `isomorphic` then decides
-whether the two results are the same state: at once when the switched
-result has the original's very nodes and edges, else by one match search.
+the original matches, so the host's walks already hold them: t2' is a
+first step of the second rule on t1's host, and t1' a step of the first
+rule after t2', in the walk of the reversed pair.  The oracle looks both
+up there and applies a rule only for a step the walks lack.  `isomorphic`
+then decides whether the two results are the same state: at once when the
+switched result has the original's very nodes and edges, else by one match
+search.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import GraphError, InstanceGraph, Morphism, enumerate_matches, matches_after
@@ -91,19 +98,19 @@ StepIndex = dict[tuple, DirectTransformation]
 def _step_pairs(
     firsts: Iterable[DirectTransformation],
     second: Rule,
-    before: dict[int, list[Morphism]] | None = None,
+    before: list[Morphism] | None = None,
 ) -> Iterator[StepPair]:
     """Every second-rule step after each first step, with the pair's class.
 
-    `before`, when given, holds the second rule's matches on each first
-    step's host, by host identity, and the matches on each first step's
-    result are carried from them (`matches_after`), not searched again.
+    `before`, when given, holds the second rule's matches on the host of
+    the first steps, and the matches on each first step's result are
+    carried from them (`matches_after`), not searched again.
     """
     for t1 in firsts:
         matches = None
         if before is not None:
             matches = matches_after(
-                second.lhs, before[id(t1.host)], t1.result, t1.deleted_ids(), t1.created_ids()
+                second.lhs, before, t1.result, t1.deleted_ids(), t1.created_ids()
             )
         for t2 in transformations(second, t1.result, matches):
             yield t1, t2, classify_transformation_pair(t1, t2)
@@ -138,13 +145,10 @@ def produce_use_disagreements(
     sink: Rule,
     steps: Sequence[StepPair],
     reported: Sequence[DependencyReason],
-    realized: Sequence[bool],
     extract: Extract,
 ) -> list[str]:
-    """Completeness and soundness of the reported reasons for one rule pair.
-
-    `realized[i]` says whether a concrete pair realizes `reported[i]`.
-    """
+    """Each produce-use pair of the steps whose span is no reported reason
+    of the rule pair, or not realizable by the analysis."""
     out = []
     for t1, t2, cls in steps:
         if cls != PRODUCE_USE:
@@ -163,9 +167,6 @@ def produce_use_disagreements(
                 f"{sorted(extracted.span.nodes) + sorted(extracted.span.edges)} "
                 "matches no reported reason"
             )
-    for reason, ok in zip(reported, realized):
-        if not ok:
-            out.append(f"{reason.id}: reported reason has no concrete realization")
     return out
 
 
@@ -228,10 +229,10 @@ def _switch(
     firsts: StepIndex,
     seconds: StepIndex,
 ) -> tuple[DirectTransformation, DirectTransformation]:
-    """The switched steps (t2', t1') of an independent pair from the walk:
-    t2' among the second rule's first steps (`firsts`, on t1's host), t1'
-    among the first rule's steps after those (`seconds`, the walk of the
-    reversed pair)."""
+    """The switched steps (t2', t1') of an independent pair from the host's
+    walks: t2' among the second rule's first steps (`firsts`, on t1's
+    host), t1' among the first rule's steps after those (`seconds`, the
+    walk of the reversed pair)."""
     t2p = _looked_up(firsts, t2.rule, t1.host, t2.match)
     return t2p, _looked_up(seconds, t1.rule, t2p.result, t1.match)
 
@@ -240,16 +241,12 @@ def independence_disagreements(
     first: Rule,
     second: Rule,
     steps: Sequence[StepPair],
-    realized: Sequence[bool],
+    verdict: bool,
     switch: Switch,
 ) -> list[str]:
-    """The universal-independence verdict against every concrete pair.
-
-    `realized` says, for each reason reported for the pair, whether a
-    concrete pair realizes it (see `run_oracle`); `switch` gives an
-    independent pair's switched steps.
-    """
-    verdict = universally_sequentially_independent(first, second)
+    """The universal-independence verdict against every concrete pair: a
+    dependent pair contradicts a verdict of independence, and an
+    independent pair must switch, by `switch`, to an isomorphic result."""
     out = []
     for t1, t2, cls in steps:
         if cls != INDEPENDENT:
@@ -269,13 +266,6 @@ def independence_disagreements(
         if not isomorphic(t1p.result, t2.result):
             out.append(
                 f"{first.name};{second.name}: switched order yields a different result"
-            )
-    if not verdict:
-        # a dependent pair exists when a reason or a delete overlap is realized
-        if not (any(realized) or _delete_overlap_realized(first, second)):
-            out.append(
-                f"{first.name};{second.name}: declared dependent but no concrete "
-                "dependent pair exists on any witness host"
             )
     return out
 
@@ -349,21 +339,6 @@ class OracleReport:
         return not self.disagreements
 
 
-def _pair_disagreements(
-    first: Rule,
-    second: Rule,
-    steps: Sequence[StepPair],
-    extract: Extract,
-    switch: Switch,
-) -> list[str]:
-    """Both checks of one ordered rule pair against its walk."""
-    reasons = dependency_reasons(first, second)
-    realized = [_realize_reason(first, second, r, extract) for r in reasons]
-    return produce_use_disagreements(
-        first, second, steps, reasons, realized, extract
-    ) + independence_disagreements(first, second, steps, realized, switch)
-
-
 def run_oracle(
     analyzed: Iterable[Rule],
     all_rules: Iterable[Rule],
@@ -373,41 +348,55 @@ def run_oracle(
     """Compare the static analysis against everything reachable in `depth` steps."""
     start = time.monotonic()
     analyzed = sorted(analyzed, key=lambda r: r.name)
-    hosts = reachable_hosts(all_rules, initial, depth)
-    # `hosts` keeps every host alive while these lists and indexes name them
-    matches = [
-        {id(host): enumerate_matches(a.lhs, host) for host in hosts} for a in analyzed
-    ]
-    firsts = [
-        _index(t for host in hosts for t in transformations(a, host, found[id(host)]))
-        for a, found in zip(analyzed, matches)
-    ]
-    extract = _extractor()
-    messages: dict[tuple[int, int], list[str]] = {}
-    for i, a in enumerate(analyzed):
-        for j in range(i, len(analyzed)):
-            b = analyzed[j]
-            # each walk's second steps are the reversed pair's switched t1';
-            # the self-pair is its own reversed pair
-            walks = {(i, j): list(_step_pairs(firsts[i].values(), b, matches[j]))}
-            if j != i:
-                walks[j, i] = list(_step_pairs(firsts[j].values(), a, matches[i]))
-            for x, y in walks:
-                switch = partial(
-                    _switch,
-                    firsts=firsts[y],
-                    seconds=_index(t2 for _, t2, _ in walks[y, x]),
-                )
-                messages[x, y] = _pair_disagreements(
-                    analyzed[x], analyzed[y], walks[x, y], extract, switch
-                )
-            del walks  # only one unordered pair's walks are held at a time
     n = len(analyzed)
+    pairs = [(a, b) for a in analyzed for b in analyzed]
+    reasons = [dependency_reasons(a, b) for a, b in pairs]
+    verdicts = [universally_sequentially_independent(a, b) for a, b in pairs]
+    hosts = reachable_hosts(all_rules, initial, depth)
+    extract = _extractor()
+    produce_use: list[list[str]] = [[] for _ in pairs]
+    independence: list[list[str]] = [[] for _ in pairs]
+    for host in hosts:
+        matches = [enumerate_matches(a.lhs, host) for a in analyzed]
+        firsts = [transformations(a, host, m) for a, m in zip(analyzed, matches)]
+        walks = {}
+        afters: list[list[DirectTransformation]] = [[] for _ in analyzed]
+        for i, steps in enumerate(firsts):
+            if steps:
+                for j, b in enumerate(analyzed):
+                    walk = list(_step_pairs(steps, b, matches[j]))
+                    if walk:
+                        walks[i, j] = walk
+                        afters[j] += (t2 for _, t2, _ in walk)
+        # each rule's steps after a first step, then its first steps, which
+        # replace the equal steps after a query's step (its result is the host)
+        indexes = [_index(chain(after, steps)) for after, steps in zip(afters, firsts)]
+        for (i, j), walk in walks.items():
+            k = i * n + j
+            a, b = pairs[k]
+            switch = partial(_switch, firsts=indexes[j], seconds=indexes[i])
+            produce_use[k] += produce_use_disagreements(a, b, walk, reasons[k], extract)
+            independence[k] += independence_disagreements(a, b, walk, verdicts[k], switch)
+    disagreements = []
+    for k, (a, b) in enumerate(pairs):
+        realized = [_realize_reason(a, b, r, extract) for r in reasons[k]]
+        disagreements += produce_use[k]
+        disagreements += [
+            f"{r.id}: reported reason has no concrete realization"
+            for r, ok in zip(reasons[k], realized)
+            if not ok
+        ]
+        disagreements += independence[k]
+        # a dependent pair exists when a reason or a delete overlap is realized
+        if not (verdicts[k] or any(realized) or _delete_overlap_realized(a, b)):
+            disagreements.append(
+                f"{a.name};{b.name}: declared dependent but no concrete "
+                "dependent pair exists on any witness host"
+            )
     return OracleReport(
         depth=depth,
         hosts_explored=len(hosts),
         pairs_checked=n * n,
-        disagreements=[m for i in range(n) for j in range(n) for m in messages[i, j]],
+        disagreements=disagreements,
         elapsed_seconds=time.monotonic() - start,
     )
-

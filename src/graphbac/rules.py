@@ -266,7 +266,10 @@ def apply(rule: Rule, host: InstanceGraph, match: Morphism) -> DirectTransformat
     The match is valid, so the comatch is too and skips its checks.  A
     query's step is its host: the result is the host itself.
     """
-    if match.source != rule.lhs or match.target != host:
+    # a match almost always holds the very graphs: identity first, then the
+    # field-by-field comparison
+    source, target = match.source, match.target
+    if not (source is rule.lhs or source == rule.lhs) or not (target is host or target == host):
         raise GraphError(f"match does not connect {rule.name}'s pattern to the host")
     if rule.preserves_all():
         comatch = Morphism._trusted(rule.rhs, host, match.node_map, match.edge_map)

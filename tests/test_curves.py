@@ -28,6 +28,7 @@ def test_the_oracle_curve_at_depth_3_explores_12_hosts():
     assert (point["curve"], point["depth"], point["hosts"]) == ("oracle", 3, 12)
     assert point["agreed"]
     assert point["wall_s"] >= 0
+    assert point["peak_mb"] > 0
 
 
 def test_the_sweep_curve_at_seed_255_explores_18_hosts():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -162,21 +164,23 @@ def test_collab_pairwise_agreement_at_shallow_depth():
                 for t2 in transformations(second, t1.result)
             ]
             reasons = dependency_reasons(first, second)
-            realized = [
-                oracle._realize_reason(first, second, r, extract_reason) for r in reasons
-            ]
+            verdict = universally_sequentially_independent(first, second)
             assert (
-                produce_use_disagreements(
-                    first, second, steps, reasons, realized, extract_reason
-                )
+                produce_use_disagreements(first, second, steps, reasons, extract_reason)
                 == []
             )
             assert (
                 independence_disagreements(
-                    first, second, steps, realized, reference.switched_steps
+                    first, second, steps, verdict, reference.switched_steps
                 )
                 == []
             )
+            # the checks `run_oracle` makes once per pair, after the last host
+            realized = [
+                oracle._realize_reason(first, second, r, extract_reason) for r in reasons
+            ]
+            assert all(realized)
+            assert verdict or any(realized) or oracle._delete_overlap_realized(first, second)
 
 
 @settings(max_examples=20, deadline=None)
@@ -333,6 +337,49 @@ def test_the_oracle_searches_no_first_step_result_for_matches(monkeypatch):
     results = {id(t.result) for t in firsts if t.result is not t.host}
     assert firsts and searched
     assert not [h for h in searched if id(h) in results]
+
+
+def test_the_oracle_holds_one_hosts_first_steps(monkeypatch):
+    # when host k + 1's matches are enumerated, or its first steps taken,
+    # the first steps of every host before k are gone: the oracle walks one
+    # host at a time
+    project = Project.load(PROJECTS / "running-example")
+    real_hosts, real_steps = oracle.reachable_hosts, oracle.transformations
+    real_enumerate = oracle.enumerate_matches
+    hosts, firsts, held = [], {}, {}  # firsts: host position -> weak references
+
+    def reachable(*args):
+        hosts.extend(real_hosts(*args))
+        return list(hosts)
+
+    def position(host):
+        return next((k for k, h in enumerate(hosts) if h is host), None)
+
+    def check(when, host):
+        k = position(host)
+        if k is not None and (when, k) not in held:
+            gc.collect()
+            held[when, k] = [j for j in range(k - 1) if any(r() for r in firsts.get(j, ()))]
+
+    def stepped(rule, host, *args):
+        check("stepped", host)
+        steps = real_steps(rule, host, *args)
+        k = position(host)
+        if k is not None:
+            firsts.setdefault(k, []).extend(map(weakref.ref, steps))
+        return steps
+
+    def enumerated(pattern, host):
+        check("enumerated", host)
+        return real_enumerate(pattern, host)
+
+    monkeypatch.setattr(oracle, "reachable_hosts", reachable)
+    monkeypatch.setattr(oracle, "transformations", stepped)
+    monkeypatch.setattr(oracle, "enumerate_matches", enumerated)
+    report = run_oracle(project.analyzed_rules(), project.rules(), project.initial(), 4)
+    assert report.agreed and len(hosts) == 29
+    assert len(held) == 2 * 29 and len(firsts) == 29
+    assert {key: kept for key, kept in held.items() if kept} == {}
 
 
 def _fields(step):

@@ -19,7 +19,10 @@ wall time per reason flat as k grows.
 
 oracle: `run_oracle` on the shipped running-example project at a growing
 exploration depth.  A point reports the hosts explored, which grow about
-2.3 times per level, and whether the oracle agreed with the analysis.
+2.3 times per level, whether the oracle agreed with the analysis, and the
+peak memory the call allocates (`peak_mb`, the `tracemalloc` peak of one
+more, untimed run).  The oracle holds one host's steps at a time, so the
+peak grows with the hosts it keeps, not with every host's steps.
 
 sweep: `run_oracle` at depth 3 on the slowest systems of the wide random
 sweep (`randgen.wide_system`: up to 3 node and 3 edge types, 3 rules of at
@@ -73,6 +76,7 @@ import statistics
 import sys
 import threading
 import time
+import tracemalloc
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -92,7 +96,7 @@ from graphbac.taint import PairVerdicts  # noqa: E402
 from randgen import wide_system  # noqa: E402
 
 KSTAR_POINTS = (3, 4, 5, 6)
-ORACLE_POINTS = (3, 4, 5)
+ORACLE_POINTS = (3, 4, 5, 6)
 SWEEP_SEEDS = (255, 66)
 MOCKSTATE_POINTS = (1, 6, 12, 20, 60, 120)
 HTTP_POINTS = (1, 6)
@@ -145,11 +149,19 @@ def oracle(depth: int) -> dict:
         return project.analyzed_rules(), project.rules(), project.initial(), depth
 
     report, walls = timed(inputs, run_oracle)
+    args = inputs()
+    tracemalloc.start()
+    try:
+        run_oracle(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "curve": "oracle",
         "depth": depth,
         "hosts": report.hosts_explored,
         "agreed": report.agreed,
+        "peak_mb": round(peak / 2**20, 2),
         **walls,
     }
 
